@@ -14,24 +14,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ReductionLayer
-from .circuits import AnsatzSpec, FeatureMapSpec
-from .encoder import EncoderConfig, EncoderWeights, LayerWeights, _LAYER_FIELDS
-from .model import HybridModel, named_parameters
+from .encoder import EncoderConfig
+from .model import (
+    HybridModel,
+    make_bypass_model,
+    make_encoder_model,
+    named_parameters,
+    set_parameters,
+)
 
 MAGIC = "qembed-checkpoint v1"
 
+# encoder meta key -> (EncoderConfig field, type)
+_ENCODER_META = {
+    "encoder.patch": ("patch_size", int),
+    "encoder.dim": ("embed_dim", int),
+    "encoder.depth": ("layers", int),
+    "encoder.heads": ("heads", int),
+    "encoder.ffn_hidden": ("ffn_hidden", int),
+    "encoder.out_dim": ("out_dim", int),
+    "encoder.class_token": ("use_class_token", bool),
+}
 
-def _format_meta(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
-
-def save_checkpoint(path, model: HybridModel) -> None:
-    lines = [MAGIC]
+def _meta(model: HybridModel) -> dict[str, object]:
+    """The model's structure as the typed values of its `meta` lines."""
     meta = {
         "readout_qubit": model.readout_qubit,
         "fm.n_qubits": model.feature_map.n_qubits,
@@ -43,19 +50,21 @@ def save_checkpoint(path, model: HybridModel) -> None:
         "encoder.present": not model.bypass,
     }
     if not model.bypass:
-        cfg = model.encoder_config
-        meta.update(
-            {
-                "encoder.patch": cfg.patch_size,
-                "encoder.dim": cfg.embed_dim,
-                "encoder.depth": cfg.layers,
-                "encoder.heads": cfg.heads,
-                "encoder.ffn_hidden": cfg.ffn_hidden,
-                "encoder.out_dim": cfg.out_dim,
-                "encoder.class_token": cfg.use_class_token,
-            }
-        )
-    for key, value in meta.items():
+        for key, (field, _) in _ENCODER_META.items():
+            meta[key] = getattr(model.encoder_config, field)
+    return meta
+
+
+def _format_meta(value) -> str:
+    # str() of a float is its shortest round-tripping repr()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def save_checkpoint(path, model: HybridModel) -> None:
+    lines = [MAGIC]
+    for key, value in _meta(model).items():
         lines.append(f"meta {key} {_format_meta(value)}")
     for name, array in named_parameters(model).items():
         dims = " ".join(str(d) for d in array.shape)
@@ -65,92 +74,129 @@ def save_checkpoint(path, model: HybridModel) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray, int]]]:
+    """`meta` texts and `param` arrays by name, each with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"{path}: not a {MAGIC!r} file")
-    meta: dict[str, str] = {}
-    params: dict[str, np.ndarray] = {}
+    meta: dict[str, tuple[str, int]] = {}
+    params: dict[str, tuple[np.ndarray, int]] = {}
     i = 1
     while i < len(lines):
-        line = lines[i]
+        line, lineno = lines[i], i + 1
+        i += 1
         if not line:
-            i += 1
             continue
-        if line.startswith("meta "):
-            _, key, value = line.split(" ", 2)
-            meta[key] = value
-            i += 1
-        elif line.startswith("param "):
-            fields = line.split(" ")
-            name = fields[1]
-            shape = tuple(int(d) for d in fields[2:])
-            if i + 1 >= len(lines):
-                raise ValueError(f"{path}: missing values for parameter {name!r}")
-            values = np.array([float(v) for v in lines[i + 1].split(" ")], dtype=float)
-            if values.size != int(np.prod(shape)):
+        kind, _, rest = line.partition(" ")
+        name, _, rest = rest.partition(" ")
+        if kind == "meta" and name and rest:
+            table, entry = meta, rest
+        elif kind == "param" and name and all(d.isdigit() for d in rest.split()):
+            shape = tuple(int(d) for d in rest.split())
+            if i >= len(lines):
+                raise ValueError(f"{path}:{lineno}: missing values for parameter {name!r}")
+            try:
+                entry = np.array([float(v) for v in lines[i].split()]).reshape(shape)
+            except ValueError:
+                entry = None
+            if entry is None or not np.all(np.isfinite(entry)):
                 raise ValueError(
-                    f"{path}: parameter {name!r} expects {np.prod(shape)} values, "
-                    f"got {values.size}"
+                    f"{path}:{i + 1}: parameter {name!r} needs {int(np.prod(shape))} "
+                    "finite float values"
                 )
-            params[name] = values.reshape(shape)
-            i += 2
+            table = params
+            i += 1
         else:
-            raise ValueError(f"{path}: unrecognized line {line!r}")
+            raise ValueError(f"{path}:{lineno}: malformed line {line!r}")
+        if name in table:
+            raise ValueError(f"{path}:{lineno}: duplicate {kind} {name!r}")
+        table[name] = (entry, lineno)
     return meta, params
 
 
+def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:
+    """An image shape that gives the encoder the parameter shapes in `params`.
+
+    v1 files record no image size, but parameter shapes depend only on the
+    patch count and the channels, which the `encoder.positional` and
+    `encoder.patch_projection` rows give: one row of that many patches
+    builds the same shapes. Missing or mis-shaped entries fall through to
+    the shape check against the built model.
+    """
+
+    def rows(name: str) -> int:
+        shape = params[name][0].shape if name in params else ()
+        return shape[0] if shape else 1
+
+    patches = max(rows("encoder.positional") - cfg.use_class_token, 1)
+    channels = max(rows("encoder.patch_projection") // cfg.patch_size**2, 1)
+    return (cfg.patch_size, cfg.patch_size * patches, channels)
+
+
 def load_checkpoint(path) -> HybridModel:
+    """Rebuild the model the `meta` lines describe and fill in its params.
+
+    Every meta line must agree with that model and every param must match
+    one of its parameters in name and shape; anything else is rejected with
+    the file's path and line.
+    """
     meta, params = _parse(path)
 
-    def meta_int(key: str) -> int:
-        return int(meta[key])
+    def get(key: str, kind: type):
+        if key not in meta:
+            raise ValueError(f"{path}: missing meta {key}")
+        text, lineno = meta[key]
+        try:
+            value = text == "true" if kind is bool else kind(text)
+        except ValueError:
+            value = None
+        if value is None or _format_meta(value) != text:
+            raise ValueError(f"{path}:{lineno}: meta {key} {text!r} is not a canonical {kind.__name__}")
+        return value
 
-    def meta_bool(key: str) -> bool:
-        return meta[key] == "true"
-
-    fm = FeatureMapSpec(
-        n_qubits=meta_int("fm.n_qubits"),
-        repetitions=meta_int("fm.reps"),
-        scale=float(meta["fm.scale"]),
+    circuit = dict(
+        n_qubits=get("fm.n_qubits", int),
+        fm_repetitions=get("fm.reps", int),
+        fm_scale=get("fm.scale", float),
+        ansatz_layers=get("ansatz.layers", int),
+        readout_qubit=get("readout_qubit", int),
     )
-    an = AnsatzSpec(n_qubits=fm.n_qubits, layers=meta_int("ansatz.layers"))
-    reduction = ReductionLayer(w=params["reduction.w"], b=params["reduction.b"])
+    encoder = get("encoder.present", bool)
+    if encoder:
+        fields = {field: get(key, kind) for key, (field, kind) in _ENCODER_META.items()}
+    else:
+        in_dim = get("reduction.in_dim", int)
+    try:
+        if encoder:
+            cfg = EncoderConfig(**fields)
+            model = make_encoder_model(cfg, _image_shape(cfg, params), **circuit)
+        else:
+            model = make_bypass_model(in_dim, **circuit)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
-    encoder_config = None
-    encoder_weights = None
-    if meta_bool("encoder.present"):
-        encoder_config = EncoderConfig(
-            patch_size=meta_int("encoder.patch"),
-            embed_dim=meta_int("encoder.dim"),
-            layers=meta_int("encoder.depth"),
-            heads=meta_int("encoder.heads"),
-            ffn_hidden=meta_int("encoder.ffn_hidden"),
-            out_dim=meta_int("encoder.out_dim"),
-            use_class_token=meta_bool("encoder.class_token"),
-        )
-        layers = []
-        for i in range(encoder_config.layers):
-            kwargs = {
-                attr: params[f"encoder.layer.{i}.{suffix}"]
-                for suffix, attr in _LAYER_FIELDS
-            }
-            layers.append(LayerWeights(**kwargs))
-        encoder_weights = EncoderWeights(
-            patch_projection=params["encoder.patch_projection"],
-            positional=params["encoder.positional"],
-            class_token=params.get("encoder.class_token"),
-            layers=layers,
-            head_w=params["encoder.head.w"],
-            head_b=params["encoder.head.b"],
-        )
-    return HybridModel(
-        reduction=reduction,
-        theta=params["ansatz.theta"],
-        feature_map=fm,
-        ansatz=an,
-        encoder_config=encoder_config,
-        encoder_weights=encoder_weights,
-        readout_qubit=meta_int("readout_qubit"),
-    )
+    expected_meta = {key: _format_meta(value) for key, value in _meta(model).items()}
+    for key, (text, lineno) in meta.items():
+        if key not in expected_meta:
+            raise ValueError(f"{path}:{lineno}: unknown meta key {key!r}")
+        if text != expected_meta[key]:
+            raise ValueError(
+                f"{path}:{lineno}: meta {key} is {text}, but the model it describes "
+                f"has {expected_meta[key]}"
+            )
+    expected = named_parameters(model)
+    for name, (array, lineno) in params.items():
+        if name not in expected:
+            raise ValueError(f"{path}:{lineno}: unknown parameter {name!r}")
+        if array.shape != expected[name].shape:
+            raise ValueError(
+                f"{path}:{lineno}: parameter {name!r} has shape {array.shape}, "
+                f"the model needs {expected[name].shape}"
+            )
+    missing = [f"meta {key}" for key in expected_meta if key not in meta]
+    missing += [f"param {name}" for name in expected if name not in params]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    set_parameters(model, {name: array for name, (array, _) in params.items()})
+    return model

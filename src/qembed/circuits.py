@@ -48,15 +48,12 @@ class FeatureMapSpec:
 class AnsatzSpec:
     n_qubits: int
     layers: int = 1
-    entanglement: str = "linear-chain"
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
-        if self.entanglement != "linear-chain":
-            raise ValueError(f"unsupported entanglement pattern {self.entanglement!r}")
 
     def parameter_count(self) -> int:
         return self.n_qubits * (self.layers + 1)

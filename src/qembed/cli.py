@@ -18,6 +18,7 @@ from .circuits import build_real_amplitudes, build_z_feature_map, serialize_gate
 from .config import (
     apply_overrides,
     default_config,
+    image_shape_from,
     model_from_config,
     parse_config_file,
     specs_from,
@@ -46,8 +47,6 @@ def _cmd_train(args) -> int:
     config = _load_config(args)
     if args.seed is not None:
         config["train.seed"] = args.seed
-    if args.freeze_encoder:
-        config["train.freeze_encoder"] = True
     if not config["model.bypass_encoder"]:
         raise ValueError(
             "CLI training consumes embedding CSVs; set model.bypass_encoder = true "
@@ -142,13 +141,7 @@ def _cmd_gradcheck(args) -> int:
     config = _load_config(args)
     model = model_from_config(config, seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    image_shape = None
-    if not config["model.bypass_encoder"]:
-        image_shape = (
-            config["encoder.image_h"],
-            config["encoder.image_w"],
-            config["encoder.channels"],
-        )
+    image_shape = None if config["model.bypass_encoder"] else image_shape_from(config)
     samples = draw_samples(model, args.samples, rng, image_shape=image_shape)
     ok, groups = gradient_check(
         model, samples, h=args.h, abs_tol=args.abs_tol, rel_tol=args.rel_tol
@@ -203,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="embedding CSV")
     _add_config_flags(p)
     p.add_argument("--seed", type=int, help="override train.seed")
-    p.add_argument("--freeze-encoder", action="store_true")
     p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.add_argument("--history", default="history.csv", help="history CSV path")
     p.set_defaults(func=_cmd_train)
@@ -275,9 +267,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-cli_main = main
 
 
 def console_main() -> None:

@@ -140,27 +140,15 @@ def specs_from(config: dict) -> tuple[FeatureMapSpec, AnsatzSpec]:
 def model_from_config(config: dict, seed: int, in_dim: int | None = None) -> HybridModel:
     """Build a fresh model; `in_dim` (e.g. the dataset's feature dimension)
     overrides reduction.in_dim for bypass models."""
+    shared = dict(
+        n_qubits=config["model.n_qubits"],
+        fm_repetitions=config["fm.reps"],
+        fm_scale=config["fm.scale"],
+        ansatz_layers=config["ansatz.layers"],
+        seed=seed,
+        readout_qubit=config["model.readout_qubit"],
+    )
     if config["model.bypass_encoder"]:
         dim = in_dim if in_dim is not None else config["reduction.in_dim"]
-        model = make_bypass_model(
-            in_dim=dim,
-            n_qubits=config["model.n_qubits"],
-            fm_repetitions=config["fm.reps"],
-            fm_scale=config["fm.scale"],
-            ansatz_layers=config["ansatz.layers"],
-            seed=seed,
-        )
-    else:
-        model = make_encoder_model(
-            encoder_config=encoder_config_from(config),
-            image_shape=image_shape_from(config),
-            n_qubits=config["model.n_qubits"],
-            fm_repetitions=config["fm.reps"],
-            fm_scale=config["fm.scale"],
-            ansatz_layers=config["ansatz.layers"],
-            seed=seed,
-        )
-    model.readout_qubit = config["model.readout_qubit"]
-    if not 0 <= model.readout_qubit < model.feature_map.n_qubits:
-        raise ValueError(f"readout qubit {model.readout_qubit} out of range")
-    return model
+        return make_bypass_model(in_dim=dim, **shared)
+    return make_encoder_model(encoder_config_from(config), image_shape_from(config), **shared)

@@ -36,6 +36,7 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
     if cols != _expected_header(dim).split(","):
         raise ValueError(f"{path}:1: feature columns must be f0..f{dim - 1} in order")
     records: list[EmbeddingRecord] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -45,6 +46,9 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
                 f"{path}:{lineno}: expected {dim} feature(s), got {len(parts) - 2}"
             )
         rec_id = parts[0]
+        if rec_id in first_line:
+            raise ValueError(f"{path}:{lineno}: id {rec_id!r} repeats line {first_line[rec_id]}")
+        first_line[rec_id] = lineno
         try:
             label = int(parts[1])
         except ValueError:

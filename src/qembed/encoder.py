@@ -171,8 +171,8 @@ def extract_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
     return grid.transpose(0, 2, 1, 3, 4).reshape(-1, n * n * channels)
 
 
-def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
-    """Project flattened patches to embeddings; prepend the class token if enabled."""
+def _embed_patches(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig):
+    """(flattened patches, token matrix with the class token first if enabled)."""
     patches = extract_patches(image, config.patch_size)
     if patches.shape[1] != weights.patch_projection.shape[0]:
         raise ValueError(
@@ -182,7 +182,12 @@ def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) 
     tokens = patches @ weights.patch_projection
     if config.use_class_token:
         tokens = np.vstack([weights.class_token, tokens])
-    return tokens
+    return patches, tokens
+
+
+def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
+    """Project flattened patches to embeddings; prepend the class token if enabled."""
+    return _embed_patches(image, weights, config)[1]
 
 
 def add_positional(tokens: np.ndarray, weights: EncoderWeights) -> np.ndarray:
@@ -200,20 +205,9 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    out, _, _ = _layer_norm_fwd(x, gain, bias)
-    return out
-
-
-def self_attention(
-    x: np.ndarray,
-    lw: LayerWeights,
-    heads: int,
-    return_weights: bool = False,
-):
-    """Multi-head scaled dot-product attention; heads=1 is the plain form."""
-    t, d = x.shape
-    dk = d // heads
+def _attention(x: np.ndarray, lw: LayerWeights, heads: int):
+    """(q, k, v, per-head softmax weights, heads concatenated before wo)."""
+    dk = x.shape[1] // heads
     q = x @ lw.wq
     k = x @ lw.wk
     v = x @ lw.wv
@@ -224,6 +218,17 @@ def self_attention(
         attn = softmax_rows(q[:, sl] @ k[:, sl].T / math.sqrt(dk))
         concat[:, sl] = attn @ v[:, sl]
         attn_weights.append(attn)
+    return q, k, v, attn_weights, concat
+
+
+def self_attention(
+    x: np.ndarray,
+    lw: LayerWeights,
+    heads: int,
+    return_weights: bool = False,
+):
+    """Multi-head scaled dot-product attention; heads=1 is the plain form."""
+    _, _, _, attn_weights, concat = _attention(x, lw, heads)
     out = concat @ lw.wo
     if return_weights:
         return out, attn_weights
@@ -236,8 +241,7 @@ def ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
 
 
 def encoder_layer(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
-    u = layer_norm(x + self_attention(x, lw, heads), lw.ln1_gain, lw.ln1_bias)
-    return layer_norm(u + ffn(u, lw), lw.ln2_gain, lw.ln2_bias)
+    return _layer_forward(x, lw, heads)[0]
 
 
 def run_layers(tokens: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
@@ -248,9 +252,7 @@ def run_layers(tokens: np.ndarray, weights: EncoderWeights, config: EncoderConfi
 
 def encode(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
     """Image -> feature vector (out_dim): full stack, head applied to token 0."""
-    x = add_positional(tokenize(image, weights, config), weights)
-    x = run_layers(x, weights, config)
-    return x[0] @ weights.head_w + weights.head_b
+    return encode_with_cache(image, weights, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +292,20 @@ def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return gain * xhat + bias, xhat, istd
 
 
+def _layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> tuple[np.ndarray, _LayerCache]:
+    """One post-norm encoder layer and the intermediates its backward needs."""
+    q, k, v, attn, concat = _attention(x, lw, heads)
+    u, xhat1, istd1 = _layer_norm_fwd(x + concat @ lw.wo, lw.ln1_gain, lw.ln1_bias)
+    hpre = u @ lw.w1 + lw.b1
+    relu = np.maximum(0.0, hpre)
+    y, xhat2, istd2 = _layer_norm_fwd(u + relu @ lw.w2 + lw.b2, lw.ln2_gain, lw.ln2_bias)
+    return y, _LayerCache(
+        x=x, q=q, k=k, v=v, attn=attn, concat=concat,
+        xhat1=xhat1, istd1=istd1, u=u, hpre=hpre, relu=relu,
+        xhat2=xhat2, istd2=istd2,
+    )
+
+
 def _layer_norm_bwd(g_out: np.ndarray, xhat: np.ndarray, istd: np.ndarray, gain: np.ndarray):
     g_gain = (g_out * xhat).sum(axis=0)
     g_bias = g_out.sum(axis=0)
@@ -306,39 +322,12 @@ def encode_with_cache(
     image: np.ndarray, weights: EncoderWeights, config: EncoderConfig
 ) -> tuple[np.ndarray, EncodeCache]:
     """Forward pass recording every intermediate needed for encode_backward."""
-    patches = extract_patches(image, config.patch_size)
-    tokens = patches @ weights.patch_projection
-    if config.use_class_token:
-        tokens = np.vstack([weights.class_token, tokens])
+    patches, tokens = _embed_patches(image, weights, config)
     x = add_positional(tokens, weights)
     cache = EncodeCache(patches=patches, x0=x)
-
-    heads = config.heads
     for lw in weights.layers:
-        t, d = x.shape
-        dk = d // heads
-        q = x @ lw.wq
-        k = x @ lw.wk
-        v = x @ lw.wv
-        concat = np.empty_like(x)
-        attn_list = []
-        for hh in range(heads):
-            sl = slice(hh * dk, (hh + 1) * dk)
-            attn = softmax_rows(q[:, sl] @ k[:, sl].T / math.sqrt(dk))
-            concat[:, sl] = attn @ v[:, sl]
-            attn_list.append(attn)
-        u, xhat1, istd1 = _layer_norm_fwd(x + concat @ lw.wo, lw.ln1_gain, lw.ln1_bias)
-        hpre = u @ lw.w1 + lw.b1
-        relu = np.maximum(0.0, hpre)
-        y, xhat2, istd2 = _layer_norm_fwd(u + relu @ lw.w2 + lw.b2, lw.ln2_gain, lw.ln2_bias)
-        cache.layer_caches.append(
-            _LayerCache(
-                x=x, q=q, k=k, v=v, attn=attn_list, concat=concat,
-                xhat1=xhat1, istd1=istd1, u=u, hpre=hpre, relu=relu,
-                xhat2=xhat2, istd2=istd2,
-            )
-        )
-        x = y
+        x, layer_cache = _layer_forward(x, lw, config.heads)
+        cache.layer_caches.append(layer_cache)
     cache.top = x
     return x[0] @ weights.head_w + weights.head_b, cache
 
@@ -365,16 +354,13 @@ def _attention_backward(
         g_q[:, sl] = g_scores @ lc.k[:, sl] * scale
         g_k[:, sl] = g_scores.T @ lc.q[:, sl] * scale
     g_x = g_q @ lw.wq.T + g_k @ lw.wk.T + g_v @ lw.wv.T
-    grads = {
-        "attn.wq": lc.x.T @ g_q,
-        "attn.wk": lc.x.T @ g_k,
-        "attn.wv": lc.x.T @ g_v,
-        "attn.wo": g_wo,
-    }
-    return g_x, grads
+    return g_x, lc.x.T @ g_q, lc.x.T @ g_k, lc.x.T @ g_v, g_wo
 
 
-def _layer_backward(g_y: np.ndarray, lc: _LayerCache, lw: LayerWeights, heads: int):
+def _layer_backward(
+    g_y: np.ndarray, lc: _LayerCache, lw: LayerWeights, heads: int
+) -> tuple[np.ndarray, LayerWeights]:
+    """Gradient at the layer input and the layer's weight gradients."""
     g_s2, g_ln2_gain, g_ln2_bias = _layer_norm_bwd(g_y, lc.xhat2, lc.istd2, lw.ln2_gain)
     g_f = g_s2
     g_w2 = lc.relu.T @ g_f
@@ -384,22 +370,11 @@ def _layer_backward(g_y: np.ndarray, lc: _LayerCache, lw: LayerWeights, heads: i
     g_b1 = g_h.sum(axis=0)
     g_u = g_s2 + g_h @ lw.w1.T
     g_s1, g_ln1_gain, g_ln1_bias = _layer_norm_bwd(g_u, lc.xhat1, lc.istd1, lw.ln1_gain)
-    g_x_attn, attn_grads = _attention_backward(g_s1, lc, lw, heads)
-    g_x = g_s1 + g_x_attn
-    grads = dict(attn_grads)
-    grads.update(
-        {
-            "ffn.w1": g_w1,
-            "ffn.b1": g_b1,
-            "ffn.w2": g_w2,
-            "ffn.b2": g_b2,
-            "ln1.gain": g_ln1_gain,
-            "ln1.bias": g_ln1_bias,
-            "ln2.gain": g_ln2_gain,
-            "ln2.bias": g_ln2_bias,
-        }
+    g_x_attn, g_wq, g_wk, g_wv, g_wo = _attention_backward(g_s1, lc, lw, heads)
+    return g_s1 + g_x_attn, LayerWeights(
+        wq=g_wq, wk=g_wk, wv=g_wv, wo=g_wo, w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2,
+        ln1_gain=g_ln1_gain, ln1_bias=g_ln1_bias, ln2_gain=g_ln2_gain, ln2_bias=g_ln2_bias,
     )
-    return g_x, grads
 
 
 def encode_backward(
@@ -408,28 +383,27 @@ def encode_backward(
     weights: EncoderWeights,
     config: EncoderConfig,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every encoder weight.
+    """Gradients of a scalar loss for every encoder weight, keyed like
+    named_parameters.
 
     `g_feature` is the upstream gradient with respect to encode()'s output.
     """
     if cache.top is None:
         raise RuntimeError("cache is incomplete; run encode_with_cache first")
     g_feature = np.asarray(g_feature, dtype=float)
-    grads: dict[str, np.ndarray] = {
-        "head.w": np.outer(cache.top[0], g_feature),
-        "head.b": g_feature.copy(),
-    }
     g_x = np.zeros_like(cache.top)
     g_x[0] = weights.head_w @ g_feature
-    for i in range(len(weights.layers) - 1, -1, -1):
-        g_x, layer_grads = _layer_backward(g_x, cache.layer_caches[i], weights.layers[i], config.heads)
-        for suffix, g in layer_grads.items():
-            grads[f"layer.{i}.{suffix}"] = g
-    grads["positional"] = g_x.copy()
-    if config.use_class_token:
-        grads["class_token"] = g_x[0].copy()
-        g_patch_tokens = g_x[1:]
-    else:
-        g_patch_tokens = g_x
-    grads["patch_projection"] = cache.patches.T @ g_patch_tokens
-    return grads
+    layer_grads: list[LayerWeights] = []
+    for lc, lw in zip(reversed(cache.layer_caches), reversed(weights.layers)):
+        g_x, g_layer = _layer_backward(g_x, lc, lw, config.heads)
+        layer_grads.insert(0, g_layer)
+    return named_parameters(
+        EncoderWeights(
+            patch_projection=cache.patches.T @ (g_x[1:] if config.use_class_token else g_x),
+            positional=g_x.copy(),
+            class_token=g_x[0].copy() if config.use_class_token else None,
+            layers=layer_grads,
+            head_w=np.outer(cache.top[0], g_feature),
+            head_b=g_feature.copy(),
+        )
+    )

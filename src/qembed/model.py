@@ -61,7 +61,7 @@ class HybridModel:
                     f"reduction in_dim {self.reduction.in_dim}"
                 )
         if not 0 <= self.readout_qubit < self.feature_map.n_qubits:
-            raise IndexError(f"readout qubit {self.readout_qubit} out of range")
+            raise ValueError(f"readout qubit {self.readout_qubit} out of range")
 
     @property
     def bypass(self) -> bool:
@@ -137,6 +137,23 @@ def _neutral_bias(fm: FeatureMapSpec) -> float:
     return math.pi / (2.0 * fm.scale)
 
 
+def _init_model(
+    rng, in_dim, n_qubits, fm_repetitions, fm_scale, ansatz_layers, readout_qubit, **encoder
+) -> HybridModel:
+    """Specs, reduction and ansatz angles, drawn from `rng` after any encoder
+    weights so that a seed always gives the same model.
+
+    Reduction weights start small (see init_reduction) with the bias at the
+    neutral readout angle; ansatz angles start as normal(0, 0.1) rotations.
+    """
+    fm = FeatureMapSpec(n_qubits=n_qubits, repetitions=fm_repetitions, scale=fm_scale)
+    an = AnsatzSpec(n_qubits=n_qubits, layers=ansatz_layers)
+    reduction = init_reduction(in_dim, n_qubits, rng)
+    reduction.b[:] = _neutral_bias(fm)
+    theta = rng.normal(0.0, 0.1, size=an.parameter_count())
+    return HybridModel(reduction, theta, fm, an, readout_qubit=readout_qubit, **encoder)
+
+
 def make_bypass_model(
     in_dim: int,
     n_qubits: int = 1,
@@ -144,19 +161,11 @@ def make_bypass_model(
     fm_scale: float = 2.0,
     ansatz_layers: int = 1,
     seed: int = 0,
+    readout_qubit: int = 0,
 ) -> HybridModel:
-    """Bypass-encoder model for precomputed feature vectors.
-
-    Reduction weights start small (see init_reduction) with the bias at the
-    neutral readout angle; ansatz angles start as normal(0, 0.1) rotations.
-    """
-    rng = np.random.default_rng(seed)
-    fm = FeatureMapSpec(n_qubits=n_qubits, repetitions=fm_repetitions, scale=fm_scale)
-    an = AnsatzSpec(n_qubits=n_qubits, layers=ansatz_layers)
-    reduction = init_reduction(in_dim, n_qubits, rng)
-    reduction.b[:] = _neutral_bias(fm)
-    theta = rng.normal(0.0, 0.1, size=an.parameter_count())
-    return HybridModel(reduction=reduction, theta=theta, feature_map=fm, ansatz=an)
+    """Bypass-encoder model for precomputed feature vectors."""
+    circuit = (n_qubits, fm_repetitions, fm_scale, ansatz_layers, readout_qubit)
+    return _init_model(np.random.default_rng(seed), in_dim, *circuit)
 
 
 def make_encoder_model(
@@ -167,20 +176,12 @@ def make_encoder_model(
     fm_scale: float = 2.0,
     ansatz_layers: int = 1,
     seed: int = 0,
+    readout_qubit: int = 0,
 ) -> HybridModel:
     """Full stack: trainable encoder feeding the reduction layer and circuit."""
     rng = np.random.default_rng(seed)
     weights = init_encoder_weights(encoder_config, image_shape, rng)
-    fm = FeatureMapSpec(n_qubits=n_qubits, repetitions=fm_repetitions, scale=fm_scale)
-    an = AnsatzSpec(n_qubits=n_qubits, layers=ansatz_layers)
-    reduction = init_reduction(encoder_config.out_dim, n_qubits, rng)
-    reduction.b[:] = _neutral_bias(fm)
-    theta = rng.normal(0.0, 0.1, size=an.parameter_count())
-    return HybridModel(
-        reduction=reduction,
-        theta=theta,
-        feature_map=fm,
-        ansatz=an,
-        encoder_config=encoder_config,
-        encoder_weights=weights,
+    circuit = (n_qubits, fm_repetitions, fm_scale, ansatz_layers, readout_qubit)
+    return _init_model(
+        rng, encoder_config.out_dim, *circuit, encoder_config=encoder_config, encoder_weights=weights
     )

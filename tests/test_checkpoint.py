@@ -71,3 +71,160 @@ def test_rejects_foreign_file(tmp_path):
     path.write_text("something else entirely\n")
     with pytest.raises(ValueError, match="not a"):
         load_checkpoint(path)
+
+
+def test_non_square_encoder_round_trip(tmp_path):
+    # the file records no image size: the loader rebuilds the encoder from
+    # the patch count and channels, which a 4x6x2 image fixes at 6 and 2
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=3,
+                        out_dim=2, use_class_token=False)
+    model = make_encoder_model(cfg, (4, 6, 2), n_qubits=2, seed=6, readout_qubit=1)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    assert loaded.readout_qubit == 1
+    assert_models_identical(model, loaded)
+    image = np.random.default_rng(7).normal(size=(4, 6, 2))
+    assert model_forward(model, image).p0 == model_forward(loaded, image).p0
+    resaved = tmp_path / "again.ckpt"
+    save_checkpoint(resaved, loaded)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+V1_BYPASS = """qembed-checkpoint v1
+meta readout_qubit 0
+meta fm.n_qubits 1
+meta fm.reps 2
+meta fm.scale 2.0
+meta ansatz.layers 1
+meta reduction.in_dim 2
+meta reduction.n_out 1
+meta encoder.present false
+param reduction.w 2 1
+-0.1171961134812148 -0.07444123020918002
+param reduction.b 1
+0.7853981633974483
+param ansatz.theta 2
+0.04180988467257789 -0.056776960612792984
+"""
+
+
+def test_v1_file_loads_and_resaves_byte_identical(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_BYPASS)
+    model = load_checkpoint(path)
+    assert_models_identical(model, make_bypass_model(in_dim=2, seed=3))
+    resaved = tmp_path / "again.ckpt"
+    save_checkpoint(resaved, model)
+    assert resaved.read_text() == V1_BYPASS
+
+
+# ---------------------------------------------------------------------------
+# Malformed files: each edit returns the 0-based index of the offending line
+# (None when no single line is at fault); the loader must name that line.
+# ---------------------------------------------------------------------------
+
+def _index(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _reshape_b1(lines):
+    i = _index(lines, "param encoder.layer.0.ffn.b1 ")
+    lines[i] = "param encoder.layer.0.ffn.b1 5"
+    lines[i + 1] = " ".join(["0.0"] * 5)
+    return i
+
+
+def _drop_reps(lines):
+    del lines[_index(lines, "meta fm.reps ")]
+    return None
+
+
+def _nan_theta(lines):
+    i = _index(lines, "param ansatz.theta ") + 1
+    lines[i] = "nan" + lines[i][lines[i].index(" "):]
+    return i
+
+
+def _unknown_param(lines):
+    lines += ["param bogus 1", "0.5"]
+    return len(lines) - 2
+
+
+def _duplicate_param(lines):
+    i = _index(lines, "param reduction.b ")
+    lines += lines[i:i + 2]
+    return len(lines) - 2
+
+
+def _set_meta(key, value):
+    def edit(lines):
+        i = _index(lines, f"meta {key} ")
+        lines[i] = f"meta {key} {value}".rstrip(" ")
+        return i
+    return edit
+
+
+def _malformed_float(lines):
+    i = _index(lines, "param reduction.w ") + 1
+    lines[i] = lines[i].replace(" ", " 1.2.3 ", 1)
+    return i
+
+
+def _insert_meta(line):
+    def edit(lines):
+        lines.insert(1, line)
+        return 1
+    return edit
+
+
+def _duplicate_meta(lines):
+    i = _index(lines, "meta fm.reps ") + 1
+    lines.insert(i, lines[i - 1])
+    return i
+
+
+def _bad_dims(lines):
+    i = _index(lines, "param reduction.b ")
+    lines[i] = "param reduction.b one"
+    return i
+
+
+BAD_FILES = [
+    ("misshaped-ffn-b1", "encoder", _reshape_b1),
+    ("missing-meta", "bypass", _drop_reps),
+    ("nan-param", "bypass", _nan_theta),
+    ("unknown-param", "bypass", _unknown_param),
+    ("duplicate-param", "bypass", _duplicate_param),
+    ("non-bool-meta", "bypass", _set_meta("encoder.present", "maybe")),
+    ("meta-without-value", "bypass", _set_meta("fm.reps", "")),
+    ("malformed-float", "bypass", _malformed_float),
+    ("unknown-meta-key", "bypass", _insert_meta("meta fm.bogus 1")),
+    ("duplicate-meta-key", "bypass", _duplicate_meta),
+    ("contradicting-meta", "encoder", _set_meta("reduction.in_dim", "5")),
+    ("non-integer-dims", "bypass", _bad_dims),
+]
+
+
+def write_bad_file(tmp_path, kind, edit):
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=6, out_dim=4)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=8)
+    else:
+        model = make_bypass_model(in_dim=3, seed=8)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, model)
+    lines = path.read_text().splitlines()
+    index = edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path, index
+
+
+@pytest.mark.parametrize("kind,edit", [case[1:] for case in BAD_FILES],
+                         ids=[case[0] for case in BAD_FILES])
+def test_rejects_malformed_file_at_its_line(tmp_path, kind, edit):
+    path, index = write_bad_file(tmp_path, kind, edit)
+    where = f"{path}: " if index is None else f"{path}:{index + 1}: "
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(where), str(info.value)

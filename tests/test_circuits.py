@@ -90,7 +90,7 @@ def test_spec_validation():
         FeatureMapSpec(n_qubits=1, scale=0.0)
     with pytest.raises(ValueError):
         AnsatzSpec(n_qubits=1, layers=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         AnsatzSpec(n_qubits=1, entanglement="full")
 
 

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from qembed.checkpoint import save_checkpoint
 from qembed.cli import main
 from qembed.config import apply_overrides, default_config, parse_config_file
 from qembed.data import load_embeddings
+from qembed.model import make_bypass_model
 
 TOY_CFG = """
 # toy training setup
@@ -233,3 +235,15 @@ def test_dump_circuit_two_qubits(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == ["H 0", "U1 0 1.0", "H 1", "U1 1 0.5"]
     assert "CX 0 1" in lines
+
+
+def test_predict_on_malformed_checkpoint_fails_with_path(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["synth", "--n", "10", "--d", "3", "--out", str(data)]) == 0
+    save_checkpoint(ckpt, make_bypass_model(in_dim=3, seed=0))
+    text = ckpt.read_text()
+    ckpt.write_text(text.replace("param ansatz.theta 2\n", "param ansatz.theta 2\nnan "))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+    assert f"{ckpt}:" in capsys.readouterr().err

@@ -62,6 +62,13 @@ def test_load_rejects_malformed_float(tmp_path):
         load_embeddings(path)
 
 
+def test_load_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,label,f0\na,1,0.5\nb,0,1.0\na,0,2.0\n")
+    with pytest.raises(ValueError, match=r":4: id 'a' repeats line 2"):
+        load_embeddings(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_embeddings(tmp_path / "nope.csv")
