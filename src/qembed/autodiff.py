@@ -65,6 +65,9 @@ def init_reduction(in_dim: int, n_out: int, seed_or_rng) -> ReductionLayer:
     values must stay well inside one period; the plain limit would scatter
     them across several.
     """
+    for name, value in (("in_dim", in_dim), ("n_out", n_out)):
+        if value < 1:
+            raise ValueError(f"reduction {name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed_or_rng)
     limit = 0.1 * math.sqrt(6.0 / (in_dim + n_out))
     return ReductionLayer(w=rng.uniform(-limit, limit, size=(in_dim, n_out)), b=np.zeros(n_out))

@@ -48,6 +48,8 @@ def draw_samples(
     image_shape: tuple[int, int, int] | None = None,
 ) -> list[tuple[np.ndarray, int]]:
     """Random (input, label) pairs kept away from ReLU kinks and prob clamps."""
+    if n_samples < 1:
+        raise ValueError(f"gradient check needs at least 1 sample, got {n_samples}")
     if not model.bypass and image_shape is None:
         raise ValueError("image_shape is required for encoder models")
     samples: list[tuple[np.ndarray, int]] = []

@@ -8,6 +8,14 @@ Conventions:
       and never mutates its input. Amplitude buffers are marked read-only.
     - Amplitudes are complex128. States are validated to unit norm on
       construction; unitarity keeps them normalized afterwards.
+    - Gates act on a reshaped view, not on index tables: qubit q is axis 1
+      of the amplitudes viewed as (2**n // 2**(q+1), 2, 2**q), the higher
+      bits before it and the lower bits after it. A leading axis is just
+      more high bits, so the same view holds with a batch axis in front.
+
+Each width has one kernel: 1-qubit circuits run as scalar Python complex
+arithmetic (a length-2 array is too small for numpy dispatch), wider ones
+through the axis view in `_apply_raw`. The module holds no mutable state.
 
 Supported gates: H, U1(lambda), RY(theta), CX. RY uses the real rotation
 matrix [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
@@ -134,78 +142,33 @@ def _check_qubit(index: int, n_qubits: int, what: str) -> None:
         raise IndexError(f"{what} qubit {index} out of range for {n_qubits}-qubit state")
 
 
-# Cached basis-index tables keyed by (n_qubits, qubit); small widths only so
-# the cache stays a few MiB.
-_CACHE_MAX_QUBITS = 12
-_PAIR_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_ONES_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_CX_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pair_indices(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (n, qubit)
-    cached = _PAIR_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(2**n)
-        i0 = idx[(idx >> qubit) & 1 == 0]
-        cached = (i0, i0 | (1 << qubit))
-        if n <= _CACHE_MAX_QUBITS:
-            _PAIR_CACHE[key] = cached
-    return cached
-
-
-def _ones_indices(n: int, qubit: int) -> np.ndarray:
-    key = (n, qubit)
-    cached = _ONES_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(2**n)
-        cached = idx[(idx >> qubit) & 1 == 1]
-        if n <= _CACHE_MAX_QUBITS:
-            _ONES_CACHE[key] = cached
-    return cached
-
-
-def _cx_indices(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (n, control, target)
-    cached = _CX_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(2**n)
-        src = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
-        cached = (src, src | (1 << target))
-        if n <= _CACHE_MAX_QUBITS:
-            _CX_CACHE[key] = cached
-    return cached
-
-
-def _apply_1q_matrix(amps: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    i0, i1 = _pair_indices(n, qubit)
-    out = np.empty_like(amps)
-    out[i0] = matrix[0, 0] * amps[i0] + matrix[0, 1] * amps[i1]
-    out[i1] = matrix[1, 0] * amps[i0] + matrix[1, 1] * amps[i1]
-    return out
-
-
 def _apply_raw(amps: np.ndarray, gate: GateOp, n: int) -> np.ndarray:
-    _check_qubit(gate.target, n, "target")
-    if gate.kind == "H":
-        return _apply_1q_matrix(amps, _H_MATRIX, gate.target, n)
-    if gate.kind == "RY":
-        return _apply_1q_matrix(amps, _ry_matrix(gate.angle), gate.target, n)
-    if gate.kind == "U1":
-        out = amps.copy()
-        ones = _ones_indices(n, gate.target)
-        out[ones] *= complex(math.cos(gate.angle), math.sin(gate.angle))
-        return out
-    _check_qubit(gate.control, n, "control")  # CX
-    src, dst = _cx_indices(n, gate.control, gate.target)
+    # Axis 1 of the (high bits, 2, low bits) view is the target qubit's bit.
+    q = gate.target
+    _check_qubit(q, n, "target")
+    a = amps.reshape(-1, 2, 1 << q)
+    if gate.kind in ("H", "RY"):
+        m = _H_MATRIX if gate.kind == "H" else _ry_matrix(gate.angle)
+        return (m[:, :1] * a[:, :1] + m[:, 1:] * a[:, 1:]).reshape(-1)
     out = amps.copy()
-    out[src], out[dst] = amps[dst], amps[src]
+    if gate.kind == "U1":
+        out.reshape(a.shape)[:, 1] *= complex(math.cos(gate.angle), math.sin(gate.angle))
+        return out
+    c = gate.control  # CX
+    _check_qubit(c, n, "control")
+    shape = (-1, 2, 1 << (abs(c - q) - 1), 2, 1 << min(c, q))
+    a, o = amps.reshape(shape), out.reshape(shape)
+    # Where the control bit is 1, take the target-reversed slice.
+    if c > q:
+        o[:, 1] = a[:, 1, :, ::-1]
+    else:
+        o[:, :, :, 1] = a[:, ::-1, :, 1]
     return out
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate, returning a new state; the input is left untouched."""
-    return StateVector._trusted(state.n_qubits, _apply_raw(state.amplitudes, gate, state.n_qubits))
+    return run_circuit(state, (gate,))
 
 
 def _run_single_qubit(state: StateVector, gates) -> StateVector:
@@ -232,7 +195,7 @@ def _run_single_qubit(state: StateVector, gates) -> StateVector:
 
 
 def run_circuit(state: StateVector, gates) -> StateVector:
-    """Left-fold apply_gate over a gate sequence."""
+    """Apply gates in order; with no gates the input state is returned."""
     n = state.n_qubits
     if n == 1:
         return _run_single_qubit(state, gates)
@@ -252,10 +215,10 @@ def probabilities(state: StateVector) -> np.ndarray:
 def marginal_zero_probability(state: StateVector, qubit: int) -> float:
     """Probability that a single qubit reads 0, marginalizing the rest."""
     _check_qubit(qubit, state.n_qubits, "readout")
-    if state.n_qubits == 1 and qubit == 0:
+    if state.n_qubits == 1:
         a0 = complex(state.amplitudes[0])
         p = a0.real * a0.real + a0.imag * a0.imag
     else:
-        i0, _ = _pair_indices(state.n_qubits, qubit)
-        p = float(np.sum(np.abs(state.amplitudes[i0]) ** 2))
+        a = state.amplitudes.reshape(-1, 2, 1 << qubit)
+        p = float(np.sum(np.abs(a[:, 0]) ** 2))
     return min(max(p, 0.0), 1.0)

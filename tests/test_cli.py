@@ -214,6 +214,19 @@ def test_gradcheck_encoder_passes(capsys):
     assert "encoder.layer.0.attn.wq" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--set", "reduction.in_dim=-1"], "in_dim must be at least 1, got -1"),
+    (["--set", "reduction.in_dim=0"], "in_dim must be at least 1, got 0"),
+    (["--samples", "0"], "at least 1 sample, got 0"),
+], ids=["in-dim-negative", "in-dim-zero", "zero-samples"])
+def test_gradcheck_rejects_non_positive_sizes(argv, message, capsys):
+    code = main(["gradcheck", *argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "gradient check passed" not in captured.out
+
+
 def test_dump_circuit_text(capsys):
     code = main(["dump-circuit", "--features", "0.7", "--set", "ansatz.layers=0",
                  "--theta", "0.3"])

@@ -178,26 +178,53 @@ def test_feature_map_block_hand_multiplied():
     assert np.allclose(sv.amplitudes, [0.5 + 0.5j, 0.5 + 0.5j], atol=1e-15)
 
 
-def test_two_qubit_against_kron_oracle():
-    """Random 2-qubit circuits vs a dense kron-built matrix product."""
+def kron_single(n, q, single):
+    """Dense 2**n matrix of a one-qubit gate on qubit q (little-endian)."""
+    full = np.eye(1, dtype=complex)
+    for k in reversed(range(n)):
+        full = np.kron(full, single if k == q else np.eye(2, dtype=complex))
+    return full
+
+
+def dense_cx(n, control, target):
+    """Permutation matrix flipping the target bit where the control bit is 1."""
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**n):
+        full[i ^ (1 << target) if (i >> control) & 1 else i, i] = 1
+    return full
+
+
+def check_against_oracle(state, gates, expected):
+    got = run_circuit(state, gates)
+    assert np.allclose(got.amplitudes, expected, atol=1e-12)
+    for q in range(state.n_qubits):
+        zero_bit = (np.arange(2**state.n_qubits) >> q) & 1 == 0
+        p0 = float(np.sum(np.abs(expected[zero_bit]) ** 2))
+        assert math.isclose(marginal_zero_probability(got, q), p0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_against_kron_oracle(n):
+    """Random circuits vs a dense kron-built matrix product, with marginals."""
     rng = np.random.default_rng(11)
-    eye = np.eye(2, dtype=complex)
-    cx01 = np.array(
-        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-    )  # control qubit 0, target qubit 1 (little-endian)
-    cx10 = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
+    # Every control/target pair: adjacent and not, control above and below.
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                state = random_state(rng, n)
+                check_against_oracle(state, [cx(c, t)], dense_cx(n, c, t) @ state.amplitudes)
     for _ in range(50):
-        state = random_state(rng, 2)
+        state = random_state(rng, n)
         expected = state.amplitudes.copy()
         gates = []
         for _ in range(rng.integers(1, 9)):
-            kind = rng.choice(["H", "U1", "RY", "CX"])
-            q = int(rng.integers(0, 2))
+            kind = rng.choice(["H", "U1", "RY", "CX"] if n > 1 else ["H", "U1", "RY"])
+            q = int(rng.integers(0, n))
             if kind == "CX":
-                gates.append(cx(q, 1 - q))
-                expected = (cx01 if q == 0 else cx10) @ expected
+                c = int(rng.integers(0, n - 1))
+                c += c >= q
+                gates.append(cx(c, q))
+                expected = dense_cx(n, c, q) @ expected
             else:
                 angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
                 if kind == "H":
@@ -209,10 +236,8 @@ def test_two_qubit_against_kron_oracle():
                 else:
                     gates.append(ry(q, angle))
                     single = mat_ry(angle)
-                full = np.kron(single, eye) if q == 1 else np.kron(eye, single)
-                expected = full @ expected
-        got = run_circuit(state, gates)
-        assert np.allclose(got.amplitudes, expected, atol=1e-12)
+                expected = kron_single(n, q, single) @ expected
+        check_against_oracle(state, gates, expected)
 
 
 # ---------------------------------------------------------------------------
