@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -176,9 +177,12 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
     """Gradients of the BCE loss for every trainable parameter.
 
     Requires the cache produced by model_forward for the same sample;
-    returns a mapping from parameter name to a gradient array of matching
-    shape (one record per parameter).
+    returns `named_parameters` of a holder shaped like the model with
+    gradients in place of parameters, so names, order and shapes are the
+    model's.
     """
+    from .model import named_parameters  # model imports this module
+
     if cache is None:
         raise RuntimeError("no cached forward pass; call model_forward first")
     g_p0 = bce_grad_p0(cache.p0, y_true)
@@ -186,16 +190,17 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
         cache.y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
     )
     g_y = g_p0 * d_feat_angles
-    grads: dict[str, np.ndarray] = {
-        "reduction.w": np.outer(cache.feat, g_y),
-        "reduction.b": g_y.copy(),
-        "ansatz.theta": g_p0 * d_theta_angles,
-    }
+    g_encoder = None
     if model.encoder_weights is not None:
         g_feat = model.reduction.w @ g_y
-        encoder_grads = encode_backward(
+        g_encoder = encode_backward(
             g_feat, cache.encoder_cache, model.encoder_weights, model.encoder_config
         )
-        for name, g in encoder_grads.items():
-            grads[f"encoder.{name}"] = g
-    return grads
+    # A namespace, not a copy of the model: the model's checks would run on
+    # every sample, and a parameter missing here fails instead of copying.
+    grads = SimpleNamespace(
+        reduction=SimpleNamespace(w=np.outer(cache.feat, g_y), b=g_y),
+        theta=g_p0 * d_theta_angles,
+        encoder_weights=g_encoder,
+    )
+    return named_parameters(grads)

@@ -14,27 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ENCODER_FIELDS, IMAGE_KEYS, SCHEMA, encoder_config_from, model_from_config
 from .encoder import EncoderConfig
-from .model import (
-    HybridModel,
-    make_bypass_model,
-    make_encoder_model,
-    named_parameters,
-    set_parameters,
-)
+from .model import HybridModel, named_parameters, set_parameters
 
 MAGIC = "qembed-checkpoint v1"
-
-# encoder meta key -> (EncoderConfig field, type)
-_ENCODER_META = {
-    "encoder.patch": ("patch_size", int),
-    "encoder.dim": ("embed_dim", int),
-    "encoder.depth": ("layers", int),
-    "encoder.heads": ("heads", int),
-    "encoder.ffn_hidden": ("ffn_hidden", int),
-    "encoder.out_dim": ("out_dim", int),
-    "encoder.class_token": ("use_class_token", bool),
-}
 
 
 def _meta(model: HybridModel) -> dict[str, object]:
@@ -50,7 +34,7 @@ def _meta(model: HybridModel) -> dict[str, object]:
         "encoder.present": not model.bypass,
     }
     if not model.bypass:
-        for key, (field, _) in _ENCODER_META.items():
+        for key, field in ENCODER_FIELDS.items():
             meta[key] = getattr(model.encoder_config, field)
     return meta
 
@@ -155,24 +139,19 @@ def load_checkpoint(path) -> HybridModel:
             raise ValueError(f"{path}:{lineno}: meta {key} {text!r} is not a canonical {kind.__name__}")
         return value
 
-    circuit = dict(
-        n_qubits=get("fm.n_qubits", int),
-        fm_repetitions=get("fm.reps", int),
-        fm_scale=get("fm.scale", float),
-        ansatz_layers=get("ansatz.layers", int),
-        readout_qubit=get("readout_qubit", int),
-    )
-    encoder = get("encoder.present", bool)
-    if encoder:
-        fields = {field: get(key, kind) for key, (field, kind) in _ENCODER_META.items()}
-    else:
-        in_dim = get("reduction.in_dim", int)
+    # the three v1 meta lines whose names differ from their config keys
+    config = {
+        "model.n_qubits": get("fm.n_qubits", int),
+        "model.readout_qubit": get("readout_qubit", int),
+        "model.bypass_encoder": not get("encoder.present", bool),
+    }
+    keys = ["fm.reps", "fm.scale", "ansatz.layers"]
+    keys += ["reduction.in_dim"] if config["model.bypass_encoder"] else list(ENCODER_FIELDS)
+    config.update({key: get(key, SCHEMA[key][0]) for key in keys})
     try:
-        if encoder:
-            cfg = EncoderConfig(**fields)
-            model = make_encoder_model(cfg, _image_shape(cfg, params), **circuit)
-        else:
-            model = make_bypass_model(in_dim, **circuit)
+        if not config["model.bypass_encoder"]:
+            config.update(zip(IMAGE_KEYS, _image_shape(encoder_config_from(config), params)))
+        model = model_from_config(config, seed=0)
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

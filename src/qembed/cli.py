@@ -27,8 +27,7 @@ from .config import (
 from .data import generate_synthetic, load_embeddings, write_embeddings
 from .gradcheck import draw_samples, format_report, gradient_check
 from .metrics import format_comparison_table
-from .model import model_forward
-from .training import decide_label, evaluate, train
+from .training import evaluate, predict, train
 
 
 def _load_config(args) -> dict:
@@ -84,8 +83,8 @@ def _cmd_predict(args) -> int:
     dataset = load_embeddings(args.data)
     lines = ["id,label,p0,p1"]
     for rec in dataset:
-        cache = model_forward(model, rec.features)
-        lines.append(f"{rec.id},{decide_label(cache.p0)},{cache.p0!r},{cache.p1!r}")
+        label, p0, p1 = predict(model, rec.features)
+        lines.append(f"{rec.id},{label},{p0!r},{p1!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -271,3 +270,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

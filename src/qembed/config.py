@@ -1,7 +1,8 @@
 """Flat `key = value` run configuration with a fixed, namespaced schema.
 
-Blank lines and `#` comments are ignored; unknown keys are errors. Booleans
-are written `true`/`false`. CLI overrides arrive as `key=value` strings.
+Blank lines and `#` comments are ignored; an unknown key or an unparsable
+value in a file is an error naming its `path:line`. Booleans are written
+`true`/`false`. CLI overrides arrive as `key=value` strings.
 """
 from __future__ import annotations
 
@@ -9,6 +10,38 @@ from .circuits import AnsatzSpec, FeatureMapSpec
 from .encoder import EncoderConfig
 from .model import HybridModel, make_bypass_model, make_encoder_model
 from .training import TrainingConfig
+
+# config key -> EncoderConfig field; checkpoint `meta` lines use the same keys
+ENCODER_FIELDS = {
+    "encoder.patch": "patch_size",
+    "encoder.dim": "embed_dim",
+    "encoder.depth": "layers",
+    "encoder.heads": "heads",
+    "encoder.ffn_hidden": "ffn_hidden",
+    "encoder.out_dim": "out_dim",
+    "encoder.class_token": "use_class_token",
+}
+
+IMAGE_KEYS = ("encoder.image_h", "encoder.image_w", "encoder.channels")
+
+# config key -> TrainingConfig field, whose default is the key's default
+TRAINING_FIELDS = {
+    "train.lr": "learning_rate",
+    "train.epochs": "max_epochs",
+    "train.batch": "batch_size",
+    "train.optimizer": "optimizer",
+    "train.momentum": "momentum",
+    "train.beta1": "adam_beta1",
+    "train.beta2": "adam_beta2",
+    "train.adam_eps": "adam_eps",
+    "train.seed": "seed",
+    "train.patience": "patience",
+    "train.min_delta": "min_delta",
+    "train.val_fraction": "validation_fraction",
+    "train.freeze_encoder": "freeze_encoder",
+}
+
+_TRAINING_DEFAULTS = vars(TrainingConfig())
 
 # key -> (type, default)
 SCHEMA: dict[str, tuple[type, object]] = {
@@ -29,19 +62,10 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "encoder.image_h": (int, 4),
     "encoder.image_w": (int, 4),
     "encoder.channels": (int, 1),
-    "train.lr": (float, 0.1),
-    "train.epochs": (int, 100),
-    "train.batch": (int, 16),
-    "train.optimizer": (str, "sgd-momentum"),
-    "train.momentum": (float, 0.9),
-    "train.beta1": (float, 0.9),
-    "train.beta2": (float, 0.999),
-    "train.adam_eps": (float, 1e-8),
-    "train.seed": (int, 0),
-    "train.patience": (int, 20),
-    "train.min_delta": (float, 1e-4),
-    "train.val_fraction": (float, 0.2),
-    "train.freeze_encoder": (bool, False),
+    **{
+        key: (type(_TRAINING_DEFAULTS[field]), _TRAINING_DEFAULTS[field])
+        for key, field in TRAINING_FIELDS.items()
+    },
 }
 
 
@@ -77,7 +101,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw.rstrip()!r}")
             key, value = line.split("=", 1)
-            config[key.strip()] = _parse_value(key.strip(), value)
+            try:
+                config[key.strip()] = _parse_value(key.strip(), value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return config
 
 
@@ -92,41 +119,15 @@ def apply_overrides(config: dict, assignments) -> dict:
 
 
 def training_config_from(config: dict) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=config["train.lr"],
-        max_epochs=config["train.epochs"],
-        batch_size=config["train.batch"],
-        optimizer=config["train.optimizer"],
-        momentum=config["train.momentum"],
-        adam_beta1=config["train.beta1"],
-        adam_beta2=config["train.beta2"],
-        adam_eps=config["train.adam_eps"],
-        seed=config["train.seed"],
-        patience=config["train.patience"],
-        min_delta=config["train.min_delta"],
-        validation_fraction=config["train.val_fraction"],
-        freeze_encoder=config["train.freeze_encoder"],
-    )
+    return TrainingConfig(**{field: config[key] for key, field in TRAINING_FIELDS.items()})
 
 
 def encoder_config_from(config: dict) -> EncoderConfig:
-    return EncoderConfig(
-        patch_size=config["encoder.patch"],
-        embed_dim=config["encoder.dim"],
-        layers=config["encoder.depth"],
-        heads=config["encoder.heads"],
-        ffn_hidden=config["encoder.ffn_hidden"],
-        out_dim=config["encoder.out_dim"],
-        use_class_token=config["encoder.class_token"],
-    )
+    return EncoderConfig(**{field: config[key] for key, field in ENCODER_FIELDS.items()})
 
 
 def image_shape_from(config: dict) -> tuple[int, int, int]:
-    return (
-        config["encoder.image_h"],
-        config["encoder.image_w"],
-        config["encoder.channels"],
-    )
+    return tuple(config[key] for key in IMAGE_KEYS)
 
 
 def specs_from(config: dict) -> tuple[FeatureMapSpec, AnsatzSpec]:

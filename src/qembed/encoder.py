@@ -8,7 +8,8 @@ Array conventions: images are (H, W, C) float64 arrays in row-major
 (row, column, channel) order; token sequences are (T, D) float64 matrices.
 Forward passes are pure given the weights. `encode_with_cache` records the
 intermediates needed by `encode_backward`, which returns analytic gradients
-for every weight under the canonical parameter names used in checkpoints
+for every weight as an `EncoderWeights` of gradient arrays, so that
+`named_parameters` names them as it names the weights
 (`patch_projection`, `positional`, `class_token`, `layer.{i}.attn.wq`, ...,
 `head.w`, `head.b`).
 """
@@ -382,9 +383,9 @@ def encode_backward(
     cache: EncodeCache,
     weights: EncoderWeights,
     config: EncoderConfig,
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every encoder weight, keyed like
-    named_parameters.
+) -> EncoderWeights:
+    """Gradients of a scalar loss for every encoder weight, in the shape of
+    the weights.
 
     `g_feature` is the upstream gradient with respect to encode()'s output.
     """
@@ -397,13 +398,11 @@ def encode_backward(
     for lc, lw in zip(reversed(cache.layer_caches), reversed(weights.layers)):
         g_x, g_layer = _layer_backward(g_x, lc, lw, config.heads)
         layer_grads.insert(0, g_layer)
-    return named_parameters(
-        EncoderWeights(
-            patch_projection=cache.patches.T @ (g_x[1:] if config.use_class_token else g_x),
-            positional=g_x.copy(),
-            class_token=g_x[0].copy() if config.use_class_token else None,
-            layers=layer_grads,
-            head_w=np.outer(cache.top[0], g_feature),
-            head_b=g_feature.copy(),
-        )
+    return EncoderWeights(
+        patch_projection=cache.patches.T @ (g_x[1:] if config.use_class_token else g_x),
+        positional=g_x.copy(),
+        class_token=g_x[0].copy() if config.use_class_token else None,
+        layers=layer_grads,
+        head_w=np.outer(cache.top[0], g_feature),
+        head_b=g_feature.copy(),
     )

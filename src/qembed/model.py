@@ -72,7 +72,6 @@ class HybridModel:
 class ForwardCache:
     """Everything backward() needs from one sample's forward pass."""
 
-    x_input: np.ndarray
     feat: np.ndarray
     y_vec: np.ndarray
     result: QuantumForwardResult
@@ -99,9 +98,7 @@ def model_forward(model: HybridModel, x) -> ForwardCache:
     result = quantum_forward(
         y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
     )
-    return ForwardCache(
-        x_input=x, feat=feat, y_vec=y_vec, result=result, encoder_cache=encoder_cache
-    )
+    return ForwardCache(feat=feat, y_vec=y_vec, result=result, encoder_cache=encoder_cache)
 
 
 def named_parameters(model: HybridModel) -> dict[str, np.ndarray]:

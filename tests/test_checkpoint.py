@@ -1,8 +1,11 @@
 """Checkpoint container: lossless round trips, deterministic bytes."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qembed.checkpoint import load_checkpoint, save_checkpoint
+from qembed.config import default_config, model_from_config, training_config_from
 from qembed.encoder import EncoderConfig
 from qembed.model import (
     make_bypass_model,
@@ -10,6 +13,7 @@ from qembed.model import (
     model_forward,
     named_parameters,
 )
+from qembed.training import TrainingConfig
 
 
 def assert_models_identical(a, b):
@@ -117,6 +121,71 @@ def test_v1_file_loads_and_resaves_byte_identical(tmp_path):
     resaved = tmp_path / "again.ckpt"
     save_checkpoint(resaved, model)
     assert resaved.read_text() == V1_BYPASS
+
+
+@st.composite
+def structures(draw):
+    """A config dict for a random valid model, bypass or encoder."""
+    n_qubits = draw(st.integers(1, 4))
+    config = default_config()
+    config.update({
+        "model.bypass_encoder": draw(st.booleans()),
+        "model.n_qubits": n_qubits,
+        "model.readout_qubit": draw(st.integers(0, n_qubits - 1)),
+        "fm.reps": draw(st.integers(1, 3)),
+        "fm.scale": draw(st.floats(0.1, 4.0)),
+        "ansatz.layers": draw(st.integers(0, 3)),
+        "reduction.in_dim": draw(st.integers(1, 6)),
+    })
+    if not config["model.bypass_encoder"]:
+        patch, heads = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        config.update({
+            "encoder.patch": patch,
+            "encoder.heads": heads,
+            "encoder.dim": heads * draw(st.integers(1, 3)),
+            "encoder.depth": draw(st.integers(0, 2)),
+            "encoder.ffn_hidden": draw(st.integers(1, 5)),
+            "encoder.out_dim": draw(st.integers(1, 5)),
+            "encoder.class_token": draw(st.booleans()),
+            "encoder.image_h": patch * draw(st.integers(1, 3)),
+            "encoder.image_w": patch * draw(st.integers(1, 3)),
+            "encoder.channels": draw(st.integers(1, 2)),
+        })
+    return config
+
+
+def param_bytes(model):
+    return [(name, a.shape, a.tobytes()) for name, a in named_parameters(model).items()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=structures(), seed=st.integers(0, 2**32 - 1))
+def test_config_built_model_round_trips(tmp_path, config, seed):
+    model = model_from_config(config, seed=seed)
+    if not config["model.bypass_encoder"]:
+        assert model.encoder_config == EncoderConfig(
+            patch_size=config["encoder.patch"],
+            embed_dim=config["encoder.dim"],
+            layers=config["encoder.depth"],
+            heads=config["encoder.heads"],
+            ffn_hidden=config["encoder.ffn_hidden"],
+            out_dim=config["encoder.out_dim"],
+            use_class_token=config["encoder.class_token"],
+        )
+    path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    assert loaded.bypass == config["model.bypass_encoder"]
+    assert loaded.encoder_config == model.encoder_config
+    assert loaded.readout_qubit == config["model.readout_qubit"]
+    assert param_bytes(loaded) == param_bytes(model)
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_training_config_defaults_are_the_schema_defaults():
+    assert training_config_from(default_config()) == TrainingConfig()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """CLI surface: subcommands, config files, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,19 @@ def test_config_bad_bool_rejected(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("# tuned\ntrain.lr = 0.1\ntrain.epochz = 3\n", 3, "unknown config key 'train.epochz'"),
+    ("fm.reps = 2\n\nfm.reps = two\n", 3, "fm.reps: cannot parse 'two' as int"),
+    ("model.bypass_encoder = yes  # comment\n", 1, "expected true or false, got 'yes'"),
+], ids=["unknown-key", "bad-int", "bad-bool"])
+def test_config_error_names_file_and_line(tmp_path, text, lineno, message):
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        parse_config_file(path)
+    assert str(info.value).startswith(f"{path}:{lineno}: "), str(info.value)
+    assert message in str(info.value)
+
+
 def test_config_overrides():
     cfg = apply_overrides(default_config(), ["train.lr=0.2", "encoder.depth=3"])
     assert cfg["train.lr"] == 0.2
@@ -92,6 +109,19 @@ def test_synth_writes_loadable_csv(tmp_path, capsys):
     records = load_embeddings(out)
     assert len(records) == 30
     assert len(records[0].features) == 4
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    out = tmp_path / "x.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-m", "qembed.cli", "synth", "--n", "4", "--d", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert len(load_embeddings(out)) == 4
 
 
 def test_synth_invalid_size_fails_validation(tmp_path, capsys):
