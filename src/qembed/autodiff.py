@@ -15,7 +15,7 @@ label 1, i.e. loss = -[y*log P(0) + (1-y)*log P(1)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuits import AnsatzSpec, FeatureMapSpec, build_real_amplitudes, build_z_feature_map
 from .encoder import encode_backward
-from .statevector import marginal_zero_probability, new_zero_state, run_circuit
+from .statevector import GateOp, marginal_zero_probability, new_zero_state, run_circuit
 
 if TYPE_CHECKING:
     from .model import ForwardCache, HybridModel
@@ -148,29 +148,23 @@ def circuit_angle_gradients(
     per-gate results with the feature-map scale, summing over repetitions.
     """
     gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
-    param_positions = [i for i, g in enumerate(gates) if g.kind in ("U1", "RY")]
     zero = new_zero_state(fm.n_qubits)
-
-    def p0_with_angle(position: int, angle: float) -> float:
-        shifted = list(gates)
-        shifted[position] = replace(gates[position], angle=angle)
-        return marginal_zero_probability(run_circuit(zero, shifted), readout_qubit)
-
     d_features = np.zeros(fm.n_qubits)
-    d_theta = np.zeros(len(theta))
-    ry_seen = 0
-    for pos in param_positions:
-        gate = gates[pos]
-        shift = (
-            p0_with_angle(pos, gate.angle + math.pi / 2.0)
-            - p0_with_angle(pos, gate.angle - math.pi / 2.0)
-        ) / 2.0
+    d_theta = []
+    for pos, gate in enumerate(gates):
+        if gate.angle is None:
+            continue
+        shifted = list(gates)
+        p0 = []
+        for angle in (gate.angle + math.pi / 2.0, gate.angle - math.pi / 2.0):
+            shifted[pos] = GateOp(gate.kind, gate.target, angle=angle)
+            p0.append(marginal_zero_probability(run_circuit(zero, shifted), readout_qubit))
+        shift = (p0[0] - p0[1]) / 2.0
         if gate.kind == "U1":
             d_features[gate.target] += fm.scale * shift
         else:
-            d_theta[ry_seen] = shift
-            ry_seen += 1
-    return d_features, d_theta
+            d_theta.append(shift)
+    return d_features, np.array(d_theta)
 
 
 def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[str, np.ndarray]:

@@ -25,6 +25,7 @@ from .config import (
     training_config_from,
 )
 from .data import generate_synthetic, load_embeddings, write_embeddings
+from .gradcheck import DEFAULT_ABS_TOL, DEFAULT_H, DEFAULT_REL_TOL
 from .gradcheck import draw_samples, format_report, gradient_check
 from .metrics import format_comparison_table
 from .training import evaluate, predict, train
@@ -233,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--abs-tol", type=float, default=1e-6)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
+    p.add_argument("--h", type=float, default=DEFAULT_H)
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_ABS_TOL)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("dump-circuit", help="print the gate list as plain text")

@@ -1,8 +1,9 @@
 """Flat `key = value` run configuration with a fixed, namespaced schema.
 
-Blank lines and `#` comments are ignored; an unknown key or an unparsable
-value in a file is an error naming its `path:line`. Booleans are written
-`true`/`false`. CLI overrides arrive as `key=value` strings.
+Blank lines and `#` comments are ignored; an unknown key, an unparsable
+value or a repeated key in a file is an error naming its `path:line`.
+Booleans are written `true`/`false`. CLI overrides arrive as `key=value`
+strings.
 """
 from __future__ import annotations
 
@@ -91,8 +92,9 @@ def _parse_value(key: str, text: str):
 
 
 def parse_config_file(path) -> dict:
-    """Defaults overlaid with the file's assignments."""
+    """Defaults overlaid with the file's assignments; a key may be set once."""
     config = default_config()
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -100,11 +102,16 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
+            key, value = (part.strip() for part in line.split("=", 1))
             try:
-                config[key.strip()] = _parse_value(key.strip(), value)
+                config[key] = _parse_value(key, value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
+                )
+            first_line[key] = lineno
     return config
 
 

@@ -6,6 +6,9 @@ followed by layer normalization) -> linear head on token 0.
 
 Array conventions: images are (H, W, C) float64 arrays in row-major
 (row, column, channel) order; token sequences are (T, D) float64 matrices.
+Multi-head attention views the (T, D) queries, keys and values as
+(heads, T, D // heads) arrays in which head h is column block h, so every
+head runs in one batched matmul; attention weights are (heads, T, T).
 Forward passes are pure given the weights. `encode_with_cache` records the
 intermediates needed by `encode_backward`, which returns analytic gradients
 for every weight as an `EncoderWeights` of gradient arrays, so that
@@ -206,20 +209,23 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
+    """(T, D) -> (heads, T, D // heads) view; head h is column block h."""
+    t, d = m.shape
+    return m.reshape(t, heads, d // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(m: np.ndarray) -> np.ndarray:
+    """(heads, T, dk) -> (T, heads * dk), the inverse of _split_heads."""
+    heads, t, dk = m.shape
+    return m.transpose(1, 0, 2).reshape(t, heads * dk)
+
+
 def _attention(x: np.ndarray, lw: LayerWeights, heads: int):
-    """(q, k, v, per-head softmax weights, heads concatenated before wo)."""
-    dk = x.shape[1] // heads
-    q = x @ lw.wq
-    k = x @ lw.wk
-    v = x @ lw.wv
-    concat = np.empty_like(x)
-    attn_weights = []
-    for hh in range(heads):
-        sl = slice(hh * dk, (hh + 1) * dk)
-        attn = softmax_rows(q[:, sl] @ k[:, sl].T / math.sqrt(dk))
-        concat[:, sl] = attn @ v[:, sl]
-        attn_weights.append(attn)
-    return q, k, v, attn_weights, concat
+    """(q, k, v split by head, (heads, T, T) softmax weights, heads merged before wo)."""
+    q, k, v = (_split_heads(x @ w, heads) for w in (lw.wq, lw.wk, lw.wv))
+    attn = softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(q.shape[-1]))
+    return q, k, v, attn, _merge_heads(attn @ v)
 
 
 def self_attention(
@@ -228,11 +234,15 @@ def self_attention(
     heads: int,
     return_weights: bool = False,
 ):
-    """Multi-head scaled dot-product attention; heads=1 is the plain form."""
-    _, _, _, attn_weights, concat = _attention(x, lw, heads)
+    """Multi-head scaled dot-product attention; heads=1 is the plain form.
+
+    With `return_weights` also returns the softmax weights as one
+    (heads, T, T) array; `weights[h]` is head h's (T, T) matrix.
+    """
+    _, _, _, attn, concat = _attention(x, lw, heads)
     out = concat @ lw.wo
     if return_weights:
-        return out, attn_weights
+        return out, attn
     return out
 
 
@@ -263,10 +273,10 @@ def encode(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) ->
 @dataclass
 class _LayerCache:
     x: np.ndarray                 # layer input (T, D)
-    q: np.ndarray
+    q: np.ndarray                 # (heads, T, dk), head h = column block h
     k: np.ndarray
     v: np.ndarray
-    attn: list[np.ndarray]        # per-head (T, T) softmax weights
+    attn: np.ndarray              # (heads, T, T) softmax weights
     concat: np.ndarray            # heads concatenated, pre-output-projection
     xhat1: np.ndarray             # normalized (x + attention) pre gain/bias
     istd1: np.ndarray             # (T, 1) inverse std of the first norm
@@ -333,33 +343,23 @@ def encode_with_cache(
     return x[0] @ weights.head_w + weights.head_b, cache
 
 
-def _attention_backward(
-    g_attn_out: np.ndarray, lc: _LayerCache, lw: LayerWeights, heads: int
-):
-    t, d = lc.x.shape
-    dk = d // heads
-    g_concat = g_attn_out @ lw.wo.T
+def _attention_backward(g_attn_out: np.ndarray, lc: _LayerCache, lw: LayerWeights):
+    heads, _, dk = lc.q.shape
+    g_concat = _split_heads(g_attn_out @ lw.wo.T, heads)
     g_wo = lc.concat.T @ g_attn_out
-    g_q = np.empty_like(lc.q)
-    g_k = np.empty_like(lc.k)
-    g_v = np.empty_like(lc.v)
+    g_attn = g_concat @ lc.v.transpose(0, 2, 1)
+    g_v = _merge_heads(lc.attn.transpose(0, 2, 1) @ g_concat)
+    # softmax rows: g_s = attn * (g_attn - sum(g_attn * attn, row))
+    g_scores = lc.attn * (g_attn - (g_attn * lc.attn).sum(axis=-1, keepdims=True))
     scale = 1.0 / math.sqrt(dk)
-    for hh in range(heads):
-        sl = slice(hh * dk, (hh + 1) * dk)
-        attn = lc.attn[hh]
-        g_head = g_concat[:, sl]
-        g_attn = g_head @ lc.v[:, sl].T
-        g_v[:, sl] = attn.T @ g_head
-        # softmax rows: g_s = attn * (g_attn - sum(g_attn * attn, row))
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
-        g_q[:, sl] = g_scores @ lc.k[:, sl] * scale
-        g_k[:, sl] = g_scores.T @ lc.q[:, sl] * scale
+    g_q = _merge_heads(g_scores @ lc.k * scale)
+    g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ lc.q * scale)
     g_x = g_q @ lw.wq.T + g_k @ lw.wk.T + g_v @ lw.wv.T
     return g_x, lc.x.T @ g_q, lc.x.T @ g_k, lc.x.T @ g_v, g_wo
 
 
 def _layer_backward(
-    g_y: np.ndarray, lc: _LayerCache, lw: LayerWeights, heads: int
+    g_y: np.ndarray, lc: _LayerCache, lw: LayerWeights
 ) -> tuple[np.ndarray, LayerWeights]:
     """Gradient at the layer input and the layer's weight gradients."""
     g_s2, g_ln2_gain, g_ln2_bias = _layer_norm_bwd(g_y, lc.xhat2, lc.istd2, lw.ln2_gain)
@@ -371,7 +371,7 @@ def _layer_backward(
     g_b1 = g_h.sum(axis=0)
     g_u = g_s2 + g_h @ lw.w1.T
     g_s1, g_ln1_gain, g_ln1_bias = _layer_norm_bwd(g_u, lc.xhat1, lc.istd1, lw.ln1_gain)
-    g_x_attn, g_wq, g_wk, g_wv, g_wo = _attention_backward(g_s1, lc, lw, heads)
+    g_x_attn, g_wq, g_wk, g_wv, g_wo = _attention_backward(g_s1, lc, lw)
     return g_s1 + g_x_attn, LayerWeights(
         wq=g_wq, wk=g_wk, wv=g_wv, wo=g_wo, w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2,
         ln1_gain=g_ln1_gain, ln1_bias=g_ln1_bias, ln2_gain=g_ln2_gain, ln2_bias=g_ln2_bias,
@@ -396,7 +396,7 @@ def encode_backward(
     g_x[0] = weights.head_w @ g_feature
     layer_grads: list[LayerWeights] = []
     for lc, lw in zip(reversed(cache.layer_caches), reversed(weights.layers)):
-        g_x, g_layer = _layer_backward(g_x, lc, lw, config.heads)
+        g_x, g_layer = _layer_backward(g_x, lc, lw)
         layer_grads.insert(0, g_layer)
     return EncoderWeights(
         patch_projection=cache.patches.T @ (g_x[1:] if config.use_class_token else g_x),

@@ -94,15 +94,6 @@ class TrainingHistory:
             fh.write(self.csv_text())
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: dict, grads: dict) -> None:
-        for name, g in grads.items():
-            params[name] -= self.lr * g
-
-
 class _SgdMomentum:
     def __init__(self, lr: float, beta: float):
         self.lr = lr
@@ -148,7 +139,8 @@ class _Adam:
 
 def _make_optimizer(config: TrainingConfig):
     if config.optimizer == "sgd":
-        return _Sgd(config.learning_rate)
+        # beta 0: the velocity is the gradient itself
+        return _SgdMomentum(config.learning_rate, 0.0)
     if config.optimizer == "sgd-momentum":
         return _SgdMomentum(config.learning_rate, config.momentum)
     return _Adam(

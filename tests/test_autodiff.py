@@ -279,9 +279,10 @@ def test_bypass_model_full_gradient_check():
     assert ok, {name: (g.max_abs_dev, g.max_rel_dev) for name, g in groups.items()}
 
 
-def test_encoder_model_full_gradient_check():
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_encoder_model_full_gradient_check(heads):
     """Every encoder weight gradient against finite differences."""
-    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=6, out_dim=4)
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=heads, ffn_hidden=6, out_dim=4)
     model = make_encoder_model(cfg, (4, 4, 1), ansatz_layers=1, seed=12)
     rng = np.random.default_rng(13)
     samples = draw_samples(model, 2, rng, image_shape=(4, 4, 1))

@@ -63,7 +63,9 @@ def test_config_bad_bool_rejected(tmp_path):
     ("# tuned\ntrain.lr = 0.1\ntrain.epochz = 3\n", 3, "unknown config key 'train.epochz'"),
     ("fm.reps = 2\n\nfm.reps = two\n", 3, "fm.reps: cannot parse 'two' as int"),
     ("model.bypass_encoder = yes  # comment\n", 1, "expected true or false, got 'yes'"),
-], ids=["unknown-key", "bad-int", "bad-bool"])
+    ("train.lr = 0.1\nfm.reps = 2\ntrain.lr=0.5\n", 3,
+     "duplicate key 'train.lr' (first set on line 1)"),
+], ids=["unknown-key", "bad-int", "bad-bool", "repeated-key"])
 def test_config_error_names_file_and_line(tmp_path, text, lineno, message):
     path = write_cfg(tmp_path, text)
     with pytest.raises(ValueError) as info:

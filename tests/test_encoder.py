@@ -204,16 +204,21 @@ def test_attention_matches_dense_oracle():
     assert np.allclose(self_attention(x, lw, heads=1), attention_ref(x, lw), atol=1e-10)
 
 
-def test_multi_head_splits_columns():
-    """Two heads over D=4 equal two independent single-head d_k=2 attentions."""
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_multi_head_splits_columns(heads):
+    """h heads over D=8 equal h independent single-head d_k=8/h attentions,
+    head h on column block h."""
     rng = np.random.default_rng(10)
-    lw = make_layer(rng, 4, 8)
-    x = rng.normal(size=(3, 4))
-    out, weights = self_attention(x, lw, heads=2, return_weights=True)
+    lw = make_layer(rng, 8, 8)
+    x = rng.normal(size=(3, 8))
+    out, weights = self_attention(x, lw, heads=heads, return_weights=True)
+    assert weights.shape == (heads, 3, 3)
+    dk = 8 // heads
     q, k, v = x @ lw.wq, x @ lw.wk, x @ lw.wv
     concat = np.zeros_like(x)
-    for hh, sl in enumerate((slice(0, 2), slice(2, 4))):
-        logits = q[:, sl] @ k[:, sl].T / math.sqrt(2)
+    for hh in range(heads):
+        sl = slice(hh * dk, (hh + 1) * dk)
+        logits = q[:, sl] @ k[:, sl].T / math.sqrt(dk)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
         assert np.allclose(weights[hh], w, atol=1e-12)
