@@ -53,6 +53,7 @@ from .model import (
     make_encoder_model,
     model_forward,
     named_parameters,
+    readout_p0,
     set_parameters,
 )
 from .statevector import (

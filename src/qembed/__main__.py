@@ -1,0 +1,5 @@
+"""`python -m qembed` runs the command-line interface."""
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

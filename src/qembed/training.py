@@ -24,6 +24,7 @@ from .model import (
     HybridModel,
     model_forward,
     named_parameters,
+    readout_p0,
     set_parameters,
     snapshot_parameters,
 )
@@ -205,15 +206,10 @@ def decide_label(p0: float) -> int:
 
 
 def _mean_loss_and_f1(model: HybridModel, dataset, indices) -> tuple[float, float]:
-    losses = []
-    preds = []
-    labels = []
-    for i in indices:
-        rec = dataset[i]
-        cache = model_forward(model, rec.features)
-        losses.append(bce_loss(cache.p0, cache.p1, rec.label))
-        preds.append(decide_label(cache.p0))
-        labels.append(rec.label)
+    p0s = readout_p0(model, [dataset[i].features for i in indices]).tolist()
+    labels = [dataset[i].label for i in indices]
+    losses = [bce_loss(p0, 1.0 - p0, label) for p0, label in zip(p0s, labels)]
+    preds = [decide_label(p0) for p0 in p0s]
     return float(np.mean(losses)), compute_metrics(preds, labels).f1
 
 
@@ -294,17 +290,12 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
 
 def predict(model: HybridModel, x) -> tuple[int, float, float]:
     """(label, p0, p1); label 1 iff p0 >= 0.5 (P(0) is the class-1 probability)."""
-    cache = model_forward(model, x)
-    return decide_label(cache.p0), cache.p0, cache.p1
+    p0 = float(readout_p0(model, [x])[0])
+    return decide_label(p0), p0, 1.0 - p0
 
 
 def evaluate(model: HybridModel, dataset) -> MetricsReport:
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    preds = []
-    labels = []
-    for rec in dataset:
-        label, _, _ = predict(model, rec.features)
-        preds.append(label)
-        labels.append(rec.label)
-    return compute_metrics(preds, labels)
+    p0s = readout_p0(model, [rec.features for rec in dataset])
+    return compute_metrics([decide_label(p0) for p0 in p0s], [rec.label for rec in dataset])

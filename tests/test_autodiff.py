@@ -17,7 +17,7 @@ from qembed.autodiff import (
 )
 from qembed.circuits import AnsatzSpec, FeatureMapSpec, quantum_forward
 from qembed.encoder import EncoderConfig
-from qembed.gradcheck import draw_samples, gradient_check
+from qembed.gradcheck import GroupDeviation, draw_samples, gradient_check
 from qembed.model import (
     HybridModel,
     make_bypass_model,
@@ -288,3 +288,53 @@ def test_encoder_model_full_gradient_check(heads):
     samples = draw_samples(model, 2, rng, image_shape=(4, 4, 1))
     ok, groups = gradient_check(model, samples)
     assert ok, {name: (g.max_abs_dev, g.max_rel_dev) for name, g in groups.items()}
+
+
+def per_sample_gradient_check(model, samples, h, abs_tol, rel_tol):
+    """Reference audit: one model_forward per perturbed loss, sample by sample."""
+    params = named_parameters(model)
+    groups = {name: GroupDeviation(name=name) for name in params}
+
+    def loss(x, label):
+        cache = model_forward(model, x)
+        return bce_loss(cache.p0, cache.p1, label)
+
+    for x, label in samples:
+        analytic = backward(model, model_forward(model, x), label)
+        for name, array in params.items():
+            group = groups[name]
+            for j in range(array.size):
+                original = float(array.flat[j])
+                array.flat[j] = original + h
+                up = loss(x, label)
+                array.flat[j] = original - h
+                down = loss(x, label)
+                array.flat[j] = original
+                fd = (up - down) / (2.0 * h)
+                a = float(analytic[name].reshape(-1)[j])
+                dev = abs(a - fd)
+                scale = max(abs(a), abs(fd))
+                group.checked += 1
+                group.max_abs_dev = max(group.max_abs_dev, dev)
+                group.max_rel_dev = max(group.max_rel_dev, dev / scale if scale > 0 else 0.0)
+                group.ok = group.ok and dev <= max(abs_tol, rel_tol * scale)
+    return all(g.ok for g in groups.values()), groups
+
+
+@pytest.mark.parametrize("kind", ["encoder", "bypass"])
+def test_gradient_check_equals_per_sample_loop(kind):
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=2, heads=2, ffn_hidden=5, out_dim=3)
+        model = make_encoder_model(cfg, (4, 6, 2), seed=14)
+        samples = draw_samples(model, 3, np.random.default_rng(15), image_shape=(4, 6, 2))
+    else:
+        model = make_bypass_model(in_dim=4, n_qubits=3, ansatz_layers=2, seed=14, readout_qubit=2)
+        samples = draw_samples(model, 3, np.random.default_rng(15))
+    before = {name: a.copy() for name, a in named_parameters(model).items()}
+    # tolerances tight enough that some groups fail, so the flags are compared too
+    expected = per_sample_gradient_check(model, samples, 1e-5, 0.0, 1e-9)
+    assert gradient_check(model, samples, 1e-5, 0.0, 1e-9) == expected
+    flags = [g.ok for g in expected[1].values()]
+    assert any(flags) and not all(flags)
+    for name, a in named_parameters(model).items():
+        assert np.array_equal(a, before[name])

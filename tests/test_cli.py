@@ -11,7 +11,8 @@ from qembed.checkpoint import save_checkpoint
 from qembed.cli import main
 from qembed.config import apply_overrides, default_config, parse_config_file
 from qembed.data import load_embeddings
-from qembed.model import make_bypass_model
+from qembed.encoder import EncoderConfig
+from qembed.model import make_bypass_model, make_encoder_model
 
 TOY_CFG = """
 # toy training setup
@@ -120,6 +121,19 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     run = subprocess.run(
         [sys.executable, "-m", "qembed.cli", "synth", "--n", "4", "--d", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert len(load_embeddings(out)) == 4
+
+
+def test_package_entry_point_runs_the_cli(tmp_path):
+    out = tmp_path / "x.csv"
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-m", "qembed", "synth", "--n", "4", "--d", "2", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
@@ -292,3 +306,18 @@ def test_predict_on_malformed_checkpoint_fails_with_path(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt)]) == 1
     assert f"{ckpt}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_encoder_checkpoint_is_rejected_at_load(tmp_path, capsys, command):
+    ckpt = tmp_path / "enc.ckpt"
+    config = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=8)
+    save_checkpoint(ckpt, make_encoder_model(config, (4, 4, 1), seed=0))
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--n", "10", "--d", "16", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {ckpt}: encoder checkpoint" in captured.err
+    assert "library API" in captured.err

@@ -1,4 +1,5 @@
 """Encoder forward ops against independent hand-rolled oracles."""
+import itertools
 import math
 
 import numpy as np
@@ -360,3 +361,50 @@ def test_permutation_equivariance_without_positions():
         out = run_layers(x, weights, cfg)
         out_perm = run_layers(x[perm], weights, cfg)
         assert np.allclose(out_perm, out[perm], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Leading row axis
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("use_class_token", [True, False], ids=["cls", "no-cls"])
+def test_row_axis_encode_matches_per_image(heads, use_class_token):
+    """A block of images encodes to exactly the bits of a per-image loop.
+
+    embed_dim 6 as well as 8, so that a regrouped `/ d` in the layer norm
+    cannot hide behind a power of two.
+    """
+    shapes = [(4, 4, 1), (4, 6, 2), (6, 4, 3)]
+    for shape, layers, dim in itertools.product(shapes, range(4), (6, 8)):
+        if dim % heads:
+            continue
+        cfg = EncoderConfig(patch_size=2, embed_dim=dim, layers=layers, heads=heads,
+                            ffn_hidden=5, out_dim=3, use_class_token=use_class_token)
+        rng = np.random.default_rng(layers * 10 + dim)
+        weights = init_encoder_weights(cfg, shape, rng)
+        images = rng.normal(scale=2.0, size=(7, *shape))
+        expected = np.array([encode_with_cache(im, weights, cfg)[0] for im in images])
+        for b in (1, 7):
+            block = encode(images[:b], weights, cfg)
+            assert block.shape == (b, 3)
+            assert np.array_equal(block, expected[:b]), (shape, layers, dim, b)
+        grid = encode(images[:6].reshape(2, 3, *shape), weights, cfg)
+        assert np.array_equal(grid.reshape(6, 3), expected[:6])
+
+
+def test_row_axis_patches_and_tokens_follow_each_image():
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=0, heads=1, ffn_hidden=4)
+    rng = np.random.default_rng(26)
+    weights = init_encoder_weights(cfg, (4, 6, 2), rng)
+    images = rng.normal(size=(3, 4, 6, 2))
+    patches = extract_patches(images, 2)
+    tokens = tokenize(images, weights, cfg)
+    assert patches.shape == (3, 6, 8) and tokens.shape == (3, 7, 4)
+    for i, image in enumerate(images):
+        assert np.array_equal(patches[i], extract_patches(image, 2))
+        assert np.array_equal(tokens[i], tokenize(image, weights, cfg))
+        assert np.array_equal(add_positional(tokens, weights)[i],
+                              add_positional(tokens[i], weights))
+    with pytest.raises(ValueError, match="image must be"):
+        extract_patches(np.zeros((16, 1)), 2)

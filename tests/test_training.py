@@ -10,11 +10,14 @@ from qembed.model import (
     make_encoder_model,
     model_forward,
     named_parameters,
+    readout_p0,
 )
 from qembed.autodiff import backward, bce_loss
 from qembed.encoder import EncoderConfig
+from qembed.metrics import compute_metrics
 from qembed.training import (
     TrainingConfig,
+    _mean_loss_and_f1,
     decide_label,
     evaluate,
     predict,
@@ -335,3 +338,45 @@ def test_evaluate_empty_dataset():
     model = make_bypass_model(in_dim=3, seed=18)
     with pytest.raises(ValueError):
         evaluate(model, [])
+
+
+def encoder_rows(n, shape=(4, 4, 1), seed=0):
+    rng = np.random.default_rng(seed)
+    return records(rng.normal(size=(n, *shape)), np.arange(n) % 2)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_readout_p0_blocks_match_per_row_forward(heads):
+    """Row counts on both sides of the encoder block edge, bit for bit."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads=heads, ffn_hidden=16,
+                        use_class_token=heads != 2)
+    model = make_encoder_model(cfg, (4, 4, 1), seed=heads)
+    data = encoder_rows(300, seed=heads)
+    expected = np.array([model_forward(model, rec.features).p0 for rec in data])
+    for b in (1, 7, 129, 300):
+        p0 = readout_p0(model, [rec.features for rec in data[:b]])
+        assert p0.shape == (b,)
+        assert np.array_equal(p0, expected[:b]), b
+    assert readout_p0(model, []).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["encoder", "bypass"])
+def test_evaluate_and_validation_match_per_row_predict(kind):
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=1, heads=2, ffn_hidden=8)
+        model = make_encoder_model(cfg, (4, 6, 2), seed=27)
+        data = encoder_rows(150, shape=(4, 6, 2), seed=27)
+    else:
+        model = make_bypass_model(in_dim=3, n_qubits=2, ansatz_layers=2, seed=27,
+                                  readout_qubit=1)
+        data = two_blob_dataset(n=40, d=3, sep=1.0, seed=27)
+    rows = [predict(model, rec.features) for rec in data]
+    assert [r[1] for r in rows] == [model_forward(model, rec.features).p0 for rec in data]
+    labels = [rec.label for rec in data]
+    assert evaluate(model, data) == compute_metrics([r[0] for r in rows], labels)
+    p0 = readout_p0(model, [rec.features for rec in data])
+    assert np.array_equal(p0, [r[1] for r in rows])
+    indices = list(range(1, len(data), 2)) + [0]
+    losses = [bce_loss(rows[i][1], rows[i][2], labels[i]) for i in indices]
+    f1 = compute_metrics([rows[i][0] for i in indices], [labels[i] for i in indices]).f1
+    assert _mean_loss_and_f1(model, data, indices) == (float(np.mean(losses)), f1)
