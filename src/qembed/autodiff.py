@@ -84,6 +84,13 @@ def reduce(x, layer: ReductionLayer) -> np.ndarray:
     return x @ layer.w + layer.b
 
 
+def reduce_rows(x: np.ndarray, layer: ReductionLayer) -> np.ndarray:
+    """`reduce` of every row of x, (rows, in_dim), bit for bit: a stack of
+    (1, in_dim) @ w products sums each row as x @ w does, while one
+    (rows, in_dim) @ w product sums in another order."""
+    return np.matmul(x[:, None, :], layer.w)[:, 0, :] + layer.b
+
+
 def _clamp(p: float) -> float:
     return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
 

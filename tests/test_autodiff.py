@@ -14,6 +14,7 @@ from qembed.autodiff import (
     finite_diff_grad,
     param_shift_grad,
     reduce,
+    reduce_rows,
 )
 from qembed.circuits import AnsatzSpec, FeatureMapSpec, quantum_forward
 from qembed.encoder import EncoderConfig
@@ -54,6 +55,20 @@ def test_reduce_matches_dot_loop():
     x = rng.normal(size=6)
     expected = [sum(x[i] * layer.w[i, j] for i in range(6)) + layer.b[j] for j in range(3)]
     assert np.allclose(reduce(x, layer), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows, in_dim, n_out", [
+    (1, 16, 1), (7, 16, 1), (2000, 16, 1), (64, 8, 3), (64, 100, 12), (5, 3, 2), (300, 33, 7),
+])
+def test_reduce_rows_matches_reduce_per_row(rows, in_dim, n_out):
+    rng = np.random.default_rng(rows + in_dim + n_out)
+    layer = ReductionLayer(w=rng.normal(size=(in_dim, n_out)), b=rng.normal(size=n_out))
+    x = rng.normal(scale=3.0, size=(rows, in_dim))
+    expected = np.array([reduce(row, layer) for row in x])
+    assert np.array_equal(reduce_rows(x, layer), expected)
+    # rows read from a strided view, as a column slice of a wider table
+    wide = np.concatenate([np.ones((rows, 1)), x], axis=1)
+    assert np.array_equal(reduce_rows(wide[:, 1:], layer), expected)
 
 
 def test_reduce_shape_mismatch():

@@ -10,6 +10,7 @@ from qembed.circuits import (
     build_real_amplitudes,
     build_z_feature_map,
     quantum_forward,
+    readout_rows,
     serialize_gates,
 )
 from qembed.statevector import new_zero_state, run_circuit
@@ -217,6 +218,60 @@ def test_forward_readout_qubit_selection():
     res1 = quantum_forward(feats, np.zeros(2), fm, an, readout_qubit=1)
     assert math.isclose(res0.p0, 0.25, abs_tol=1e-12)
     assert math.isclose(res1.p0, 1.0, abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: readout_rows against quantum_forward, bit for bit
+# ---------------------------------------------------------------------------
+
+def random_circuit(rng, n):
+    """Reps 1-3, 0-3 ansatz layers, a signed scale and wide angles."""
+    scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0))
+    fm = FeatureMapSpec(n_qubits=n, repetitions=int(rng.integers(1, 4)), scale=scale)
+    an = AnsatzSpec(n_qubits=n, layers=int(rng.integers(0, 4)))
+    return fm, an, rng.normal(0.0, 2.0, size=an.parameter_count())
+
+
+def test_readout_rows_one_qubit_matches_quantum_forward():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        fm, an, theta = random_circuit(rng, 1)
+        for b in (1, 7, 64):
+            y = rng.normal(0.0, 2.0, size=(b, 1))
+            expected = [quantum_forward(row, theta, fm, an).p0 for row in y]
+            assert np.array_equal(readout_rows(y, theta, fm, an), expected)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_readout_rows_multi_qubit_matches_quantum_forward(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(2):
+        fm, an, theta = random_circuit(rng, n)
+        q = int(rng.integers(0, n))
+        for b in (1, 7, 64):
+            y = rng.normal(0.0, 2.0, size=(b, n))
+            expected = [quantum_forward(row, theta, fm, an, q).p0 for row in y]
+            assert np.array_equal(readout_rows(y, theta, fm, an, q), expected), (b, q)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_readout_rows_raises_the_first_bad_rows_error(n):
+    fm, an = FeatureMapSpec(n_qubits=n), AnsatzSpec(n_qubits=n, layers=1)
+    theta = np.full(an.parameter_count(), 0.3)
+    for bad, message in [(math.nan, "features must be finite"), (1e308, "U1 angle must be finite")]:
+        y = np.ones((4, n))
+        y[2, n - 1] = bad
+        with pytest.raises(ValueError, match=message):
+            quantum_forward(y[2], theta, fm, an)
+        with pytest.raises(ValueError, match=message):
+            readout_rows(y, theta, fm, an)
+    with pytest.raises(ValueError, match="ansatz parameter"):
+        readout_rows(np.ones((2, n)), theta[1:], fm, an)
+    with pytest.raises(ValueError, match="RY angle must be finite"):
+        readout_rows(np.ones((2, n)), np.full_like(theta, math.inf), fm, an)
+    with pytest.raises(IndexError, match="readout qubit"):
+        readout_rows(np.ones((2, n)), theta, fm, an, readout_qubit=n)
+    assert readout_rows(np.ones((0, n)), theta, fm, an).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

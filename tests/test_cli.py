@@ -13,6 +13,7 @@ from qembed.config import apply_overrides, default_config, parse_config_file
 from qembed.data import load_embeddings
 from qembed.encoder import EncoderConfig
 from qembed.model import make_bypass_model, make_encoder_model
+from qembed.training import predict
 
 TOY_CFG = """
 # toy training setup
@@ -176,6 +177,39 @@ def test_train_eval_predict_round_trip(tmp_path, capsys):
     assert len(lines) == 201
 
 
+@pytest.mark.parametrize("n_qubits", [1, 3])
+def test_predict_csv_matches_library_predict_per_row(tmp_path, capsys, n_qubits):
+    data = tmp_path / "data.csv"
+    ckpt = tmp_path / "model.ckpt"
+    pred = tmp_path / "pred.csv"
+    assert main(["synth", "--n", "300", "--d", "5", "--seed", "4", "--out", str(data)]) == 0
+    model = make_bypass_model(in_dim=5, n_qubits=n_qubits, ansatz_layers=2, seed=4,
+                              readout_qubit=n_qubits - 1)
+    save_checkpoint(ckpt, model)
+    assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(pred)]) == 0
+    lines = ["id,label,p0,p1"]
+    for rec in load_embeddings(data):
+        label, p0, p1 = predict(model, rec.features)
+        lines.append(f"{rec.id},{label},{p0!r},{p1!r}")
+    assert pred.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_scoring_rejects_csv_width_at_load(tmp_path, capsys, command):
+    data = tmp_path / "wide.csv"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["synth", "--n", "10", "--d", "4", "--out", str(data)]) == 0
+    save_checkpoint(ckpt, make_bypass_model(in_dim=3, seed=0))
+    capsys.readouterr()
+    assert main([command, "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {data}: 4 feature column(s), but checkpoint {ckpt} has in_dim 3\n"
+    )
+
+
 def test_eval_min_f1_failure_exit_code(tmp_path, capsys):
     data = tmp_path / "data.csv"
     ckpt = tmp_path / "model.ckpt"
@@ -240,6 +274,13 @@ def test_benchmark_fixed_dataset(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert '"runs": 2' in out
+
+
+def test_benchmark_rejects_repeated_seed(capsys):
+    code = main(["benchmark", "--seeds", "1,2,1", "--synth-n", "20", "--synth-d", "3",
+                 "--set", "train.epochs=1"])
+    assert code == 1
+    assert "error: seed 1 is listed more than once" in capsys.readouterr().err
 
 
 def test_gradcheck_bypass_passes(capsys):

@@ -69,6 +69,24 @@ def test_load_rejects_duplicate_id(tmp_path):
         load_embeddings(path)
 
 
+def test_load_rejects_first_non_finite_row_by_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,label,f0,f1\na,1,0.5,1.0\n\nb,0,inf,2.0\nc,0,nan,1.0\n")
+    with pytest.raises(ValueError, match=r"d\.csv:4: features must be finite"):
+        load_embeddings(path)
+
+
+def test_load_features_are_rows_of_float_values(tmp_path):
+    path = tmp_path / "d.csv"
+    values = [["1e-310", "-0.0", "3"], ["0.1", "2.5e300", "-7.25"]]
+    path.write_text("id,label,f0,f1,f2\n" + "".join(
+        f"r{i},{i % 2},{','.join(row)}\n" for i, row in enumerate(values)))
+    records = load_embeddings(path)
+    for rec, row in zip(records, values):
+        assert rec.features.shape == (3,)
+        assert rec.features.tobytes() == np.array([float(v) for v in row]).tobytes()
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_embeddings(tmp_path / "nope.csv")

@@ -8,10 +8,13 @@ from qembed.statevector import (
     GateOp,
     StateVector,
     apply_gate,
+    apply_to_rows,
     cx,
     h,
     marginal_zero_probability,
+    marginal_zero_rows,
     new_zero_state,
+    phase_rows,
     probabilities,
     ry,
     run_circuit,
@@ -346,3 +349,26 @@ def test_closed_form_cos_squared_grid():
         sv = run_circuit(new_zero_state(1), [h(0), u1(0, 2 * y), h(0), u1(0, 2 * y)])
         p0 = probabilities(sv)[0]
         assert abs(p0 - math.cos(y) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_row_kernels_match_one_state_at_a_time(n):
+    """Every gate on every target (and CX pair) over 6 random rows, bit for bit."""
+    rng = np.random.default_rng(40 + n)
+    states = [random_state(rng, n) for _ in range(6)]
+    rows = np.array([s.amplitudes for s in states])
+    gates = [h(q) for q in range(n)] + [ry(q, float(rng.normal(0, 2))) for q in range(n)]
+    gates += [cx(c, t) for c in range(n) for t in range(n) if c != t]
+    for gate in gates:
+        expected = [apply_gate(s, gate).amplitudes for s in states]
+        assert np.array_equal(apply_to_rows(rows, gate), expected), gate
+    angles = rng.normal(0.0, 2.0, size=len(states))
+    phases = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
+    for q in range(n):
+        expected = [run_circuit(s, [u1(q, float(a))]).amplitudes for s, a in zip(states, angles)]
+        assert np.array_equal(phase_rows(rows, q, phases), expected), q
+        assert np.array_equal(
+            marginal_zero_rows(rows, q), [marginal_zero_probability(s, q) for s in states]
+        )
+    with pytest.raises(IndexError, match="readout qubit"):
+        marginal_zero_rows(rows, n)

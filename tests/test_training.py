@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qembed.model as model_module
 from qembed.data import EmbeddingRecord
 from qembed.model import (
     make_bypass_model,
@@ -358,6 +359,45 @@ def test_readout_p0_blocks_match_per_row_forward(heads):
         assert p0.shape == (b,)
         assert np.array_equal(p0, expected[:b]), b
     assert readout_p0(model, []).shape == (0,)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_readout_p0_circuit_blocks_match_per_row_forward(n, monkeypatch):
+    """Bypass rows across circuit block edges (5 rows a block here), bit for bit."""
+    monkeypatch.setattr(model_module, "_BLOCK_AMPLITUDES", 5 << n)
+    rng = np.random.default_rng(200 + n)
+    model = make_bypass_model(
+        in_dim=6, n_qubits=n, fm_repetitions=int(rng.integers(1, 4)),
+        fm_scale=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)),
+        ansatz_layers=int(rng.integers(0, 4)), seed=n, readout_qubit=int(rng.integers(0, n)),
+    )
+    model.theta[:] = rng.normal(0.0, 2.0, size=model.theta.shape)
+    x = rng.normal(0.0, 3.0, size=(12, 6))
+    expected = np.array([model_forward(model, row).p0 for row in x])
+    for b in (1, 5, 6, 12):
+        assert np.array_equal(readout_p0(model, list(x[:b])), expected[:b]), b
+    assert np.array_equal(readout_p0(model, x), expected)
+
+
+def test_readout_p0_rejects_rows_as_model_forward_does():
+    model = make_bypass_model(in_dim=3, seed=5)
+    good = np.ones(3)
+    cases = [
+        [good, np.ones(4)],                       # width
+        [good, np.ones(3), np.ones(2)],           # ragged
+        [good, np.array([1.0, math.nan, 0.0])],   # non-finite feature
+        [good, np.array([1.0, math.inf, 0.0]), np.ones(4)],  # first bad row wins
+    ]
+    for rows in cases:
+        with pytest.raises(ValueError) as per_row:
+            for row in rows:
+                model_forward(model, row)
+        with pytest.raises(ValueError) as block:
+            readout_p0(model, rows)
+        assert str(block.value) == str(per_row.value)
+    model.theta = np.ones(3)
+    with pytest.raises(ValueError, match="expected 2 ansatz parameter"):
+        readout_p0(model, [good])
 
 
 @pytest.mark.parametrize("kind", ["encoder", "bypass"])
