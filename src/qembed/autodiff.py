@@ -91,6 +91,11 @@ def reduce_rows(x: np.ndarray, layer: ReductionLayer) -> np.ndarray:
     return np.matmul(x[:, None, :], layer.w)[:, 0, :] + layer.b
 
 
+def reduce_input_gradient(g_y: np.ndarray, layer: ReductionLayer) -> np.ndarray:
+    """Gradient at reduce()'s input x, given the gradient g_y at its output."""
+    return layer.w @ g_y
+
+
 def _clamp(p: float) -> float:
     return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
 
@@ -193,9 +198,9 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
     g_y = g_p0 * d_feat_angles
     g_encoder = None
     if model.encoder_weights is not None:
-        g_feat = model.reduction.w @ g_y
         g_encoder = encode_backward(
-            g_feat, cache.encoder_cache, model.encoder_weights, model.encoder_config
+            reduce_input_gradient(g_y, model.reduction), cache.encoder_cache,
+            model.encoder_weights, model.encoder_config,
         )
     # A namespace, not a copy of the model: the model's checks would run on
     # every sample, and a parameter missing here fails instead of copying.

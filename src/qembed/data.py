@@ -27,45 +27,53 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
 
     Every value goes through float() into one (rows, d) array, checked for
     finite values once; each record's `features` is a row of that array.
+    The file is read a line at a time, in two passes: one counts the lines
+    to size the array, the other parses them. Lines end at LF, CRLF or CR
+    only; a form feed, U+0085 or U+2028 (which str.splitlines breaks on)
+    stays inside its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: file is empty")
-    header = lines[0]
-    cols = header.split(",")
-    if len(cols) < 3 or cols[0] != "id" or cols[1] != "label":
-        raise ValueError(f"{path}:1: malformed header {header!r}")
-    dim = len(cols) - 2
-    if cols != _expected_header(dim).split(","):
-        raise ValueError(f"{path}:1: feature columns must be f0..f{dim - 1} in order")
-    values = np.empty((len(lines) - 1, dim))
-    labels: list[int] = []
-    # id -> line; ids are unique, so its values are every row's line in order
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise ValueError(
-                f"{path}:{lineno}: expected {dim} feature(s), got {len(parts) - 2}"
-            )
-        rec_id = parts[0]
-        if rec_id in first_line:
-            raise ValueError(f"{path}:{lineno}: id {rec_id!r} repeats line {first_line[rec_id]}")
-        first_line[rec_id] = lineno
-        try:
-            label = int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
-        if label not in (0, 1):
-            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-        try:
-            values[len(labels)] = list(map(float, parts[2:]))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed float value") from None
-        labels.append(label)
+        n_lines = sum(1 for _ in fh)
+        if not n_lines:
+            raise ValueError(f"{path}: file is empty")
+        fh.seek(0)
+        header = fh.readline().rstrip("\n")
+        cols = header.split(",")
+        if len(cols) < 3 or cols[0] != "id" or cols[1] != "label":
+            raise ValueError(f"{path}:1: malformed header {header!r}")
+        dim = len(cols) - 2
+        if cols != _expected_header(dim).split(","):
+            raise ValueError(f"{path}:1: feature columns must be f0..f{dim - 1} in order")
+        values = np.empty((n_lines - 1, dim))
+        labels: list[int] = []
+        # id -> line; ids are unique, so its values are every row's line in order
+        first_line: dict[str, int] = {}
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != dim + 2:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dim} feature(s), got {len(parts) - 2}"
+                )
+            rec_id = parts[0]
+            if rec_id in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: id {rec_id!r} repeats line {first_line[rec_id]}"
+                )
+            first_line[rec_id] = lineno
+            try:
+                label = int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
+            if label not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+            try:
+                values[len(labels)] = list(map(float, parts[2:]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed float value") from None
+            labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows (empty dataset)")
     values = values[: len(labels)]

@@ -12,7 +12,8 @@ head runs in one batched matmul; attention weights are (heads, T, T).
 The forward pass also takes a block of images with leading row axes,
 (..., H, W, C) -> tokens (..., T, D) -> features (..., out_dim): every
 step indexes from the last axis, so a row of a block gets the same bits
-as the image encoded alone. The backward pass takes one image's cache.
+as the image encoded alone. The backward pass takes one image's cache or
+a block's, and gives every weight gradient the block's leading row axes.
 Forward passes are pure given the weights. `encode_with_cache` records the
 intermediates needed by `encode_backward`, which returns analytic gradients
 for every weight as an `EncoderWeights` of gradient arrays, so that
@@ -210,7 +211,7 @@ def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) 
 def add_positional(tokens: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     if tokens.shape[-2:] != weights.positional.shape:
         raise ValueError(
-            f"token matrix {tokens.shape} does not match positional matrix "
+            f"token matrix {tokens.shape[-2:]} does not match positional matrix "
             f"{weights.positional.shape}"
         )
     return tokens + weights.positional
@@ -332,8 +333,8 @@ def _layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> tuple[np.ndar
 
 
 def _layer_norm_bwd(g_out: np.ndarray, xhat: np.ndarray, istd: np.ndarray, gain: np.ndarray):
-    g_gain = (g_out * xhat).sum(axis=0)
-    g_bias = g_out.sum(axis=0)
+    g_gain = (g_out * xhat).sum(axis=-2)
+    g_bias = g_out.sum(axis=-2)
     g_xhat = g_out * gain
     d = g_xhat.shape[-1]
     g_x = istd * (
@@ -360,9 +361,9 @@ def encode_with_cache(
 
 
 def _attention_backward(g_attn_out: np.ndarray, lc: _LayerCache, lw: LayerWeights):
-    heads, _, dk = lc.q.shape
+    heads, dk = lc.q.shape[-3], lc.q.shape[-1]
     g_concat = _split_heads(g_attn_out @ lw.wo.T, heads)
-    g_wo = lc.concat.T @ g_attn_out
+    g_wo = lc.concat.swapaxes(-1, -2) @ g_attn_out
     g_attn = g_concat @ lc.v.swapaxes(-1, -2)
     g_v = _merge_heads(lc.attn.swapaxes(-1, -2) @ g_concat)
     # softmax rows: g_s = attn * (g_attn - sum(g_attn * attn, row))
@@ -371,7 +372,8 @@ def _attention_backward(g_attn_out: np.ndarray, lc: _LayerCache, lw: LayerWeight
     g_q = _merge_heads(g_scores @ lc.k * scale)
     g_k = _merge_heads(g_scores.swapaxes(-1, -2) @ lc.q * scale)
     g_x = g_q @ lw.wq.T + g_k @ lw.wk.T + g_v @ lw.wv.T
-    return g_x, lc.x.T @ g_q, lc.x.T @ g_k, lc.x.T @ g_v, g_wo
+    x_t = lc.x.swapaxes(-1, -2)
+    return g_x, x_t @ g_q, x_t @ g_k, x_t @ g_v, g_wo
 
 
 def _layer_backward(
@@ -380,11 +382,11 @@ def _layer_backward(
     """Gradient at the layer input and the layer's weight gradients."""
     g_s2, g_ln2_gain, g_ln2_bias = _layer_norm_bwd(g_y, lc.xhat2, lc.istd2, lw.ln2_gain)
     g_f = g_s2
-    g_w2 = lc.relu.T @ g_f
-    g_b2 = g_f.sum(axis=0)
+    g_w2 = lc.relu.swapaxes(-1, -2) @ g_f
+    g_b2 = g_f.sum(axis=-2)
     g_h = (g_f @ lw.w2.T) * (lc.hpre > 0)
-    g_w1 = lc.u.T @ g_h
-    g_b1 = g_h.sum(axis=0)
+    g_w1 = lc.u.swapaxes(-1, -2) @ g_h
+    g_b1 = g_h.sum(axis=-2)
     g_u = g_s2 + g_h @ lw.w1.T
     g_s1, g_ln1_gain, g_ln1_bias = _layer_norm_bwd(g_u, lc.xhat1, lc.istd1, lw.ln1_gain)
     g_x_attn, g_wq, g_wk, g_wv, g_wo = _attention_backward(g_s1, lc, lw)
@@ -404,21 +406,25 @@ def encode_backward(
     the weights.
 
     `g_feature` is the upstream gradient with respect to encode()'s output.
+    A block cache takes (..., out_dim) rows of `g_feature` and gives every
+    gradient the same leading row axes, row by row the bits of that image's
+    backward pass alone.
     """
     if cache.top is None:
         raise RuntimeError("cache is incomplete; run encode_with_cache first")
     g_feature = np.asarray(g_feature, dtype=float)
     g_x = np.zeros_like(cache.top)
-    g_x[0] = weights.head_w @ g_feature
+    g_x[..., 0, :] = (weights.head_w @ g_feature[..., :, None])[..., 0]
     layer_grads: list[LayerWeights] = []
     for lc, lw in zip(reversed(cache.layer_caches), reversed(weights.layers)):
         g_x, g_layer = _layer_backward(g_x, lc, lw)
         layer_grads.insert(0, g_layer)
+    g_tokens = g_x[..., 1:, :] if config.use_class_token else g_x
     return EncoderWeights(
-        patch_projection=cache.patches.T @ (g_x[1:] if config.use_class_token else g_x),
+        patch_projection=cache.patches.swapaxes(-1, -2) @ g_tokens,
         positional=g_x.copy(),
-        class_token=g_x[0].copy() if config.use_class_token else None,
+        class_token=g_x[..., 0, :].copy() if config.use_class_token else None,
         layers=layer_grads,
-        head_w=np.outer(cache.top[0], g_feature),
+        head_w=cache.top[..., 0, :, None] * g_feature[..., None, :],
         head_b=g_feature.copy(),
     )

@@ -8,7 +8,9 @@ and a single-qubit readout. `model_forward` keeps one sample's
 intermediates for training; inference reads P(0) of many rows through
 `readout_p0`, which runs the encoder, the reduction and the circuit over
 a row axis, once per block of rows, and gives model_forward's p0 bit for
-bit. Training keeps the per-sample kernels (see `qembed.circuits`).
+bit. Training runs the encoder over a row axis too, once per mini-batch
+(see `qembed.training`), but keeps the per-sample reduction and circuit
+kernels (see `qembed.circuits`).
 """
 from __future__ import annotations
 
@@ -131,25 +133,36 @@ def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (a sequence of rows or a 2-D array), in
     order: the p0 model_forward gives, bit for bit.
 
-    Encoder rows are encoded in blocks along a leading row axis (a lone row
-    is encoded as it is, not copied into a block). The reduction and the
-    circuit then run once per block of rows, see `_block_p0`.
+    Encoder rows are encoded in blocks along a leading row axis (a lone row,
+    or a block whose rows do not share one (H, W, C) shape, is encoded row
+    by row). The reduction and the circuit then run once per block of rows,
+    see `_block_p0`.
     """
     if model.bypass:
         feats = inputs
     else:
-        weights, config = model.encoder_weights, model.encoder_config
         feats = []
         for start in range(0, len(inputs), _ENCODE_BLOCK_ROWS):
-            block = inputs[start : start + _ENCODE_BLOCK_ROWS]
-            if len(block) == 1:
-                feats.append(encode(block[0], weights, config))
-            else:
-                feats.extend(encode(np.asarray(block, dtype=float), weights, config))
+            feats.extend(_encode_block(model, inputs[start : start + _ENCODE_BLOCK_ROWS]))
     step = max(1, _BLOCK_AMPLITUDES >> model.feature_map.n_qubits)
     if len(feats) <= step:
         return _block_p0(model, feats)
     return np.concatenate([_block_p0(model, feats[i : i + step]) for i in range(0, len(feats), step)])
+
+
+def _encode_block(model: HybridModel, rows) -> list:
+    # Rows that do not stack into one (rows, H, W, C) array (2-D rows would
+    # stack into one 3-D image, rows of different shapes not at all) encode
+    # one at a time, so each row is read, or rejected, as it is alone.
+    weights, config = model.encoder_weights, model.encoder_config
+    if len(rows) > 1:
+        try:
+            x = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError):
+            x = None
+        if x is not None and x.ndim == 4:
+            return list(encode(x, weights, config))
+    return [encode(row, weights, config) for row in rows]
 
 
 def _block_p0(model: HybridModel, rows) -> np.ndarray:

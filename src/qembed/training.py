@@ -1,9 +1,14 @@
 """Training loop for the hybrid model, plus prediction and evaluation.
 
-One epoch walks the shuffled training split in mini-batches; every sample
-is embedded, reduced, pushed through the circuit and measured, and its
-gradients are averaged over the batch before the optimizer step
-(batch_size=1 recovers the strict per-sample loop). Early stopping watches
+One epoch walks the shuffled training split in mini-batches. An encoder
+model embeds the batch's images as one block (`encode_with_cache` on a
+leading row axis); every sample is then reduced, pushed through the
+circuit, measured and differentiated on its own, and one block
+`encode_backward` takes the rows of their feature gradients back through
+the encoder (none runs when the encoder is frozen). Gradients are summed
+in batch order, each row the bits of its sample's own gradient, and
+averaged over the batch before the optimizer step (batch_size=1 recovers
+the strict per-sample loop). Early stopping watches
 the validation loss with a patience/min_delta plateau rule, and the
 returned model carries the parameters of the best validation epoch.
 
@@ -14,11 +19,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import backward, bce_loss
+from .autodiff import backward, bce_loss, reduce_input_gradient
+from .encoder import encode_backward, encode_with_cache
+from .encoder import named_parameters as encoder_named_parameters
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     HybridModel,
@@ -198,6 +205,12 @@ def _check_dataset(dataset, model: HybridModel) -> None:
             f"feature dimension {first_shape} does not match reduction "
             f"in_dim {model.reduction.in_dim}"
         )
+    # a batch of 2-D inputs would stack into one 3-D array and read as one image
+    if not model.bypass and len(first_shape) != 3:
+        raise ValueError(
+            f"encoder input must be an (H, W, C) image, got shape {first_shape} "
+            f"(id={dataset[0].id!r})"
+        )
 
 
 def decide_label(p0: float) -> int:
@@ -227,6 +240,10 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
     else:
         trainable = params
     optimizer = _make_optimizer(config)
+    # the model without its encoder, sharing the reduction and theta arrays:
+    # per-sample forwards and backwards start from the encoded features
+    head = model if model.bypass else replace(model, encoder_config=None, encoder_weights=None)
+    train_encoder = not model.bypass and not config.freeze_encoder
 
     history = TrainingHistory()
     best_val = math.inf
@@ -241,18 +258,34 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
         for start in range(0, len(order), config.batch_size):
             batch = [train_idx[i] for i in order[start : start + config.batch_size]]
             grad_sum = {name: np.zeros_like(arr) for name, arr in trainable.items()}
-            for i in batch:
+            feats = [dataset[i].features for i in batch]
+            if not model.bypass:
+                feats, encoder_cache = encode_with_cache(
+                    np.asarray(feats, dtype=float), model.encoder_weights, model.encoder_config
+                )
+            g_feats = []
+            for i, feat in zip(batch, feats):
                 rec = dataset[i]
-                cache = model_forward(model, rec.features)
+                cache = model_forward(head, feat)
                 loss = bce_loss(cache.p0, cache.p1, rec.label)
                 if not math.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch}, sample id={rec.id!r}"
                     )
                 epoch_losses.append(loss)
-                grads = backward(model, cache, rec.label)
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
+                grads = backward(head, cache, rec.label)
+                for name, g in grads.items():
+                    grad_sum[name] += g
+                if train_encoder:
+                    # the bias gradient is the gradient at the reduction's output
+                    g_feats.append(reduce_input_gradient(grads["reduction.b"], model.reduction))
+            if train_encoder:
+                g_encoder = encode_backward(
+                    np.array(g_feats), encoder_cache, model.encoder_weights, model.encoder_config
+                )
+                for name, rows in encoder_named_parameters(g_encoder).items():
+                    for g in rows:
+                        grad_sum[f"encoder.{name}"] += g
             inv = 1.0 / len(batch)
             for name in grad_sum:
                 grad_sum[name] *= inv

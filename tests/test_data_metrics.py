@@ -87,6 +87,22 @@ def test_load_features_are_rows_of_float_values(tmp_path):
         assert rec.features.tobytes() == np.array([float(v) for v in row]).tobytes()
 
 
+def test_load_ends_lines_at_newlines_only(tmp_path):
+    """LF, CRLF and CR end a line. A form feed, U+0085 or U+2028 does not:
+    inside a line it is part of that line, where str.splitlines would break
+    it in two; at the end of the last value float() strips it."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"id,label,f0\r\na,1,0.5\rb,0,1.5\n\nc,1,2.5")
+    assert [(r.id, r.label, r.features.tolist()) for r in load_embeddings(path)] == [
+        ("a", 1, [0.5]), ("b", 0, [1.5]), ("c", 1, [2.5])]
+    for sep in ("\x0c", "\x85", "\u2028"):
+        path.write_bytes(f"id,label,f0\na,1,0.5{sep}b,0,1.5\n".encode("utf-8"))
+        with pytest.raises(ValueError, match=r"d\.csv:2: expected 1 feature\(s\), got 3"):
+            load_embeddings(path)
+        path.write_bytes(f"id,label,f0\na,1,0.5{sep}\nb,0,1.5\n".encode("utf-8"))
+        assert [r.features.tolist() for r in load_embeddings(path)] == [[0.5], [1.5]]
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_embeddings(tmp_path / "nope.csv")

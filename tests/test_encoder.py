@@ -11,11 +11,13 @@ from qembed.encoder import (
     LayerWeights,
     add_positional,
     encode,
+    encode_backward,
     encode_with_cache,
     encoder_layer,
     extract_patches,
     ffn,
     init_encoder_weights,
+    named_parameters,
     run_layers,
     self_attention,
     softmax_rows,
@@ -391,6 +393,34 @@ def test_row_axis_encode_matches_per_image(heads, use_class_token):
             assert np.array_equal(block, expected[:b]), (shape, layers, dim, b)
         grid = encode(images[:6].reshape(2, 3, *shape), weights, cfg)
         assert np.array_equal(grid.reshape(6, 3), expected[:6])
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("use_class_token", [True, False], ids=["cls", "no-cls"])
+def test_row_axis_backward_matches_per_image(heads, use_class_token):
+    """A block cache and (B, out_dim) upstream rows give every weight
+    gradient a leading row axis, row r the bits of image r's backward alone."""
+    shapes = [(4, 4, 1), (4, 6, 2), (6, 4, 3)]
+    for shape, layers in itertools.product(shapes, range(4)):
+        cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=layers, heads=heads,
+                            ffn_hidden=5, out_dim=3, use_class_token=use_class_token)
+        rng = np.random.default_rng(layers * 10 + heads)
+        weights = init_encoder_weights(cfg, shape, rng)
+        images = rng.normal(scale=2.0, size=(16, *shape))
+        g_feat = rng.normal(size=(16, 3))
+        per_image = [
+            named_parameters(encode_backward(g, encode_with_cache(im, weights, cfg)[1],
+                                             weights, cfg))
+            for im, g in zip(images, g_feat)
+        ]
+        for b in (1, 7, 16):
+            cache = encode_with_cache(images[:b], weights, cfg)[1]
+            block = named_parameters(encode_backward(g_feat[:b], cache, weights, cfg))
+            assert list(block) == list(per_image[0])
+            for name, rows in block.items():
+                assert rows.shape == (b, *per_image[0][name].shape), name
+                for r in range(b):
+                    assert np.array_equal(rows[r], per_image[r][name]), (shape, layers, b, name, r)
 
 
 def test_row_axis_patches_and_tokens_follow_each_image():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import qembed.autodiff as autodiff_module
 import qembed.model as model_module
+import qembed.training as training_module
 from qembed.data import EmbeddingRecord
 from qembed.model import (
     make_bypass_model,
@@ -12,12 +14,16 @@ from qembed.model import (
     model_forward,
     named_parameters,
     readout_p0,
+    set_parameters,
+    snapshot_parameters,
 )
 from qembed.autodiff import backward, bce_loss
 from qembed.encoder import EncoderConfig
 from qembed.metrics import compute_metrics
 from qembed.training import (
+    EpochRecord,
     TrainingConfig,
+    _make_optimizer,
     _mean_loss_and_f1,
     decide_label,
     evaluate,
@@ -420,3 +426,132 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
     losses = [bce_loss(rows[i][1], rows[i][2], labels[i]) for i in indices]
     f1 = compute_metrics([rows[i][0] for i in indices], [labels[i] for i in indices]).f1
     assert _mean_loss_and_f1(model, data, indices) == (float(np.mean(losses)), f1)
+
+
+# ---------------------------------------------------------------------------
+# Encoder training over a row axis
+# ---------------------------------------------------------------------------
+
+def per_sample_train(dataset, model, config):
+    """train() as a strict per-sample loop: model_forward and backward on the
+    full model for every sample, no early stop (patience >= max_epochs)."""
+    rng = np.random.default_rng(config.seed)
+    train_idx, val_idx = stratified_split(
+        [rec.label for rec in dataset], config.validation_fraction, rng)
+    trainable = {k: v for k, v in named_parameters(model).items()
+                 if not (config.freeze_encoder and k.startswith("encoder."))}
+    optimizer = _make_optimizer(config)
+    records_out, best_val, best = [], math.inf, snapshot_parameters(model)
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(train_idx))
+        losses, norms = [], []
+        for start in range(0, len(order), config.batch_size):
+            batch = [train_idx[i] for i in order[start : start + config.batch_size]]
+            grad_sum = {k: np.zeros_like(v) for k, v in trainable.items()}
+            for i in batch:
+                cache = model_forward(model, dataset[i].features)
+                losses.append(bce_loss(cache.p0, cache.p1, dataset[i].label))
+                grads = backward(model, cache, dataset[i].label)
+                for k in grad_sum:
+                    grad_sum[k] += grads[k]
+            for k in grad_sum:
+                grad_sum[k] *= 1.0 / len(batch)
+            norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grad_sum.values())))
+            optimizer.step(trainable, grad_sum)
+        val_loss, val_f1 = _mean_loss_and_f1(model, dataset, val_idx)
+        records_out.append(EpochRecord(epoch, float(np.mean(losses)), val_loss, val_f1,
+                                       float(np.mean(norms))))
+        if val_loss < best_val:
+            best_val, best = val_loss, snapshot_parameters(model)
+    set_parameters(model, best)
+    return model, records_out
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["train-encoder", "frozen"])
+@pytest.mark.parametrize("batch", [1, 5, 16])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum"])
+def test_encoder_train_matches_per_sample_loop(optimizer, batch, freeze):
+    """History and final parameters equal a per-sample loop bit for bit."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads={1: 1, 5: 2, 16: 4}[batch],
+                        ffn_hidden=12, out_dim=6, use_class_token=batch != 5)
+    data = encoder_rows(26, shape=(4, 6, 2), seed=batch)
+    config = TrainingConfig(
+        learning_rate=0.05 if optimizer == "adam" else 0.01, max_epochs=3, batch_size=batch,
+        optimizer=optimizer, seed=batch, validation_fraction=0.25, patience=10,
+        freeze_encoder=freeze,
+    )
+    expected_model, expected = per_sample_train(
+        data, make_encoder_model(cfg, (4, 6, 2), seed=batch), config)
+    model, history = train(data, make_encoder_model(cfg, (4, 6, 2), seed=batch), config)
+    assert history.records == expected
+    expected_params = named_parameters(expected_model)
+    for name, arr in named_parameters(model).items():
+        assert np.array_equal(arr, expected_params[name]), name
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["train-encoder", "frozen"])
+def test_encoder_train_runs_encoder_once_per_mini_batch(freeze, monkeypatch):
+    """Counted where train() binds them, and where the per-sample model_forward
+    and backward bind them, which training must no longer reach."""
+    calls = {}
+    for module, name in [(training_module, "encode_with_cache"),
+                         (training_module, "encode_backward"),
+                         (model_module, "encode_with_cache"),
+                         (autodiff_module, "encode_backward")]:
+        key = f"{module.__name__.split('.')[-1]}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=4)
+    model = make_encoder_model(cfg, (4, 4, 1), seed=31)
+    data = encoder_rows(23, seed=31)
+    config = TrainingConfig(max_epochs=3, batch_size=5, seed=31, validation_fraction=0.2,
+                            patience=10, freeze_encoder=freeze)
+    train_idx, _ = stratified_split([rec.label for rec in data], 0.2,
+                                    np.random.default_rng(31))
+    batches = 3 * math.ceil(len(train_idx) / 5)
+    _, history = train(data, model, config)
+    assert len(history.records) == 3
+    assert calls == {"training.encode_with_cache": batches,
+                     "training.encode_backward": 0 if freeze else batches,
+                     "model.encode_with_cache": 0, "autodiff.encode_backward": 0}
+
+
+def test_train_rejects_encoder_inputs_that_are_not_images():
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=4)
+    model = make_encoder_model(cfg, (4, 4, 4), seed=32)
+    data = records(np.ones((4, 4, 4)), [0, 1, 0, 1])
+    with pytest.raises(ValueError, match=r"\(H, W, C\) image, got shape \(4, 4\) \(id='r0'\)"):
+        train(data, model, TrainingConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+def test_encoder_blocks_of_2d_rows_fail_as_one_row_does(rows):
+    """Rows of a block that would stack into one 3-D image are read one by one."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=4)
+    model = make_encoder_model(cfg, (4, 4, 4), seed=33)
+    data = records(np.ones((rows, 4, 4)), np.arange(rows) % 2)
+    with pytest.raises(ValueError) as alone:
+        predict(model, data[0].features)
+    assert "image must be (H, W, C), got shape (4, 4)" in str(alone.value)
+    with pytest.raises(ValueError) as block:
+        evaluate(model, data)
+    assert str(block.value) == str(alone.value)
+
+
+def test_encoder_rows_of_different_shapes_score_row_by_row():
+    """(4, 4, 1) and (2, 8, 1) images both give 4 patches of 4 values; with no
+    class token each encodes on its own, so a block of both scores too."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=4,
+                        use_class_token=False)
+    model = make_encoder_model(cfg, (4, 4, 1), seed=34)
+    rng = np.random.default_rng(34)
+    rows = [rng.normal(size=(4, 4, 1)), rng.normal(size=(2, 8, 1)), rng.normal(size=(4, 4, 1))]
+    expected = [predict(model, row)[1] for row in rows]
+    assert readout_p0(model, rows).tolist() == expected
+    report = evaluate(model, records(rows, [0, 1, 1]))
+    assert report == compute_metrics([decide_label(p0) for p0 in expected], [0, 1, 1])
