@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (
+    MAX_QUBITS,
     SQRT2_INV,
     GateOp,
     apply_to_rows,
@@ -42,6 +43,11 @@ from .statevector import (
 )
 
 
+def _check_qubits(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+
+
 @dataclass(frozen=True)
 class FeatureMapSpec:
     n_qubits: int
@@ -49,8 +55,7 @@ class FeatureMapSpec:
     scale: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        _check_qubits(self.n_qubits)
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not math.isfinite(self.scale) or self.scale == 0.0:
@@ -63,8 +68,7 @@ class AnsatzSpec:
     layers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        _check_qubits(self.n_qubits)
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class EmbeddingRecord:
     id: str
     features: np.ndarray

@@ -14,6 +14,16 @@ The forward pass also takes a block of images with leading row axes,
 step indexes from the last axis, so a row of a block gets the same bits
 as the image encoded alone. The backward pass takes one image's cache or
 a block's, and gives every weight gradient the block's leading row axes.
+The forward pass also takes weights with leading axes that broadcast
+against the images' row axes (see `stack_weights`): K stacked copies of
+the weights score (S, H, W, C) images as (K, S, T, D) tokens and
+(K, S, out_dim) features when every matrix is (K, 1, *shape), the class
+token, positional matrix and head bias (K, 1, *shape), and every vector
+added along the token axis (ffn biases, layer-norm gains and biases)
+(K, 1, 1, n). Each (k, s) slice then gets the bits of image s encoded
+alone with copy k, as long as the copies are C-contiguous: a stack whose
+copy axis is not outermost sends numpy's matmul to a loop that sums in
+another order.
 Forward passes are pure given the weights. `encode_with_cache` records the
 intermediates needed by `encode_backward`, which returns analytic gradients
 for every weight as an `EncoderWeights` of gradient arrays, so that
@@ -111,6 +121,28 @@ def named_parameters(weights: EncoderWeights) -> dict[str, np.ndarray]:
     return params
 
 
+def stack_weights(weights: EncoderWeights, k: int) -> EncoderWeights:
+    """k C-contiguous copies of every array along a leading axis, shaped to
+    broadcast against a block of images: (k, 1, *shape), and (k, 1, 1, n)
+    for the layer vectors added along the token axis."""
+    def stack(a: np.ndarray, vector_lead: tuple[int, ...] = (k, 1)) -> np.ndarray:
+        lead = vector_lead if a.ndim == 1 else (k, 1)
+        return np.broadcast_to(a, lead + a.shape).copy(order="C")
+
+    layers = [
+        LayerWeights(**{attr: stack(getattr(lw, attr), (k, 1, 1)) for _, attr in _LAYER_FIELDS})
+        for lw in weights.layers
+    ]
+    return EncoderWeights(
+        patch_projection=stack(weights.patch_projection),
+        positional=stack(weights.positional),
+        class_token=None if weights.class_token is None else stack(weights.class_token),
+        layers=layers,
+        head_w=stack(weights.head_w),
+        head_b=stack(weights.head_b),
+    )
+
+
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     limit = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
@@ -186,10 +218,10 @@ def extract_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
 def _embed_patches(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig):
     """(flattened patches, token matrix with the class token first if enabled)."""
     patches = extract_patches(image, config.patch_size)
-    if patches.shape[-1] != weights.patch_projection.shape[0]:
+    if patches.shape[-1] != weights.patch_projection.shape[-2]:
         raise ValueError(
             f"patch length {patches.shape[-1]} does not match projection rows "
-            f"{weights.patch_projection.shape[0]}"
+            f"{weights.patch_projection.shape[-2]}"
         )
     projected = patches @ weights.patch_projection
     if not config.use_class_token:
@@ -209,10 +241,10 @@ def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) 
 
 
 def add_positional(tokens: np.ndarray, weights: EncoderWeights) -> np.ndarray:
-    if tokens.shape[-2:] != weights.positional.shape:
+    if tokens.shape[-2:] != weights.positional.shape[-2:]:
         raise ValueError(
             f"token matrix {tokens.shape[-2:]} does not match positional matrix "
-            f"{weights.positional.shape}"
+            f"{weights.positional.shape[-2:]}"
         )
     return tokens + weights.positional
 

@@ -1,8 +1,14 @@
 """Finite-difference audit of every trainable parameter's gradient.
 
 Perturbs each scalar parameter by +-h, re-evaluates the loss of every
-sample in one `readout_p0` pass, and compares each sample's central
-difference against its analytic/parameter-shift gradient from backward().
+sample, and compares each sample's central difference against its
+analytic/parameter-shift gradient from backward(). Encoder scalars are
+shifted in stacked copies of the encoder weights (`encoder.stack_weights`),
+never in the model: one encoder forward scores every sample under a block
+of shifted copies, and the reduction and circuit score the block's
+(copies x samples) feature rows in one `model.features_p0` pass. Reduction
+and ansatz scalars are shifted in place, one at a time, and restored; they
+leave the samples' features, encoded once, as they are.
 Sample inputs are redrawn when a ReLU pre-activation or the readout
 probability sits too close to a kink or clamp, where central differences
 are unreliable.
@@ -14,7 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward, bce_loss
-from .model import HybridModel, model_forward, named_parameters, readout_p0
+from .encoder import EncoderWeights, encode, stack_weights
+from .encoder import named_parameters as encoder_named_parameters
+from .model import (
+    _ENCODE_BLOCK_ROWS,
+    HybridModel,
+    encode_rows,
+    features_p0,
+    model_forward,
+    named_parameters,
+)
 
 DEFAULT_H = 1e-5
 DEFAULT_ABS_TOL = 1e-6
@@ -80,7 +95,8 @@ def gradient_check(
     """Compare backward() against central differences on every parameter.
 
     Passes when |analytic - fd| <= max(abs_tol, rel_tol * max(|analytic|, |fd|))
-    holds for every scalar entry on every sample.
+    holds for every scalar entry on every sample. The model's parameters
+    are left as they were.
     """
     params = named_parameters(model)
     groups = {name: GroupDeviation(name=name) for name in params}
@@ -91,16 +107,22 @@ def gradient_check(
     for x, label in samples:
         grads = backward(model, model_forward(model, x), label)
         analytic.append({name: g.reshape(-1) for name, g in grads.items()})
+    if not xs:
+        return all_ok, groups
+    feats = xs if model.bypass else encode_rows(model, xs)
+    if not model.bypass:
+        # +h and -h copies of as many scalars as fit in one encoder block of
+        # copies x samples, and at least one pair
+        pairs = max(1, _ENCODE_BLOCK_ROWS // (2 * len(xs)))
+        stacked = stack_weights(model.encoder_weights, 2 * pairs)
     for name, array in params.items():
         group = groups[name]
-        flat = array.flat
-        for j in range(array.size):
-            original = float(flat[j])
-            flat[j] = original + h
-            ups = _losses(model, xs, labels)
-            flat[j] = original - h
-            downs = _losses(model, xs, labels)
-            flat[j] = original
+        if name.startswith("encoder."):
+            key = name.removeprefix("encoder.")
+            shifted = _encoder_shifted_losses(model, stacked, key, xs, labels, h)
+        else:
+            shifted = _shifted_losses(model, array, feats, labels, h)
+        for j, ups, downs in shifted:
             for grads, up, down in zip(analytic, ups, downs):
                 fd = (up - down) / (2.0 * h)
                 a = float(grads[name][j])
@@ -116,10 +138,65 @@ def gradient_check(
     return all_ok, groups
 
 
-def _losses(model: HybridModel, xs, labels) -> list[float]:
+def _shifted_losses(model: HybridModel, array: np.ndarray, feats, labels, h: float):
+    """(j, losses at +h, losses at -h) for every scalar j of a reduction or
+    ansatz array, which is shifted in place and restored: these scalars leave
+    the samples' encoder features `feats` as they are."""
+    flat = array.flat
+    for j in range(array.size):
+        original = float(flat[j])
+        flat[j] = original + h
+        ups = _losses(model, feats, labels)
+        flat[j] = original - h
+        downs = _losses(model, feats, labels)
+        flat[j] = original
+        yield j, ups, downs
+
+
+def _encoder_shifted_losses(
+    model: HybridModel, stacked: EncoderWeights, key: str, xs, labels, h: float
+):
+    """(j, losses at +h, losses at -h) for every scalar j of encoder array
+    `key`, in order, read from `stacked` copies of the encoder weights.
+
+    Each block shifts one scalar per pair of copies, +h in the first and -h
+    in the second, encodes every sample against all copies at once and
+    restores the copies; the live weights are never written.
+    """
+    flat = encoder_named_parameters(model.encoder_weights)[key].reshape(-1)
+    rows = encoder_named_parameters(stacked)[key].reshape(len(stacked.head_b), -1)
+    pairs, n = len(rows) // 2, len(xs)
+    for start in range(0, flat.size, pairs):
+        stop = min(start + pairs, flat.size)
+        for i, j in enumerate(range(start, stop)):
+            original = float(flat[j])
+            rows[2 * i, j] = original + h
+            rows[2 * i + 1, j] = original - h
+        k = 2 * (stop - start)
+        feats = _encode_samples(xs, stacked, model.encoder_config)[:k]
+        rows[:, start:stop] = flat[start:stop]
+        losses = _losses(model, feats.reshape(-1, feats.shape[-1]), labels * k)
+        for i, j in enumerate(range(start, stop)):
+            yield j, losses[2 * i * n : (2 * i + 1) * n], losses[(2 * i + 1) * n : (2 * i + 2) * n]
+
+
+def _encode_samples(xs, weights, config) -> np.ndarray:
+    """(copies, samples, out_dim) features of every sample under stacked
+    weights: one block when the samples stack into (S, H, W, C), else one
+    sample at a time."""
+    try:
+        x = np.asarray(xs, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is not None and x.ndim == 4:
+        return encode(x, weights, config)
+    return np.concatenate([encode(x, weights, config) for x in xs], axis=-2)
+
+
+def _losses(model: HybridModel, feats, labels) -> list[float]:
     return [
         bce_loss(p0, 1.0 - p0, label)
-        for p0, label in zip(readout_p0(model, xs).tolist(), labels)
+        for p0, label in zip(features_p0(model, feats).tolist(), labels)
     ]
 
 

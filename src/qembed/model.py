@@ -131,19 +131,27 @@ _BLOCK_AMPLITUDES = 2**13
 
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (a sequence of rows or a 2-D array), in
-    order: the p0 model_forward gives, bit for bit.
+    order: the p0 model_forward gives, bit for bit."""
+    return features_p0(model, inputs if model.bypass else encode_rows(model, inputs))
 
-    Encoder rows are encoded in blocks along a leading row axis (a lone row,
-    or a block whose rows do not share one (H, W, C) shape, is encoded row
-    by row). The reduction and the circuit then run once per block of rows,
-    see `_block_p0`.
+
+def encode_rows(model: HybridModel, inputs) -> list:
+    """Every row's encoder features, each row the bits of encoding it alone.
+
+    Rows are encoded in blocks along a leading row axis (a lone row, or a
+    block whose rows do not share one (H, W, C) shape, is encoded row by
+    row).
     """
-    if model.bypass:
-        feats = inputs
-    else:
-        feats = []
-        for start in range(0, len(inputs), _ENCODE_BLOCK_ROWS):
-            feats.extend(_encode_block(model, inputs[start : start + _ENCODE_BLOCK_ROWS]))
+    feats = []
+    for start in range(0, len(inputs), _ENCODE_BLOCK_ROWS):
+        feats.extend(_encode_block(model, inputs[start : start + _ENCODE_BLOCK_ROWS]))
+    return feats
+
+
+def features_p0(model: HybridModel, feats) -> np.ndarray:
+    """P(0) of every feature row of `feats` (a sequence of rows or a 2-D
+    array), in order: the reduction and the circuit run once per block of
+    rows, see `_block_p0`."""
     step = max(1, _BLOCK_AMPLITUDES >> model.feature_map.n_qubits)
     if len(feats) <= step:
         return _block_p0(model, feats)

@@ -17,9 +17,11 @@ from qembed.autodiff import (
     reduce_rows,
 )
 from qembed.circuits import AnsatzSpec, FeatureMapSpec, quantum_forward
+from qembed.config import default_config, image_shape_from, model_from_config
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import GroupDeviation, draw_samples, gradient_check
 from qembed.model import (
+    _ENCODE_BLOCK_ROWS,
     HybridModel,
     make_bypass_model,
     make_encoder_model,
@@ -353,3 +355,45 @@ def test_gradient_check_equals_per_sample_loop(kind):
     assert any(flags) and not all(flags)
     for name, a in named_parameters(model).items():
         assert np.array_equal(a, before[name])
+
+
+def _encoder_case(case):
+    if case == "default":
+        config = default_config()
+        config["model.bypass_encoder"] = False
+        model = model_from_config(config, seed=0)
+        return model, draw_samples(model, 1, np.random.default_rng(0), image_shape_from(config))
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=3, out_dim=5)
+    model = make_encoder_model(cfg, (4, 4, 1), n_qubits=2, ansatz_layers=1, seed=16)
+    samples = draw_samples(model, 2, np.random.default_rng(17), image_shape=(4, 4, 1))
+    if case == "mixed-shapes":
+        # a 2x8 image makes as many 2x2 patches as a 4x4 one, but the
+        # samples no longer stack into one (S, H, W, C) block
+        samples[1] = (samples[1][0].reshape(2, 8, 1), samples[1][1])
+    return model, samples
+
+
+@pytest.mark.parametrize("case", ["default", "block-edge-in-head", "mixed-shapes"])
+def test_gradient_check_stacked_copies_equal_per_sample_loop(case):
+    """Encoder losses read from blocks of stacked weight copies give the
+    reference loop's report, and the live parameters are never written."""
+    model, samples = _encoder_case(case)
+    params = named_parameters(model)
+    before = {name: a.copy() for name, a in params.items()}
+    pairs = max(1, _ENCODE_BLOCK_ROWS // (2 * len(samples)))
+    if case != "default":
+        assert params["encoder.head.w"].size % pairs != 0  # a partial last block
+    expected = per_sample_gradient_check(model, samples, 1e-5, 0.0, 1e-9)
+    for name, a in params.items():
+        if name.startswith("encoder."):
+            a.flags.writeable = False
+    try:
+        assert gradient_check(model, samples, 1e-5, 0.0, 1e-9) == expected
+    finally:
+        for a in params.values():
+            a.flags.writeable = True
+    assert sum(g.checked for g in expected[1].values()) == len(samples) * sum(
+        a.size for a in params.values()
+    )
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name].tobytes(), name

@@ -13,7 +13,7 @@ from qembed.circuits import (
     readout_rows,
     serialize_gates,
 )
-from qembed.statevector import new_zero_state, run_circuit
+from qembed.statevector import MAX_QUBITS, new_zero_state, run_circuit
 
 
 def gate_tuple(g):
@@ -93,6 +93,14 @@ def test_spec_validation():
         AnsatzSpec(n_qubits=1, layers=-1)
     with pytest.raises(TypeError):
         AnsatzSpec(n_qubits=1, entanglement="full")
+
+
+@pytest.mark.parametrize("spec", [FeatureMapSpec, AnsatzSpec])
+def test_spec_rejects_more_qubits_than_the_simulator_holds(spec):
+    assert spec(n_qubits=MAX_QUBITS).n_qubits == MAX_QUBITS
+    for n in (0, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=rf"n_qubits must be in \[1, {MAX_QUBITS}\], got {n}"):
+            spec(n_qubits=n)
 
 
 # ---------------------------------------------------------------------------

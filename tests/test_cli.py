@@ -231,6 +231,19 @@ def test_train_refuses_encoder_mode(tmp_path, capsys):
     assert "bypass_encoder" in capsys.readouterr().err
 
 
+def test_train_rejects_more_qubits_than_the_simulator_holds(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "20", "--d", "4", "--out", str(data)])
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, TOY_CFG.replace("model.n_qubits = 1", "model.n_qubits = 21"))
+    out = tmp_path / "m.ckpt"
+    code = main(["train", "--data", str(data), "--config", cfg, "--out", str(out),
+                 "--history", str(tmp_path / "h.csv")])
+    assert code == 1
+    assert "n_qubits must be in [1, 20], got 21" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_unknown_config_key_fails(tmp_path, capsys):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "20", "--d", "4", "--out", str(data)])

@@ -122,6 +122,24 @@ def test_write_load_round_trip_exact(tmp_path):
         assert np.array_equal(back.features, orig.features)  # repr round-trips exactly
 
 
+def test_loaded_records_are_slotted_and_round_trip(tmp_path):
+    """Records hold no per-instance `__dict__`; a write/load/write round
+    trip gives the same file bytes and the same records."""
+    records = generate_synthetic(30, 4, 3.0, seed=5)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_embeddings(first, records)
+    loaded = load_embeddings(first)
+    assert not hasattr(loaded[0], "__dict__")
+    with pytest.raises(AttributeError):
+        loaded[0].weight = 1.0
+    loaded[0].features = loaded[0].features.copy()  # fields stay assignable
+    write_embeddings(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    for orig, back in zip(records, loaded):
+        assert (back.id, back.label) == (orig.id, orig.label)
+        assert np.array_equal(back.features, orig.features)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
 # ---------------------------------------------------------------------------

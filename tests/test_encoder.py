@@ -1,4 +1,6 @@
 """Encoder forward ops against independent hand-rolled oracles."""
+import copy
+import dataclasses
 import itertools
 import math
 
@@ -21,6 +23,7 @@ from qembed.encoder import (
     run_layers,
     self_attention,
     softmax_rows,
+    stack_weights,
     tokenize,
 )
 
@@ -438,3 +441,63 @@ def test_row_axis_patches_and_tokens_follow_each_image():
                               add_positional(tokens[i], weights))
     with pytest.raises(ValueError, match="image must be"):
         extract_patches(np.zeros((16, 1)), 2)
+
+
+# ---------------------------------------------------------------------------
+# Stacked weights (a leading copy axis)
+# ---------------------------------------------------------------------------
+
+def _distinct_copies(weights, k, rng):
+    """k C-contiguous copies stacked by stack_weights, each copy nudged by
+    its own noise, and the k copies as plain per-copy weights."""
+    stacked = stack_weights(weights, k)
+    for a in named_parameters(stacked).values():
+        a += rng.normal(scale=0.05, size=a.shape)
+    copies = [copy.deepcopy(weights) for _ in range(k)]
+    for i, w in enumerate(copies):
+        for name, a in named_parameters(w).items():
+            a[...] = named_parameters(stacked)[name][i].reshape(a.shape)
+    return stacked, copies
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("use_class_token", [True, False], ids=["cls", "no-cls"])
+def test_stacked_weights_encode_matches_per_copy(heads, use_class_token):
+    """Images encoded against k stacked copies give, for every (copy, image),
+    the bits of encoding that image alone with that copy."""
+    for shape, layers, k in itertools.product([(4, 4, 1), (4, 6, 2)], range(3), (1, 2, 32)):
+        cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=layers, heads=heads,
+                            ffn_hidden=5, out_dim=3, use_class_token=use_class_token)
+        rng = np.random.default_rng(100 * layers + k)
+        weights = init_encoder_weights(cfg, shape, rng)
+        stacked, copies = _distinct_copies(weights, k, rng)
+        for a in named_parameters(stacked).values():
+            assert a.flags.c_contiguous and a.shape[:2] == (k, 1)
+        images = rng.normal(scale=2.0, size=(3, *shape))
+        expected = np.array([[encode_with_cache(im, w, cfg)[0] for im in images] for w in copies])
+        block = encode(images, stacked, cfg)
+        assert block.shape == (k, 3, 3)
+        assert np.array_equal(block, expected), (shape, layers, k)
+        single = encode(images[1], stacked, cfg)
+        assert single.shape == (k, 1, 3)
+        assert np.array_equal(single[:, 0], expected[:, 1]), (shape, layers, k)
+
+
+def test_stacked_weights_must_be_c_contiguous():
+    """The pin above catches a stack whose copy axis is not outermost: numpy's
+    matmul runs such slices through a loop that sums in another order."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads=2, ffn_hidden=16, out_dim=16)
+    rng = np.random.default_rng(7)
+    weights = init_encoder_weights(cfg, (4, 4, 1), rng)
+    stacked, copies = _distinct_copies(weights, 32, rng)
+    images = rng.normal(size=(2, 4, 4, 1))
+    expected = np.array([[encode(im, w, cfg) for im in images] for w in copies])
+    assert np.array_equal(encode(images, stacked, cfg), expected)
+    fortran = copy.deepcopy(stacked)
+    for lw in [fortran, *fortran.layers]:
+        for f in dataclasses.fields(lw):
+            if isinstance(getattr(lw, f.name), np.ndarray):
+                setattr(lw, f.name, np.asfortranarray(getattr(lw, f.name)))
+    assert not fortran.head_w.flags.c_contiguous
+    assert np.array_equal(fortran.head_w, stacked.head_w)
+    assert not np.array_equal(encode(images, fortran, cfg), expected)
