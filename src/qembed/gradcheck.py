@@ -8,7 +8,9 @@ never in the model: one encoder forward scores every sample under a block
 of shifted copies, and the reduction and circuit score the block's
 (copies x samples) feature rows in one `model.features_p0` pass. Reduction
 and ansatz scalars are shifted in place, one at a time, and restored; they
-leave the samples' features, encoded once, as they are.
+leave the samples' features, encoded once, as they are. The sample inputs
+must stack into one row array (`model.as_rows`), checked once before any
+parameter moves.
 Sample inputs are redrawn when a ReLU pre-activation or the readout
 probability sits too close to a kink or clamp, where central differences
 are unreliable.
@@ -25,6 +27,7 @@ from .encoder import named_parameters as encoder_named_parameters
 from .model import (
     _ENCODE_BLOCK_ROWS,
     HybridModel,
+    as_rows,
     encode_rows,
     features_p0,
     model_forward,
@@ -95,19 +98,20 @@ def gradient_check(
     """Compare backward() against central differences on every parameter.
 
     Passes when |analytic - fd| <= max(abs_tol, rel_tol * max(|analytic|, |fd|))
-    holds for every scalar entry on every sample. The model's parameters
-    are left as they were.
+    holds for every scalar entry on every sample, an iterable of (input,
+    label) pairs. The model's parameters are left as they were.
     """
     params = named_parameters(model)
     groups = {name: GroupDeviation(name=name) for name in params}
     all_ok = True
-    xs = [x for x, _ in samples]
+    samples = list(samples)
     labels = [label for _, label in samples]
+    xs = as_rows(model, [x for x, _ in samples])
     analytic = []
-    for x, label in samples:
+    for x, label in zip(xs, labels):
         grads = backward(model, model_forward(model, x), label)
         analytic.append({name: g.reshape(-1) for name, g in grads.items()})
-    if not xs:
+    if not samples:
         return all_ok, groups
     feats = xs if model.bypass else encode_rows(model, xs)
     if not model.bypass:
@@ -173,24 +177,11 @@ def _encoder_shifted_losses(
             rows[2 * i, j] = original + h
             rows[2 * i + 1, j] = original - h
         k = 2 * (stop - start)
-        feats = _encode_samples(xs, stacked, model.encoder_config)[:k]
+        feats = encode(xs, stacked, model.encoder_config)[:k]
         rows[:, start:stop] = flat[start:stop]
         losses = _losses(model, feats.reshape(-1, feats.shape[-1]), labels * k)
         for i, j in enumerate(range(start, stop)):
             yield j, losses[2 * i * n : (2 * i + 1) * n], losses[(2 * i + 1) * n : (2 * i + 2) * n]
-
-
-def _encode_samples(xs, weights, config) -> np.ndarray:
-    """(copies, samples, out_dim) features of every sample under stacked
-    weights: one block when the samples stack into (S, H, W, C), else one
-    sample at a time."""
-    try:
-        x = np.asarray(xs, dtype=float)
-    except (TypeError, ValueError):
-        x = None
-    if x is not None and x.ndim == 4:
-        return encode(x, weights, config)
-    return np.concatenate([encode(x, weights, config) for x in xs], axis=-2)
 
 
 def _losses(model: HybridModel, feats, labels) -> list[float]:

@@ -8,14 +8,17 @@ and a single-qubit readout. `model_forward` keeps one sample's
 intermediates for training; inference reads P(0) of many rows through
 `readout_p0`, which runs the encoder, the reduction and the circuit over
 a row axis, once per block of rows, and gives model_forward's p0 bit for
-bit. Training runs the encoder over a row axis too, once per mini-batch
+bit. Its inputs must stack into one float row array, (rows, in_dim) for a
+bypass model and (rows, H, W, C) for an encoder model; `as_rows` converts
+and checks them once and reports the first bad row as model_forward does.
+Training runs the encoder over a row axis too, once per mini-batch
 (see `qembed.training`), but keeps the per-sample reduction and circuit
 kernels (see `qembed.circuits`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,6 +109,7 @@ def model_forward(model: HybridModel, x) -> ForwardCache:
     if model.bypass:
         feat = x
     else:
+        check_image_shape(x.shape)
         feat, encoder_cache = encode_with_cache(x, model.encoder_weights, model.encoder_config)
     y_vec = reduce(feat, model.reduction)
     result = quantum_forward(
@@ -130,68 +134,66 @@ _BLOCK_AMPLITUDES = 2**13
 
 
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
-    """P(0) of every row of `inputs` (a sequence of rows or a 2-D array), in
-    order: the p0 model_forward gives, bit for bit."""
+    """P(0) of every row of `inputs` (rows that stack into one array, see
+    `as_rows`), in order: the p0 model_forward gives, bit for bit."""
     return features_p0(model, inputs if model.bypass else encode_rows(model, inputs))
 
 
-def encode_rows(model: HybridModel, inputs) -> list:
-    """Every row's encoder features, each row the bits of encoding it alone.
-
-    Rows are encoded in blocks along a leading row axis (a lone row, or a
-    block whose rows do not share one (H, W, C) shape, is encoded row by
-    row).
-    """
-    feats = []
-    for start in range(0, len(inputs), _ENCODE_BLOCK_ROWS):
-        feats.extend(_encode_block(model, inputs[start : start + _ENCODE_BLOCK_ROWS]))
+def encode_rows(model: HybridModel, inputs) -> np.ndarray:
+    """(rows, out_dim) encoder features of the (rows, H, W, C) images
+    `inputs`, encoded in blocks along the row axis, each row the bits of
+    encoding it alone."""
+    x = as_rows(model, inputs)
+    feats = np.empty((len(x), model.encoder_config.out_dim))
+    for start in range(0, len(x), _ENCODE_BLOCK_ROWS):
+        stop = start + _ENCODE_BLOCK_ROWS
+        feats[start:stop] = encode(x[start:stop], model.encoder_weights, model.encoder_config)
     return feats
 
 
 def features_p0(model: HybridModel, feats) -> np.ndarray:
-    """P(0) of every feature row of `feats` (a sequence of rows or a 2-D
-    array), in order: the reduction and the circuit run once per block of
-    rows, see `_block_p0`."""
+    """P(0) of every row of the (rows, in_dim) features `feats`, in order:
+    the reduction and the circuit run once per block of rows."""
+    x = as_rows(model, feats, features=True)
     step = max(1, _BLOCK_AMPLITUDES >> model.feature_map.n_qubits)
-    if len(feats) <= step:
-        return _block_p0(model, feats)
-    return np.concatenate([_block_p0(model, feats[i : i + step]) for i in range(0, len(feats), step)])
+    circuit = (model.theta, model.feature_map, model.ansatz, model.readout_qubit)
+    if len(x) <= step:
+        return readout_rows(reduce_rows(x, model.reduction), *circuit)
+    return np.concatenate([
+        readout_rows(reduce_rows(x[i : i + step], model.reduction), *circuit)
+        for i in range(0, len(x), step)
+    ])
 
 
-def _encode_block(model: HybridModel, rows) -> list:
-    # Rows that do not stack into one (rows, H, W, C) array (2-D rows would
-    # stack into one 3-D image, rows of different shapes not at all) encode
-    # one at a time, so each row is read, or rejected, as it is alone.
-    weights, config = model.encoder_weights, model.encoder_config
-    if len(rows) > 1:
-        try:
-            x = np.asarray(rows, dtype=float)
-        except (TypeError, ValueError):
-            x = None
-        if x is not None and x.ndim == 4:
-            return list(encode(x, weights, config))
-    return [encode(row, weights, config) for row in rows]
-
-
-def _block_p0(model: HybridModel, rows) -> np.ndarray:
-    # Rows that do not form one (rows, in_dim) array run one at a time
-    # through reduce, which raises its error for the first row it rejects.
-    layer = model.reduction
+def as_rows(model: HybridModel, inputs, features: bool = False) -> np.ndarray:
+    """`inputs` as one float row array, (rows, in_dim) for a bypass model or
+    when `features`, else (rows, H, W, C). Inputs that do not stack into it
+    run row by row through model_forward, so the first bad row raises its
+    own error; if none does, the error names two shapes that differ."""
+    bypass = features or model.bypass
+    in_dim = model.reduction.in_dim
     try:
-        x = np.asarray(rows, dtype=float)
+        x = np.asarray(inputs, dtype=float)
     except (TypeError, ValueError):
         x = None
-    if x is None or x.ndim != 2 or x.shape[1] != layer.in_dim:
-        return np.array([
-            quantum_forward(
-                reduce(row, layer), model.theta, model.feature_map, model.ansatz,
-                model.readout_qubit,
-            ).p0
-            for row in rows
-        ], dtype=float)
-    return readout_rows(
-        reduce_rows(x, layer), model.theta, model.feature_map, model.ansatz, model.readout_qubit
-    )
+    if x is not None:
+        if (x.ndim == 2 and x.shape[1] == in_dim) if bypass else x.ndim == 4:
+            return x
+        if x.shape == (0,):
+            return np.empty((0, in_dim) if bypass else (0, 0, 0, 0))
+    head = replace(model, encoder_config=None, encoder_weights=None) if features else model
+    for row in inputs:
+        model_forward(head, row)
+    first = np.shape(inputs[0])
+    other = next(np.shape(row) for row in inputs if np.shape(row) != first)
+    raise ValueError(f"inconsistent feature shapes: {other} vs {first}")
+
+
+def check_image_shape(shape: tuple, where: str = "") -> None:
+    """Reject an encoder input that is not one image, such as a 2-D input or
+    an image with a leading row axis."""
+    if len(shape) != 3:
+        raise ValueError(f"encoder input must be an (H, W, C) image, got shape {shape}{where}")
 
 
 def named_parameters(model: HybridModel) -> dict[str, np.ndarray]:

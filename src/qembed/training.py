@@ -29,6 +29,7 @@ from .encoder import named_parameters as encoder_named_parameters
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     HybridModel,
+    check_image_shape,
     model_forward,
     named_parameters,
     readout_p0,
@@ -206,11 +207,8 @@ def _check_dataset(dataset, model: HybridModel) -> None:
             f"in_dim {model.reduction.in_dim}"
         )
     # a batch of 2-D inputs would stack into one 3-D array and read as one image
-    if not model.bypass and len(first_shape) != 3:
-        raise ValueError(
-            f"encoder input must be an (H, W, C) image, got shape {first_shape} "
-            f"(id={dataset[0].id!r})"
-        )
+    if not model.bypass:
+        check_image_shape(first_shape, f" (id={dataset[0].id!r})")
 
 
 def decide_label(p0: float) -> int:

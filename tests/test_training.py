@@ -9,6 +9,7 @@ import qembed.model as model_module
 import qembed.training as training_module
 from qembed.data import EmbeddingRecord
 from qembed.model import (
+    features_p0,
     make_bypass_model,
     make_encoder_model,
     model_forward,
@@ -19,6 +20,7 @@ from qembed.model import (
 )
 from qembed.autodiff import backward, bce_loss
 from qembed.encoder import EncoderConfig
+from qembed.gradcheck import draw_samples, gradient_check
 from qembed.metrics import compute_metrics
 from qembed.training import (
     EpochRecord,
@@ -394,13 +396,22 @@ def test_readout_p0_rejects_rows_as_model_forward_does():
         [good, np.array([1.0, math.nan, 0.0])],   # non-finite feature
         [good, np.array([1.0, math.inf, 0.0]), np.ones(4)],  # first bad row wins
     ]
-    for rows in cases:
+    # encoder rows: the bad row (row 35 of 40) falls in the second 32-row block
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+    encoder = make_encoder_model(cfg, (4, 4, 1), seed=5)
+    images = list(np.random.default_rng(5).normal(size=(40, 4, 4, 1)))
+    flat, non_finite = list(images), list(images)
+    flat[35] = np.ones((4, 4))
+    non_finite[35] = np.where(np.arange(16).reshape(4, 4, 1) == 9, math.nan, images[35])
+    for m, rows in [(model, rows) for rows in cases] + [(encoder, flat), (encoder, non_finite)]:
         with pytest.raises(ValueError) as per_row:
             for row in rows:
-                model_forward(model, row)
+                model_forward(m, row)
         with pytest.raises(ValueError) as block:
-            readout_p0(model, rows)
+            readout_p0(m, rows)
         assert str(block.value) == str(per_row.value)
+    with pytest.raises(ValueError, match=r"^input of shape \(2,\) does not match reduction in_dim 3"):
+        features_p0(encoder, [np.ones(3), np.ones(2)])
     model.theta = np.ones(3)
     with pytest.raises(ValueError, match="expected 2 ansatz parameter"):
         readout_p0(model, [good])
@@ -537,21 +548,65 @@ def test_encoder_blocks_of_2d_rows_fail_as_one_row_does(rows):
     data = records(np.ones((rows, 4, 4)), np.arange(rows) % 2)
     with pytest.raises(ValueError) as alone:
         predict(model, data[0].features)
-    assert "image must be (H, W, C), got shape (4, 4)" in str(alone.value)
+    assert "encoder input must be an (H, W, C) image, got shape (4, 4)" in str(alone.value)
     with pytest.raises(ValueError) as block:
         evaluate(model, data)
     assert str(block.value) == str(alone.value)
 
 
 def test_encoder_rows_of_different_shapes_score_row_by_row():
-    """(4, 4, 1) and (2, 8, 1) images both give 4 patches of 4 values; with no
-    class token each encodes on its own, so a block of both scores too."""
+    """(4, 4, 1) and (2, 8, 1) images both give 4 patches of 4 values, so each
+    scores row by row, but together they do not stack into one row array and
+    a block of them is rejected."""
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=4,
                         use_class_token=False)
     model = make_encoder_model(cfg, (4, 4, 1), seed=34)
     rng = np.random.default_rng(34)
     rows = [rng.normal(size=(4, 4, 1)), rng.normal(size=(2, 8, 1)), rng.normal(size=(4, 4, 1))]
     expected = [predict(model, row)[1] for row in rows]
-    assert readout_p0(model, rows).tolist() == expected
-    report = evaluate(model, records(rows, [0, 1, 1]))
-    assert report == compute_metrics([decide_label(p0) for p0 in expected], [0, 1, 1])
+    assert [readout_p0(model, [row])[0] for row in rows] == expected
+    before = snapshot_parameters(model)
+    message = r"inconsistent feature shapes: \(2, 8, 1\) vs \(4, 4, 1\)"
+    with pytest.raises(ValueError, match=message):
+        readout_p0(model, rows)
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, records(rows, [0, 1, 1]))
+    with pytest.raises(ValueError, match=message):
+        gradient_check(model, list(zip(rows, [0, 1, 1])))
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name].tobytes(), name
+
+
+def test_encoder_input_with_a_leading_axis_gives_one_message():
+    """A (1, 4, 4, 1) sample is one image with a row axis, not an image."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=3)
+    model = make_encoder_model(cfg, (4, 4, 1), seed=36)
+    x = np.random.default_rng(36).normal(size=(1, 4, 4, 1))
+    message = r"^encoder input must be an \(H, W, C\) image, got shape \(1, 4, 4, 1\)"
+    calls = [
+        lambda: model_forward(model, x),
+        lambda: predict(model, x),
+        lambda: readout_p0(model, [x]),
+        lambda: gradient_check(model, [(x, 1)]),
+        lambda: train(records([x, x], [0, 1]), model, TrainingConfig(max_epochs=1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("kind", ["encoder", "bypass"])
+def test_row_inputs_take_empty_lists_and_gradient_check_takes_generators(kind):
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=37)
+        samples = draw_samples(model, 3, np.random.default_rng(37), image_shape=(4, 4, 1))
+    else:
+        model = make_bypass_model(in_dim=3, n_qubits=2, seed=37)
+        samples = draw_samples(model, 3, np.random.default_rng(37))
+    assert readout_p0(model, []).shape == (0,)
+    ok, groups = gradient_check(model, [])
+    assert ok and all(g.checked == 0 for g in groups.values())
+    expected = gradient_check(model, samples)
+    assert sum(g.checked for g in expected[1].values()) > 0
+    assert gradient_check(model, (pair for pair in samples)) == expected
