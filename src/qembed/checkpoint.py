@@ -76,7 +76,7 @@ def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray
         name, _, rest = rest.partition(" ")
         if kind == "meta" and name and rest:
             table, entry = meta, rest
-        elif kind == "param" and name and all(d.isdigit() for d in rest.split()):
+        elif kind == "param" and name and all(d.isdecimal() for d in rest.split()):
             shape = tuple(int(d) for d in rest.split())
             if i >= len(lines):
                 raise ValueError(f"{path}:{lineno}: missing values for parameter {name!r}")

@@ -13,7 +13,9 @@ Two kernels run the circuit. `quantum_forward` builds and validates one
 gate list per sample and runs it through `run_circuit`; training uses it
 (its gradient shifts one gate of that list at a time). `readout_rows`
 runs the same gates in the same order over a block of rows and gives
-every row quantum_forward's p0 bit for bit; inference uses it. One qubit
+every row quantum_forward's p0 bit for bit; inference uses it. It checks
+the block once, on shapes and Python floats, before any gate runs: no
+row is replayed through quantum_forward to find an error. One qubit
 runs on real and imaginary parts as Python floats for one row or (rows,)
 arrays for a block; wider circuits run on (rows, 2**n) amplitudes. The
 two stay apart until the benchmark's traced check, which counts
@@ -30,6 +32,7 @@ from .statevector import (
     MAX_QUBITS,
     SQRT2_INV,
     GateOp,
+    _check_qubit,
     apply_to_rows,
     cx,
     h,
@@ -101,13 +104,7 @@ def build_z_feature_map(features, spec: FeatureMapSpec) -> list[GateOp]:
 
 def build_real_amplitudes(theta, spec: AnsatzSpec) -> list[GateOp]:
     """Gate list: `layers` blocks of (RY layer, CX chain), then a final RY layer."""
-    angles = np.asarray(theta, dtype=float)
-    expected = spec.parameter_count()
-    if angles.shape != (expected,):
-        raise ValueError(
-            f"expected {expected} ansatz parameter(s) for n_qubits={spec.n_qubits}, "
-            f"layers={spec.layers}, got array of shape {angles.shape}"
-        )
+    angles = _ansatz_angles(theta, spec)
     gates: list[GateOp] = []
     k = 0
     for _ in range(spec.layers):
@@ -122,6 +119,22 @@ def build_real_amplitudes(theta, spec: AnsatzSpec) -> list[GateOp]:
     return gates
 
 
+def _ansatz_angles(theta, spec: AnsatzSpec) -> np.ndarray:
+    angles = np.asarray(theta, dtype=float)
+    expected = spec.parameter_count()
+    if angles.shape != (expected,):
+        raise ValueError(
+            f"expected {expected} ansatz parameter(s) for n_qubits={spec.n_qubits}, "
+            f"layers={spec.layers}, got array of shape {angles.shape}"
+        )
+    return angles
+
+
+def _check_specs(fm: FeatureMapSpec, an: AnsatzSpec) -> None:
+    if fm.n_qubits != an.n_qubits:
+        raise ValueError(f"feature map has {fm.n_qubits} qubit(s) but ansatz has {an.n_qubits}")
+
+
 def quantum_forward(
     features,
     theta,
@@ -130,10 +143,7 @@ def quantum_forward(
     readout_qubit: int = 0,
 ) -> QuantumForwardResult:
     """Run feature map then ansatz from |0...0> and read one qubit's marginal."""
-    if fm.n_qubits != an.n_qubits:
-        raise ValueError(
-            f"feature map has {fm.n_qubits} qubit(s) but ansatz has {an.n_qubits}"
-        )
+    _check_specs(fm, an)
     gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
     final = run_circuit(new_zero_state(fm.n_qubits), gates)
     p0 = marginal_zero_probability(final, readout_qubit)
@@ -150,30 +160,26 @@ def readout_rows(
     """quantum_forward's p0 of every row of `features` (rows, n_qubits), bit
     for bit, with the circuit run once over the block of rows.
 
-    A block that fails a check quantum_forward makes runs row by row through
-    quantum_forward, which raises that check's error for the first row that
-    fails it.
+    The block is checked once before any gate runs: its shape and the specs'
+    qubit counts, theta's length, the readout qubit, and that every feature
+    and ansatz angle is finite.
     """
-    feats = np.asarray(features, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    _check_specs(fm, an)
     n = fm.n_qubits
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != n:
+        raise ValueError(f"expected (rows, {n}) features, got array of shape {feats.shape}")
+    theta = _ansatz_angles(theta, an)
+    _check_qubit(readout_qubit, n, "readout")
     # Python floats, as build_z_feature_map makes them, so that math.cos and
     # math.sin take each angle as the U1 gate does (numpy's SIMD trig need
     # not give the same bits).
     angles = [fm.scale * a for a in feats.ravel().tolist()]
+    if not all(map(math.isfinite, angles)):
+        raise ValueError("features must be finite")
     thetas = theta.tolist()
-    if not (
-        an.n_qubits == n
-        and feats.ndim == 2
-        and feats.shape[1] == n
-        and theta.shape == (an.parameter_count(),)
-        and 0 <= readout_qubit < n
-        and all(map(math.isfinite, angles))
-        and all(map(math.isfinite, thetas))
-    ):
-        return np.array(
-            [quantum_forward(row, theta, fm, an, readout_qubit).p0 for row in feats], dtype=float
-        )
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("RY angle must be finite")
     if not angles:
         return np.zeros(0)
     if n == 1:

@@ -9,16 +9,16 @@ intermediates for training; inference reads P(0) of many rows through
 `readout_p0`, which runs the encoder, the reduction and the circuit over
 a row axis, once per block of rows, and gives model_forward's p0 bit for
 bit. Its inputs must stack into one float row array, (rows, in_dim) for a
-bypass model and (rows, H, W, C) for an encoder model; `as_rows` converts
-and checks them once and reports the first bad row as model_forward does.
-Training runs the encoder over a row axis too, once per mini-batch
-(see `qembed.training`), but keeps the per-sample reduction and circuit
-kernels (see `qembed.circuits`).
+bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
+them once and checks their shapes at the boundary, naming the first bad
+row. Training reads its rows through `as_rows` too and runs the encoder
+over a row axis, once per mini-batch (see `qembed.training`), but keeps
+the per-sample reduction and circuit kernels (see `qembed.circuits`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def model_forward(model: HybridModel, x) -> ForwardCache:
     if model.bypass:
         feat = x
     else:
-        check_image_shape(x.shape)
+        check_input_shape(x.shape, None)
         feat, encoder_cache = encode_with_cache(x, model.encoder_weights, model.encoder_config)
     y_vec = reduce(feat, model.reduction)
     result = quantum_forward(
@@ -167,33 +167,40 @@ def features_p0(model: HybridModel, feats) -> np.ndarray:
 
 def as_rows(model: HybridModel, inputs, features: bool = False) -> np.ndarray:
     """`inputs` as one float row array, (rows, in_dim) for a bypass model or
-    when `features`, else (rows, H, W, C). Inputs that do not stack into it
-    run row by row through model_forward, so the first bad row raises its
-    own error; if none does, the error names two shapes that differ."""
-    bypass = features or model.bypass
-    in_dim = model.reduction.in_dim
+    when `features`, else (rows, H, W, C). An input that does not stack into
+    it is checked row by row, in order, and the error names the first row of
+    the wrong shape; if every row's shape is right, numpy's own error for a
+    value that is not a number is raised."""
+    width = model.reduction.in_dim if features or model.bypass else None
     try:
         x = np.asarray(inputs, dtype=float)
-    except (TypeError, ValueError):
-        x = None
-    if x is not None:
-        if (x.ndim == 2 and x.shape[1] == in_dim) if bypass else x.ndim == 4:
+    except (TypeError, ValueError) as exc:
+        error = exc
+    else:
+        if x.ndim == 4 if width is None else x.shape[1:] == (width,):
             return x
         if x.shape == (0,):
-            return np.empty((0, in_dim) if bypass else (0, 0, 0, 0))
-    head = replace(model, encoder_config=None, encoder_weights=None) if features else model
-    for row in inputs:
-        model_forward(head, row)
-    first = np.shape(inputs[0])
-    other = next(np.shape(row) for row in inputs if np.shape(row) != first)
-    raise ValueError(f"inconsistent feature shapes: {other} vs {first}")
+            return np.empty((0, 0, 0, 0) if width is None else (0, width))
+        # every row has the shape x.shape[1:], which is the wrong one
+        check_input_shape(x.shape[1:], width, "row 0: " if len(x) else "")
+    first = None
+    for i, row in enumerate(inputs):
+        shape = np.shape(row)
+        check_input_shape(shape, width, f"row {i}: ")
+        first = first or shape
+        if shape != first:
+            raise ValueError(f"row {i}: inconsistent feature shapes: {shape} vs {first}")
+    raise error
 
 
-def check_image_shape(shape: tuple, where: str = "") -> None:
-    """Reject an encoder input that is not one image, such as a 2-D input or
-    an image with a leading row axis."""
-    if len(shape) != 3:
-        raise ValueError(f"encoder input must be an (H, W, C) image, got shape {shape}{where}")
+def check_input_shape(shape: tuple, width: int | None, where: str = "") -> None:
+    """Reject a shape that is not one model input: `width` features, or when
+    `width` is None one (H, W, C) image (not a 2-D input, nor an image with
+    a leading row axis). `where` starts the message."""
+    if width is None and len(shape) != 3:
+        raise ValueError(f"{where}encoder input must be an (H, W, C) image, got shape {shape}")
+    if width is not None and shape != (width,):
+        raise ValueError(f"{where}input of shape {shape} does not match reduction in_dim {width}")
 
 
 def named_parameters(model: HybridModel) -> dict[str, np.ndarray]:

@@ -1,16 +1,18 @@
 """Training loop for the hybrid model, plus prediction and evaluation.
 
-One epoch walks the shuffled training split in mini-batches. An encoder
-model embeds the batch's images as one block (`encode_with_cache` on a
-leading row axis); every sample is then reduced, pushed through the
+`train` reads the dataset once, as one row array checked by
+`model.as_rows`; mini-batches and the validation split are its row
+subsets. One epoch walks the shuffled training split in mini-batches. An
+encoder model embeds the batch's images as one block (`encode_with_cache`
+on a leading row axis); every sample is then reduced, pushed through the
 circuit, measured and differentiated on its own, and one block
 `encode_backward` takes the rows of their feature gradients back through
 the encoder (none runs when the encoder is frozen). Gradients are summed
 in batch order, each row the bits of its sample's own gradient, and
 averaged over the batch before the optimizer step (batch_size=1 recovers
-the strict per-sample loop). Early stopping watches
-the validation loss with a patience/min_delta plateau rule, and the
-returned model carries the parameters of the best validation epoch.
+the strict per-sample loop). Early stopping watches the validation loss
+with a patience/min_delta plateau rule, and the returned model carries
+the parameters of the best validation epoch.
 
 Runs are deterministic: one seeded generator drives the validation split,
 the per-epoch shuffles, and nothing else.
@@ -29,7 +31,7 @@ from .encoder import named_parameters as encoder_named_parameters
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     HybridModel,
-    check_image_shape,
+    as_rows,
     model_forward,
     named_parameters,
     readout_p0,
@@ -67,12 +69,13 @@ class TrainingConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must be in [0, 1), got {self.validation_fraction}"
-            )
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if not 0.0 <= self.min_delta < math.inf:
+            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
+        for name in ("momentum", "adam_beta1", "adam_beta2", "validation_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -189,26 +192,12 @@ def stratified_split(labels, fraction: float, rng: np.random.Generator):
     return sorted(train_idx), sorted(val_idx)
 
 
-def _check_dataset(dataset, model: HybridModel) -> None:
+def _check_dataset(dataset) -> None:
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    first_shape = np.asarray(dataset[0].features).shape
     for rec in dataset:
         if rec.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {rec.label!r} (id={rec.id!r})")
-        shape = np.asarray(rec.features).shape
-        if shape != first_shape:
-            raise ValueError(
-                f"inconsistent feature shapes: {shape} vs {first_shape} (id={rec.id!r})"
-            )
-    if model.bypass and first_shape != (model.reduction.in_dim,):
-        raise ValueError(
-            f"feature dimension {first_shape} does not match reduction "
-            f"in_dim {model.reduction.in_dim}"
-        )
-    # a batch of 2-D inputs would stack into one 3-D array and read as one image
-    if not model.bypass:
-        check_image_shape(first_shape, f" (id={dataset[0].id!r})")
 
 
 def decide_label(p0: float) -> int:
@@ -216,9 +205,8 @@ def decide_label(p0: float) -> int:
     return 1 if p0 >= 0.5 else 0
 
 
-def _mean_loss_and_f1(model: HybridModel, dataset, indices) -> tuple[float, float]:
-    p0s = readout_p0(model, [dataset[i].features for i in indices]).tolist()
-    labels = [dataset[i].label for i in indices]
+def _mean_loss_and_f1(model: HybridModel, rows, labels) -> tuple[float, float]:
+    p0s = readout_p0(model, rows).tolist()
     losses = [bce_loss(p0, 1.0 - p0, label) for p0, label in zip(p0s, labels)]
     preds = [decide_label(p0) for p0 in p0s]
     return float(np.mean(losses)), compute_metrics(preds, labels).f1
@@ -226,11 +214,13 @@ def _mean_loss_and_f1(model: HybridModel, dataset, indices) -> tuple[float, floa
 
 def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridModel, TrainingHistory]:
     """Fit the model; returns it holding the best-validation-loss parameters."""
-    _check_dataset(dataset, model)
+    _check_dataset(dataset)
     started = time.perf_counter()
+    xs = as_rows(model, [rec.features for rec in dataset])
     rng = np.random.default_rng(config.seed)
     labels = [rec.label for rec in dataset]
     train_idx, val_idx = stratified_split(labels, config.validation_fraction, rng)
+    val_rows, val_labels = xs[val_idx], [labels[i] for i in val_idx]
 
     params = named_parameters(model)
     if config.freeze_encoder:
@@ -256,22 +246,16 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
         for start in range(0, len(order), config.batch_size):
             batch = [train_idx[i] for i in order[start : start + config.batch_size]]
             grad_sum = {name: np.zeros_like(arr) for name, arr in trainable.items()}
-            feats = [dataset[i].features for i in batch]
+            feats = xs[batch]
             if not model.bypass:
                 feats, encoder_cache = encode_with_cache(
-                    np.asarray(feats, dtype=float), model.encoder_weights, model.encoder_config
+                    feats, model.encoder_weights, model.encoder_config
                 )
             g_feats = []
             for i, feat in zip(batch, feats):
-                rec = dataset[i]
                 cache = model_forward(head, feat)
-                loss = bce_loss(cache.p0, cache.p1, rec.label)
-                if not math.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite loss at epoch {epoch}, sample id={rec.id!r}"
-                    )
-                epoch_losses.append(loss)
-                grads = backward(head, cache, rec.label)
+                epoch_losses.append(bce_loss(cache.p0, cache.p1, labels[i]))
+                grads = backward(head, cache, labels[i])
                 for name, g in grads.items():
                     grad_sum[name] += g
                 if train_encoder:
@@ -292,7 +276,7 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
             )
             optimizer.step(trainable, grad_sum)
 
-        val_loss, val_f1 = _mean_loss_and_f1(model, dataset, val_idx)
+        val_loss, val_f1 = _mean_loss_and_f1(model, val_rows, val_labels)
         history.records.append(
             EpochRecord(
                 epoch=epoch,

@@ -253,10 +253,12 @@ def _duplicate_meta(lines):
     return i
 
 
-def _bad_dims(lines):
-    i = _index(lines, "param reduction.b ")
-    lines[i] = "param reduction.b one"
-    return i
+def _bad_dims(text):
+    def edit(lines):
+        i = _index(lines, "param reduction.b ")
+        lines[i] = f"param reduction.b {text}"
+        return i
+    return edit
 
 
 BAD_FILES = [
@@ -271,7 +273,9 @@ BAD_FILES = [
     ("unknown-meta-key", "bypass", _insert_meta("meta fm.bogus 1")),
     ("duplicate-meta-key", "bypass", _duplicate_meta),
     ("contradicting-meta", "encoder", _set_meta("reduction.in_dim", "5")),
-    ("non-integer-dims", "bypass", _bad_dims),
+    ("non-integer-dims", "bypass", _bad_dims("one")),
+    # str.isdigit() holds for "²", which int() does not take
+    ("superscript-dims", "bypass", _bad_dims("\u00b2")),
 ]
 
 

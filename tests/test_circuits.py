@@ -271,8 +271,13 @@ def test_readout_rows_raises_the_first_bad_rows_error(n):
         y[2, n - 1] = bad
         with pytest.raises(ValueError, match=message):
             quantum_forward(y[2], theta, fm, an)
-        with pytest.raises(ValueError, match=message):
+        # the block checks each scaled angle: an overflow reads as a bad feature
+        with pytest.raises(ValueError, match="features must be finite"):
             readout_rows(y, theta, fm, an)
+    with pytest.raises(ValueError, match=rf"expected \(rows, {n}\) features, got array of shape \({n},\)"):
+        readout_rows(np.ones(n), theta, fm, an)
+    with pytest.raises(ValueError, match="but ansatz has"):
+        readout_rows(np.ones((2, n)), theta, fm, AnsatzSpec(n_qubits=n + 1))
     with pytest.raises(ValueError, match="ansatz parameter"):
         readout_rows(np.ones((2, n)), theta[1:], fm, an)
     with pytest.raises(ValueError, match="RY angle must be finite"):

@@ -244,6 +244,24 @@ def test_train_rejects_more_qubits_than_the_simulator_holds(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (["train.momentum=nan"], "momentum"),
+    (["train.optimizer=adam", "train.beta2=1.0"], "adam_beta2"),
+    (["train.min_delta=nan"], "min_delta"),
+])
+def test_train_rejects_invalid_optimizer_values_by_name(tmp_path, capsys, overrides, field):
+    data = tmp_path / "data.csv"
+    main(["synth", "--n", "20", "--d", "4", "--out", str(data)])
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    sets = [arg for value in ["train.epochs=30", *overrides] for arg in ("--set", value)]
+    code = main(["train", "--data", str(data), *sets, "--out", str(out),
+                 "--history", str(tmp_path / "h.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not out.exists()
+
+
 def test_train_unknown_config_key_fails(tmp_path, capsys):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "20", "--d", "4", "--out", str(data)])

@@ -72,6 +72,18 @@ def test_config_rejects_bad_values():
         TrainingConfig(optimizer="lbfgs")
     with pytest.raises(ValueError):
         TrainingConfig(validation_fraction=1.0)
+    # optimizer values must be finite and in range; the message names the field
+    for field, values, edge in [
+        ("momentum", [math.nan, math.inf, -0.1, 1.0], 0.0),
+        ("adam_beta1", [math.nan, -0.5, 1.0, 2.0], 0.0),
+        ("adam_beta2", [math.nan, -math.inf, 1.0], 0.0),
+        ("adam_eps", [math.nan, math.inf, 0.0, -1e-8], 1e-300),
+        ("min_delta", [math.nan, math.inf, -1e-4], 0.0),
+    ]:
+        for value in values:
+            with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
+                TrainingConfig(**{field: value})
+        assert getattr(TrainingConfig(**{field: edge}), field) == edge
 
 
 def test_empty_dataset_rejected():
@@ -388,30 +400,58 @@ def test_readout_p0_circuit_blocks_match_per_row_forward(n, monkeypatch):
 
 
 def test_readout_p0_rejects_rows_as_model_forward_does():
+    """A row of the wrong shape is named by its index, with the message
+    model_forward gives that row alone; row shapes are checked before any
+    value is, and a non-finite value reads as model_forward reads it."""
     model = make_bypass_model(in_dim=3, seed=5)
     good = np.ones(3)
+    # (rows, the first bad row, whether the block's message names it)
     cases = [
-        [good, np.ones(4)],                       # width
-        [good, np.ones(3), np.ones(2)],           # ragged
-        [good, np.array([1.0, math.nan, 0.0])],   # non-finite feature
-        [good, np.array([1.0, math.inf, 0.0]), np.ones(4)],  # first bad row wins
+        ([good, np.ones(4)], 1, True),                                  # width
+        ([good, np.ones(3), np.ones(2)], 2, True),                      # ragged
+        ([good, np.array([1.0, math.nan, 0.0])], 1, False),             # non-finite feature
+        ([good, np.array([1.0, math.inf, 0.0]), np.ones(4)], 2, True),  # shapes first
     ]
     # encoder rows: the bad row (row 35 of 40) falls in the second 32-row block
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
     encoder = make_encoder_model(cfg, (4, 4, 1), seed=5)
     images = list(np.random.default_rng(5).normal(size=(40, 4, 4, 1)))
-    flat, non_finite = list(images), list(images)
+    flat, non_finite, mixed = list(images), list(images), list(images)
     flat[35] = np.ones((4, 4))
     non_finite[35] = np.where(np.arange(16).reshape(4, 4, 1) == 9, math.nan, images[35])
-    for m, rows in [(model, rows) for rows in cases] + [(encoder, flat), (encoder, non_finite)]:
-        with pytest.raises(ValueError) as per_row:
-            for row in rows:
-                model_forward(m, row)
+    mixed[35] = images[35].reshape(2, 8, 1)
+    wide = [np.ones(3)] * 40
+    wide[35] = np.ones(4)
+    cases = [(model, *case) for case in cases]
+    cases += [(encoder, flat, 35, True), (encoder, non_finite, 35, False)]
+    for m, rows, bad, named in cases:
+        with pytest.raises(ValueError) as alone:
+            model_forward(m, rows[bad])
         with pytest.raises(ValueError) as block:
             readout_p0(m, rows)
-        assert str(block.value) == str(per_row.value)
-    with pytest.raises(ValueError, match=r"^input of shape \(2,\) does not match reduction in_dim 3"):
+        assert str(block.value) == (f"row {bad}: {alone.value}" if named else str(alone.value))
+    with pytest.raises(ValueError, match=r"^row 1: input of shape \(2,\) does not match reduction in_dim 3"):
         features_p0(encoder, [np.ones(3), np.ones(2)])
+    # each pass names row 35 before any parameter moves
+    labels = [i % 2 for i in range(40)]
+    for m, rows, message in [
+        (model, wide, "row 35: input of shape (4,) does not match reduction in_dim 3"),
+        (encoder, flat, "row 35: encoder input must be an (H, W, C) image, got shape (4, 4)"),
+        (encoder, mixed, "row 35: inconsistent feature shapes: (2, 8, 1) vs (4, 4, 1)"),
+    ]:
+        before = snapshot_parameters(m)
+        calls = [
+            lambda: readout_p0(m, rows),
+            lambda: evaluate(m, records(rows, labels)),
+            lambda: gradient_check(m, list(zip(rows, labels))),
+            lambda: train(records(rows, labels), m, TrainingConfig(max_epochs=1)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == message
+        for name, a in named_parameters(m).items():
+            assert a.tobytes() == before[name].tobytes(), name
     model.theta = np.ones(3)
     with pytest.raises(ValueError, match="expected 2 ansatz parameter"):
         readout_p0(model, [good])
@@ -436,7 +476,8 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
     indices = list(range(1, len(data), 2)) + [0]
     losses = [bce_loss(rows[i][1], rows[i][2], labels[i]) for i in indices]
     f1 = compute_metrics([rows[i][0] for i in indices], [labels[i] for i in indices]).f1
-    assert _mean_loss_and_f1(model, data, indices) == (float(np.mean(losses)), f1)
+    rows, row_labels = [data[i].features for i in indices], [labels[i] for i in indices]
+    assert _mean_loss_and_f1(model, rows, row_labels) == (float(np.mean(losses)), f1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +510,8 @@ def per_sample_train(dataset, model, config):
                 grad_sum[k] *= 1.0 / len(batch)
             norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grad_sum.values())))
             optimizer.step(trainable, grad_sum)
-        val_loss, val_f1 = _mean_loss_and_f1(model, dataset, val_idx)
+        val_loss, val_f1 = _mean_loss_and_f1(
+            model, [dataset[i].features for i in val_idx], [dataset[i].label for i in val_idx])
         records_out.append(EpochRecord(epoch, float(np.mean(losses)), val_loss, val_f1,
                                        float(np.mean(norms))))
         if val_loss < best_val:
@@ -536,7 +578,7 @@ def test_train_rejects_encoder_inputs_that_are_not_images():
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=4)
     model = make_encoder_model(cfg, (4, 4, 4), seed=32)
     data = records(np.ones((4, 4, 4)), [0, 1, 0, 1])
-    with pytest.raises(ValueError, match=r"\(H, W, C\) image, got shape \(4, 4\) \(id='r0'\)"):
+    with pytest.raises(ValueError, match=r"^row 0: encoder input must be an \(H, W, C\) image, got shape \(4, 4\)$"):
         train(data, model, TrainingConfig(max_epochs=1))
 
 
@@ -582,7 +624,8 @@ def test_encoder_input_with_a_leading_axis_gives_one_message():
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=3)
     model = make_encoder_model(cfg, (4, 4, 1), seed=36)
     x = np.random.default_rng(36).normal(size=(1, 4, 4, 1))
-    message = r"^encoder input must be an \(H, W, C\) image, got shape \(1, 4, 4, 1\)"
+    # the row passes name the row: model_forward takes one sample, not rows
+    message = r"^(row 0: )?encoder input must be an \(H, W, C\) image, got shape \(1, 4, 4, 1\)"
     calls = [
         lambda: model_forward(model, x),
         lambda: predict(model, x),
