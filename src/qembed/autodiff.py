@@ -5,9 +5,14 @@ gate angle individually: for any one U1 or RY angle the readout probability
 is a degree-1 trigonometric polynomial, so
 [p0(a + pi/2) - p0(a - pi/2)] / 2 is the exact derivative. A classical
 feature that enters several phase gates through a scale factor gets the
-chain-rule sum of per-gate shifts. The classical side (reduction layer,
-encoder) is analytic reverse mode. A central finite-difference oracle backs
-every gradient in the test suite and in the `gradcheck` CLI command.
+chain-rule sum of per-gate shifts. `circuit_angle_gradients` runs each
+shift on one working copy of the gate list, swapping the shifted gate in
+and the original back, so a sample's P angles cost 2P `run_circuit` calls
+and 2P new gates. The classical side (reduction layer, encoder) is
+analytic reverse mode; `backward` returns its gradients keyed by
+`parameter_dict`, the one list of parameter names that
+`model.named_parameters` also uses. A central finite-difference oracle
+backs every gradient in the test suite and in the `gradcheck` CLI command.
 
 Label convention (kept deliberately): P(0) is the probability assigned to
 label 1, i.e. loss = -[y*log P(0) + (1-y)*log P(1)].
@@ -16,19 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .circuits import AnsatzSpec, FeatureMapSpec, build_real_amplitudes, build_z_feature_map
 from .encoder import encode_backward
+from .encoder import named_parameters as encoder_named_parameters
 from .statevector import GateOp, marginal_zero_probability, new_zero_state, run_circuit
 
 if TYPE_CHECKING:
     from .model import ForwardCache, HybridModel
 
 PROB_EPS = 1e-12
+_HALF_PI = math.pi / 2.0
 
 
 @dataclass
@@ -161,34 +167,36 @@ def circuit_angle_gradients(
     """
     gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
     zero = new_zero_state(fm.n_qubits)
-    d_features = np.zeros(fm.n_qubits)
+    # Python floats: the same sums, in gate order, that a float64 array holds
+    d_features = [0.0] * fm.n_qubits
     d_theta = []
+    # One working copy of the gate list: each shift puts its gate back.
+    shifted = list(gates)
     for pos, gate in enumerate(gates):
-        if gate.angle is None:
+        angle = gate.angle
+        if angle is None:
             continue
-        shifted = list(gates)
-        p0 = []
-        for angle in (gate.angle + math.pi / 2.0, gate.angle - math.pi / 2.0):
-            shifted[pos] = GateOp(gate.kind, gate.target, angle=angle)
-            p0.append(marginal_zero_probability(run_circuit(zero, shifted), readout_qubit))
-        shift = (p0[0] - p0[1]) / 2.0
-        if gate.kind == "U1":
-            d_features[gate.target] += fm.scale * shift
+        kind, target = gate.kind, gate.target
+        shifted[pos] = GateOp(kind, target, angle=angle + _HALF_PI)
+        up = marginal_zero_probability(run_circuit(zero, shifted), readout_qubit)
+        shifted[pos] = GateOp(kind, target, angle=angle - _HALF_PI)
+        down = marginal_zero_probability(run_circuit(zero, shifted), readout_qubit)
+        shifted[pos] = gate
+        shift = (up - down) / 2.0
+        if kind == "U1":
+            d_features[target] += fm.scale * shift
         else:
             d_theta.append(shift)
-    return d_features, np.array(d_theta)
+    return np.array(d_features), np.array(d_theta)
 
 
 def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[str, np.ndarray]:
     """Gradients of the BCE loss for every trainable parameter.
 
     Requires the cache produced by model_forward for the same sample;
-    returns `named_parameters` of a holder shaped like the model with
-    gradients in place of parameters, so names, order and shapes are the
-    model's.
+    returns `parameter_dict` of the gradients, so names, order and shapes
+    are those of the model's `named_parameters`.
     """
-    from .model import named_parameters  # model imports this module
-
     if cache is None:
         raise RuntimeError("no cached forward pass; call model_forward first")
     g_p0 = bce_grad_p0(cache.p0, y_true)
@@ -202,11 +210,15 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
             reduce_input_gradient(g_y, model.reduction), cache.encoder_cache,
             model.encoder_weights, model.encoder_config,
         )
-    # A namespace, not a copy of the model: the model's checks would run on
-    # every sample, and a parameter missing here fails instead of copying.
-    grads = SimpleNamespace(
-        reduction=SimpleNamespace(w=np.outer(cache.feat, g_y), b=g_y),
-        theta=g_p0 * d_theta_angles,
-        encoder_weights=g_encoder,
-    )
-    return named_parameters(grads)
+    return parameter_dict(np.outer(cache.feat, g_y), g_y, g_p0 * d_theta_angles, g_encoder)
+
+
+def parameter_dict(w, b, theta, encoder_weights) -> dict[str, np.ndarray]:
+    """Reduction weights and bias, ansatz angles and any encoder weights,
+    keyed by canonical name in that order: a model's parameters
+    (`model.named_parameters`) or their gradients (`backward`)."""
+    params = {"reduction.w": w, "reduction.b": b, "ansatz.theta": theta}
+    if encoder_weights is not None:
+        for name, array in encoder_named_parameters(encoder_weights).items():
+            params[f"encoder.{name}"] = array
+    return params

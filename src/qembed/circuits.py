@@ -11,7 +11,10 @@ rotations. Parameter count is n_qubits * (layers + 1).
 
 Two kernels run the circuit. `quantum_forward` builds and validates one
 gate list per sample and runs it through `run_circuit`; training uses it
-(its gradient shifts one gate of that list at a time). `readout_rows`
+(its gradient shifts one gate of that list at a time). The builders read
+features and angles as Python floats (`tolist()`, checked with
+`math.isfinite`), and the feature map repeats one list of gates per
+repetition: the shared H gates and one U1 per qubit. `readout_rows`
 runs the same gates in the same order over a block of rows and gives
 every row quantum_forward's p0 bit for bit; inference uses it. It checks
 the block once, on shapes and Python floats, before any gate runs: no
@@ -30,19 +33,17 @@ import numpy as np
 
 from .statevector import (
     MAX_QUBITS,
+    H_GATES,
     SQRT2_INV,
     GateOp,
     _check_qubit,
     apply_to_rows,
     cx,
-    h,
     marginal_zero_probability,
     marginal_zero_rows,
     new_zero_state,
     phase_rows,
-    ry,
     run_circuit,
-    u1,
 )
 
 
@@ -86,36 +87,35 @@ class QuantumForwardResult:
 
 
 def build_z_feature_map(features, spec: FeatureMapSpec) -> list[GateOp]:
-    """Gate list: per repetition, per qubit q, H(q) then U1(scale*features[q])."""
+    """Gate list: per repetition, per qubit q, H(q) then U1(scale*features[q]).
+
+    Every repetition holds the same gate objects: the shared H(q) of
+    `H_GATES` and one U1 per qubit, whose angle is the same Python float
+    each time.
+    """
     feats = np.asarray(features, dtype=float)
     if feats.shape != (spec.n_qubits,):
         raise ValueError(
             f"expected {spec.n_qubits} feature(s), got array of shape {feats.shape}"
         )
-    if not np.all(np.isfinite(feats)):
+    values = feats.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("features must be finite")
-    gates: list[GateOp] = []
-    for _ in range(spec.repetitions):
-        for q in range(spec.n_qubits):
-            gates.append(h(q))
-            gates.append(u1(q, spec.scale * float(feats[q])))
-    return gates
+    layer = []
+    for q, value in enumerate(values):
+        layer += (H_GATES[q], GateOp("U1", q, angle=spec.scale * value))
+    return layer * spec.repetitions
 
 
 def build_real_amplitudes(theta, spec: AnsatzSpec) -> list[GateOp]:
     """Gate list: `layers` blocks of (RY layer, CX chain), then a final RY layer."""
-    angles = _ansatz_angles(theta, spec)
+    angles = iter(_ansatz_angles(theta, spec).tolist())
+    n = spec.n_qubits
     gates: list[GateOp] = []
-    k = 0
     for _ in range(spec.layers):
-        for q in range(spec.n_qubits):
-            gates.append(ry(q, float(angles[k])))
-            k += 1
-        for q in range(spec.n_qubits - 1):
-            gates.append(cx(q, q + 1))
-    for q in range(spec.n_qubits):
-        gates.append(ry(q, float(angles[k])))
-        k += 1
+        gates += [GateOp("RY", q, angle=next(angles)) for q in range(n)]
+        gates += [cx(q, q + 1) for q in range(n - 1)]
+    gates += [GateOp("RY", q, angle=next(angles)) for q in range(n)]
     return gates
 
 
@@ -195,7 +195,7 @@ def readout_rows(
     amps[:, 0] = 1.0
     for _ in range(fm.repetitions):
         for q in range(n):
-            amps = apply_to_rows(amps, h(q))
+            amps = apply_to_rows(amps, H_GATES[q])
             amps = phase_rows(amps, q, phases[:, q])
     for gate in build_real_amplitudes(theta, an):
         amps = apply_to_rows(amps, gate)

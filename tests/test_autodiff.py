@@ -16,7 +16,13 @@ from qembed.autodiff import (
     reduce,
     reduce_rows,
 )
-from qembed.circuits import AnsatzSpec, FeatureMapSpec, quantum_forward
+from qembed.circuits import (
+    AnsatzSpec,
+    FeatureMapSpec,
+    build_real_amplitudes,
+    build_z_feature_map,
+    quantum_forward,
+)
 from qembed.config import default_config, image_shape_from, model_from_config
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import GroupDeviation, draw_samples, gradient_check
@@ -29,6 +35,7 @@ from qembed.model import (
     named_parameters,
     set_parameters,
 )
+from qembed.statevector import GateOp, apply_gate, marginal_zero_probability, new_zero_state
 
 LN2 = 0.6931471805599453
 
@@ -171,6 +178,64 @@ def test_circuit_gradients_match_finite_differences():
         for j in range(len(theta)):
             fd = finite_diff_grad(lambda v: quantum_forward(feats, v, fm, an).p0, theta, j)
             assert abs(d_theta[j] - fd) < 1e-6
+
+
+def reference_gates(features, theta, n, reps, scale, layers):
+    """The feature map and ansatz gate list, one new GateOp per gate."""
+    gates = []
+    for _ in range(reps):
+        for q in range(n):
+            gates += [GateOp("H", q), GateOp("U1", q, angle=scale * float(features[q]))]
+    angles = iter(float(a) for a in theta)
+    for _ in range(layers):
+        gates += [GateOp("RY", q, angle=next(angles)) for q in range(n)]
+        gates += [GateOp("CX", q + 1, control=q) for q in range(n - 1)]
+    gates += [GateOp("RY", q, angle=next(angles)) for q in range(n)]
+    return gates
+
+
+def reference_p0(gates, n, readout):
+    """P(0) of `readout` after applying the gates to |0...0> one at a time."""
+    state = new_zero_state(n)
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return marginal_zero_probability(state, readout)
+
+
+def test_circuit_kernels_equal_a_gate_by_gate_reference():
+    """quantum_forward's p0 and both parameter-shift gradient arrays, under
+    ==, on seeded random circuits: 1-4 qubits, 1-3 repetitions, 0-3 ansatz
+    layers, a signed scale and every readout qubit."""
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        n, reps, layers = (int(rng.integers(lo, hi)) for lo, hi in ((1, 5), (1, 4), (0, 4)))
+        scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 3.0))
+        fm = FeatureMapSpec(n_qubits=n, repetitions=reps, scale=scale)
+        an = AnsatzSpec(n_qubits=n, layers=layers)
+        feats = rng.normal(0.0, 2.0, size=n)
+        theta = rng.normal(0.0, 2.0, size=an.parameter_count())
+        gates = reference_gates(feats, theta, n, reps, scale, layers)
+        assert build_z_feature_map(feats, fm) + build_real_amplitudes(theta, an) == gates
+        for readout in range(n):
+            assert quantum_forward(feats, theta, fm, an, readout).p0 == reference_p0(
+                gates, n, readout)
+            d_feat, d_theta = np.zeros(n), []
+            for pos, gate in enumerate(gates):
+                if gate.angle is None:
+                    continue
+                p0 = []
+                for sign in (1.0, -1.0):
+                    shifted = list(gates)
+                    shifted[pos] = GateOp(gate.kind, gate.target,
+                                          angle=gate.angle + sign * (math.pi / 2.0))
+                    p0.append(reference_p0(shifted, n, readout))
+                if gate.kind == "U1":
+                    d_feat[gate.target] += scale * ((p0[0] - p0[1]) / 2.0)
+                else:
+                    d_theta.append((p0[0] - p0[1]) / 2.0)
+            got_feat, got_theta = circuit_angle_gradients(feats, theta, fm, an, readout)
+            assert np.array_equal(got_feat, d_feat)
+            assert np.array_equal(got_theta, np.array(d_theta))
 
 
 # ---------------------------------------------------------------------------

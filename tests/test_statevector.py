@@ -1,4 +1,5 @@
 """Statevector simulator tests: known states, gate algebra, invariants."""
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,42 @@ def test_cx_requires_distinct_control():
 def test_unknown_gate_kind():
     with pytest.raises(ValueError):
         GateOp("X", 0)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, error, message",
+    [
+        (("X", 0), {}, ValueError, "unknown gate kind 'X'; expected one of ('H', 'U1', 'RY', 'CX')"),
+        (("H", -1), {}, IndexError, "gate target must be non-negative, got -1"),
+        (("U1", 0), {}, ValueError, "U1 gate requires an angle"),
+        (("RY", 0), {"angle": math.inf}, ValueError, "RY angle must be finite, got inf"),
+        (("H", 0), {"angle": 0.5}, ValueError, "H gate takes no angle"),
+        (("CX", 0), {}, ValueError, "CX gate requires a control qubit"),
+        (("CX", 0), {"control": -2}, IndexError, "gate control must be non-negative, got -2"),
+        (("CX", 1), {"control": 1}, ValueError, "CX control and target must differ"),
+        (("RY", 0), {"control": 1, "angle": 0.1}, ValueError, "RY gate takes no control qubit"),
+    ],
+)
+def test_gate_error_messages(args, kwargs, error, message):
+    with pytest.raises(error) as raised:
+        GateOp(*args, **kwargs)
+    assert str(raised.value) == message
+
+
+def test_gates_are_immutable_values():
+    gate = GateOp("U1", 1, angle=0.25)
+    assert gate == u1(1, 0.25) and hash(gate) == hash(u1(1, 0.25))
+    assert gate != GateOp("RY", 1, angle=0.25) and gate != GateOp("U1", 0, angle=0.25)
+    assert gate != ("U1", 1, None, 0.25)
+    assert len({gate, u1(1, 0.25), h(1), GateOp("H", 1), cx(0, 1), cx(0, 1)}) == 3
+    assert repr(gate) == "GateOp(kind='U1', target=1, control=None, angle=0.25)"
+    assert dataclasses.replace(gate, angle=0.5) == u1(1, 0.5)
+    for g, field in [(gate, "angle"), (h(0), "target"), (cx(0, 1), "control")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, field, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(g, "kind")
+    assert gate.angle == 0.25 and h(0) == GateOp("H", 0)
 
 
 def test_gate_index_out_of_range():

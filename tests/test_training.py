@@ -1,11 +1,13 @@
 """Training loop: determinism, convergence, early stopping, batching."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import qembed.autodiff as autodiff_module
 import qembed.model as model_module
+import qembed.statevector as statevector_module
 import qembed.training as training_module
 from qembed.data import EmbeddingRecord
 from qembed.model import (
@@ -572,6 +574,52 @@ def test_encoder_train_runs_encoder_once_per_mini_batch(freeze, monkeypatch):
     assert calls == {"training.encode_with_cache": batches,
                      "training.encode_backward": 0 if freeze else batches,
                      "model.encode_with_cache": 0, "autodiff.encode_backward": 0}
+
+
+@pytest.mark.parametrize(
+    "kind, gates_per_circuit, angles",
+    [("bypass-1q", 6, 4), ("encoder-1q", 6, 4), ("bypass-3q-2-layers", 25, 15)],
+)
+def test_train_runs_2p_plus_1_circuits_per_sample_step(kind, gates_per_circuit, angles,
+                                                       monkeypatch):
+    """The structure the benchmark's traced check counts: each sample-step is
+    one model_forward with one run_circuit, then one backward with 2P more
+    (P gate angles), every one on the full G-gate list. run_circuit is
+    wrapped at every qembed module that holds it, as the tracer wraps it."""
+    events = []
+    original = statevector_module.run_circuit
+
+    def run_circuit(state, gates):
+        events.append(("run", len(gates)))
+        return original(state, gates)
+
+    for key, module in list(sys.modules.items()):
+        if key != "qembed" and not key.startswith("qembed."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, run_circuit)
+    for name in ("model_forward", "backward"):
+        def logged(*args, _fn=getattr(training_module, name), _name=name, **kwargs):
+            events.append((_name, None))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(training_module, name, logged)
+    if kind == "encoder-1q":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=41)
+        data = encoder_rows(12, seed=41)
+    else:
+        n, layers = (3, 2) if kind == "bypass-3q-2-layers" else (1, 1)
+        model = make_bypass_model(in_dim=4, n_qubits=n, ansatz_layers=layers, seed=41)
+        data = two_blob_dataset(n=12, seed=41)
+    config = TrainingConfig(max_epochs=2, batch_size=5, seed=41, validation_fraction=0.0,
+                            patience=10)
+    _, history = train(data, model, config)
+    assert len(history.records) == 2
+    step = [("model_forward", None), ("run", gates_per_circuit), ("backward", None)]
+    step += [("run", gates_per_circuit)] * (2 * angles)
+    assert events == step * (2 * len(data))
 
 
 def test_train_rejects_encoder_inputs_that_are_not_images():
