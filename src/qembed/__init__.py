@@ -65,6 +65,6 @@ from .statevector import (
     probabilities,
     run_circuit,
 )
-from .training import TrainingConfig, TrainingHistory, evaluate, predict, train
+from .training import TrainingConfig, TrainingHistory, evaluate, predict, row_gradients, train
 
 __version__ = "0.1.0"

@@ -8,11 +8,13 @@ feature that enters several phase gates through a scale factor gets the
 chain-rule sum of per-gate shifts. `circuit_angle_gradients` runs each
 shift on one working copy of the gate list, swapping the shifted gate in
 and the original back, so a sample's P angles cost 2P `run_circuit` calls
-and 2P new gates. The classical side (reduction layer, encoder) is
-analytic reverse mode; `backward` returns its gradients keyed by
-`parameter_dict`, the one list of parameter names that
-`model.named_parameters` also uses. A central finite-difference oracle
-backs every gradient in the test suite and in the `gradcheck` CLI command.
+and 2P new gates. `backward` covers the head (reduction -> circuit ->
+readout) of one feature row, the reduction in analytic reverse mode, and
+keys its gradients by `parameter_dict`, the one list of parameter names
+that `model.named_parameters` also uses; `training.row_gradients` runs the
+encoder's backward once per block of rows. A central finite-difference
+oracle backs every gradient in the test suite and in the `gradcheck` CLI
+command.
 
 Label convention (kept deliberately): P(0) is the probability assigned to
 label 1, i.e. loss = -[y*log P(0) + (1-y)*log P(1)].
@@ -26,7 +28,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .circuits import AnsatzSpec, FeatureMapSpec, build_real_amplitudes, build_z_feature_map
-from .encoder import encode_backward
 from .encoder import named_parameters as encoder_named_parameters
 from .statevector import GateOp, marginal_zero_probability, new_zero_state, run_circuit
 
@@ -191,11 +192,11 @@ def circuit_angle_gradients(
 
 
 def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[str, np.ndarray]:
-    """Gradients of the BCE loss for every trainable parameter.
+    """Gradients of the BCE loss for the head parameters (reduction and
+    ansatz) of one feature row.
 
-    Requires the cache produced by model_forward for the same sample;
-    returns `parameter_dict` of the gradients, so names, order and shapes
-    are those of the model's `named_parameters`.
+    Requires the cache produced by model_forward for the same row; returns
+    `parameter_dict` of the gradients without encoder weights.
     """
     if cache is None:
         raise RuntimeError("no cached forward pass; call model_forward first")
@@ -204,19 +205,14 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
         cache.y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
     )
     g_y = g_p0 * d_feat_angles
-    g_encoder = None
-    if model.encoder_weights is not None:
-        g_encoder = encode_backward(
-            reduce_input_gradient(g_y, model.reduction), cache.encoder_cache,
-            model.encoder_weights, model.encoder_config,
-        )
-    return parameter_dict(np.outer(cache.feat, g_y), g_y, g_p0 * d_theta_angles, g_encoder)
+    return parameter_dict(np.outer(cache.feat, g_y), g_y, g_p0 * d_theta_angles, None)
 
 
 def parameter_dict(w, b, theta, encoder_weights) -> dict[str, np.ndarray]:
     """Reduction weights and bias, ansatz angles and any encoder weights,
     keyed by canonical name in that order: a model's parameters
-    (`model.named_parameters`) or their gradients (`backward`)."""
+    (`model.named_parameters`) or their gradients (`backward`,
+    `training.row_gradients`)."""
     params = {"reduction.w": w, "reduction.b": b, "ansatz.theta": theta}
     if encoder_weights is not None:
         for name, array in encoder_named_parameters(encoder_weights).items():

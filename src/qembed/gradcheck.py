@@ -2,17 +2,18 @@
 
 Perturbs each scalar parameter by +-h, re-evaluates the loss of every
 sample, and compares each sample's central difference against its
-analytic/parameter-shift gradient from backward(). Encoder scalars are
-shifted in stacked copies of the encoder weights (`encoder.stack_weights`),
-never in the model: one encoder forward scores every sample under a block
-of shifted copies, and the reduction and circuit score the block's
-(copies x samples) feature rows in one `model.features_p0` pass. Reduction
-and ansatz scalars are shifted in place, one at a time, and restored; they
+analytic/parameter-shift gradient: row s of training's row step
+(`training.row_gradients`) over all samples. Encoder scalars are shifted
+in stacked copies of the encoder weights (`encoder.stack_weights`), never
+in the model: one encoder forward scores every sample under a block of
+shifted copies, and the reduction and circuit score the block's (copies x
+samples) feature rows in one `model.features_p0` pass. Reduction and
+ansatz scalars are shifted in place, one at a time, and restored; they
 leave the samples' features, encoded once, as they are. The sample inputs
 must stack into one row array (`model.as_rows`), checked once before any
-parameter moves.
-Sample inputs are redrawn when a ReLU pre-activation or the readout
-probability sits too close to a kink or clamp, where central differences
+parameter moves. `draw_samples` redraws a candidate input whose ReLU
+pre-activations (from its own lone-image `encode_with_cache`) or readout
+probability sit too close to a kink or clamp, where central differences
 are unreliable.
 """
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward, bce_loss
-from .encoder import EncoderWeights, encode, stack_weights
+from .autodiff import bce_loss
+from .encoder import EncoderWeights, encode, encode_with_cache, stack_weights
 from .encoder import named_parameters as encoder_named_parameters
 from .model import (
     _ENCODE_BLOCK_ROWS,
@@ -33,6 +34,7 @@ from .model import (
     model_forward,
     named_parameters,
 )
+from .training import row_gradients
 
 DEFAULT_H = 1e-5
 DEFAULT_ABS_TOL = 1e-6
@@ -50,11 +52,11 @@ class GroupDeviation:
     ok: bool = True
 
 
-def _sample_is_clean(model: HybridModel, cache) -> bool:
-    if not PROB_MARGIN < cache.p0 < 1.0 - PROB_MARGIN:
+def _sample_is_clean(p0: float, encoder_cache) -> bool:
+    if not PROB_MARGIN < p0 < 1.0 - PROB_MARGIN:
         return False
-    if cache.encoder_cache is not None:
-        for lc in cache.encoder_cache.layer_caches:
+    if encoder_cache is not None:
+        for lc in encoder_cache.layer_caches:
             if np.min(np.abs(lc.hpre)) < RELU_MARGIN:
                 return False
     return True
@@ -77,13 +79,12 @@ def draw_samples(
         attempts += 1
         if attempts > 100 * n_samples:
             raise RuntimeError("could not draw enough well-conditioned samples")
-        if model.bypass:
-            x = rng.normal(0.0, 1.0, size=model.reduction.in_dim)
-        else:
-            x = rng.normal(0.0, 1.0, size=image_shape)
+        x = rng.normal(0.0, 1.0, size=model.reduction.in_dim if model.bypass else image_shape)
+        feat, encoder_cache = x, None
+        if not model.bypass:
+            feat, encoder_cache = encode_with_cache(x, model.encoder_weights, model.encoder_config)
         label = int(rng.integers(0, 2))
-        cache = model_forward(model, x)
-        if _sample_is_clean(model, cache):
+        if _sample_is_clean(model_forward(model, feat).p0, encoder_cache):
             samples.append((x, label))
     return samples
 
@@ -95,7 +96,8 @@ def gradient_check(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[bool, dict[str, GroupDeviation]]:
-    """Compare backward() against central differences on every parameter.
+    """Compare analytic gradients (`row_gradients`) against central
+    differences on every parameter.
 
     Passes when |analytic - fd| <= max(abs_tol, rel_tol * max(|analytic|, |fd|))
     holds for every scalar entry on every sample, an iterable of (input,
@@ -107,12 +109,10 @@ def gradient_check(
     samples = list(samples)
     labels = [label for _, label in samples]
     xs = as_rows(model, [x for x, _ in samples])
-    analytic = []
-    for x, label in zip(xs, labels):
-        grads = backward(model, model_forward(model, x), label)
-        analytic.append({name: g.reshape(-1) for name, g in grads.items()})
     if not samples:
         return all_ok, groups
+    grads = row_gradients(model, xs, labels)[1]
+    analytic = {name: g.reshape(len(xs), -1) for name, g in grads.items()}
     feats = xs if model.bypass else encode_rows(model, xs)
     if not model.bypass:
         # +h and -h copies of as many scalars as fit in one encoder block of
@@ -127,9 +127,8 @@ def gradient_check(
         else:
             shifted = _shifted_losses(model, array, feats, labels, h)
         for j, ups, downs in shifted:
-            for grads, up, down in zip(analytic, ups, downs):
+            for a, up, down in zip(analytic[name][:, j].tolist(), ups, downs):
                 fd = (up - down) / (2.0 * h)
-                a = float(grads[name][j])
                 dev = abs(a - fd)
                 scale = max(abs(a), abs(fd))
                 rel = dev / scale if scale > 0 else 0.0

@@ -4,16 +4,16 @@ A HybridModel is either an encoder model (images -> transformer features)
 or a bypass model (inputs are already feature vectors, the practical
 stand-in for a frozen pre-trained embedding). Both feed the reduction
 layer, whose outputs parameterize the feature map, followed by the ansatz
-and a single-qubit readout. `model_forward` keeps one sample's
-intermediates for training; inference reads P(0) of many rows through
-`readout_p0`, which runs the encoder, the reduction and the circuit over
-a row axis, once per block of rows, and gives model_forward's p0 bit for
-bit. Its inputs must stack into one float row array, (rows, in_dim) for a
+and a single-qubit readout. `model_forward` keeps the head intermediates
+(reduction, circuit, readout) of one feature row, for an encoder model the
+encoder's output; training's row step (`training.row_gradients`) runs the
+encoder. Inference reads P(0) of many rows through `readout_p0`, which
+runs the encoder, the reduction and the circuit over a row axis, once per
+block of rows, each row model_forward's p0 of its features bit for bit.
+Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
-row. Training reads its rows through `as_rows` too and runs the encoder
-over a row axis, once per mini-batch (see `qembed.training`), but keeps
-the per-sample reduction and circuit kernels (see `qembed.circuits`).
+row. Training reads its rows through `as_rows` too.
 """
 from __future__ import annotations
 
@@ -30,14 +30,7 @@ from .circuits import (
     quantum_forward,
     readout_rows,
 )
-from .encoder import (
-    EncodeCache,
-    EncoderConfig,
-    EncoderWeights,
-    encode,
-    encode_with_cache,
-    init_encoder_weights,
-)
+from .encoder import EncoderConfig, EncoderWeights, encode, init_encoder_weights
 
 
 @dataclass
@@ -85,12 +78,11 @@ class HybridModel:
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs from one sample's forward pass."""
+    """Everything backward() needs from one feature row's forward pass."""
 
     feat: np.ndarray
     y_vec: np.ndarray
     result: QuantumForwardResult
-    encoder_cache: EncodeCache | None = None
 
     @property
     def p0(self) -> float:
@@ -101,20 +93,15 @@ class ForwardCache:
         return self.result.p1
 
 
-def model_forward(model: HybridModel, x) -> ForwardCache:
-    """Embed (optional) -> reduce -> quantum circuit -> readout marginal."""
-    x = np.asarray(x, dtype=float)
-    encoder_cache = None
-    if model.bypass:
-        feat = x
-    else:
-        check_input_shape(x.shape, None)
-        feat, encoder_cache = encode_with_cache(x, model.encoder_weights, model.encoder_config)
+def model_forward(model: HybridModel, feat) -> ForwardCache:
+    """Reduce -> quantum circuit -> readout marginal of one feature row (an
+    encoder model's row is the encoder's output)."""
+    feat = np.asarray(feat, dtype=float)
     y_vec = reduce(feat, model.reduction)
     result = quantum_forward(
         y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
     )
-    return ForwardCache(feat=feat, y_vec=y_vec, result=result, encoder_cache=encoder_cache)
+    return ForwardCache(feat=feat, y_vec=y_vec, result=result)
 
 
 # Rows per encoder block in readout_p0. A block's intermediates grow with its
@@ -134,7 +121,8 @@ _BLOCK_AMPLITUDES = 2**13
 
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (rows that stack into one array, see
-    `as_rows`), in order: the p0 model_forward gives, bit for bit."""
+    `as_rows`), in order: model_forward's p0 of each row's features, bit
+    for bit."""
     return features_p0(model, inputs if model.bypass else encode_rows(model, inputs))
 
 

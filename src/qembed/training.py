@@ -1,18 +1,19 @@
 """Training loop for the hybrid model, plus prediction and evaluation.
 
 `train` reads the dataset once, as one row array checked by
-`model.as_rows`; mini-batches and the validation split are its row
-subsets. One epoch walks the shuffled training split in mini-batches. An
+`model.as_rows` and for finite values; mini-batches and the validation
+split are its row subsets. One epoch walks the shuffled training split in
+mini-batches. `row_gradients` is the one training and audit step: an
 encoder model embeds the batch's images as one block (`encode_with_cache`
-on a leading row axis); every sample is then reduced, pushed through the
-circuit, measured and differentiated on its own, and one block
-`encode_backward` takes the rows of their feature gradients back through
-the encoder (none runs when the encoder is frozen). Gradients are summed
-in batch order, each row the bits of its sample's own gradient, and
-averaged over the batch before the optimizer step (batch_size=1 recovers
-the strict per-sample loop). Early stopping watches the validation loss
-with a patience/min_delta plateau rule, and the returned model carries
-the parameters of the best validation epoch.
+on a leading row axis); every row is then reduced, pushed through the
+circuit, measured and differentiated on its own (`model_forward`,
+`backward`), and one block `encode_backward` takes the rows of their
+feature gradients back through the encoder (none runs when the encoder is
+frozen). Gradients are summed in batch order, each row the bits of its
+sample's own gradient, and averaged over the batch before the optimizer
+step (batch_size=1 recovers the strict per-sample loop). Early stopping
+watches the validation loss with a patience/min_delta plateau rule, and
+the returned model carries the parameters of the best validation epoch.
 
 Runs are deterministic: one seeded generator drives the validation split,
 the per-epoch shuffles, and nothing else.
@@ -21,13 +22,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, bce_loss, reduce_input_gradient
+from .autodiff import backward, bce_loss, parameter_dict, reduce_input_gradient
 from .encoder import encode_backward, encode_with_cache
-from .encoder import named_parameters as encoder_named_parameters
 from .metrics import MetricsReport, compute_metrics
 from .model import (
     HybridModel,
@@ -212,11 +212,43 @@ def _mean_loss_and_f1(model: HybridModel, rows, labels) -> tuple[float, float]:
     return float(np.mean(losses)), compute_metrics(preds, labels).f1
 
 
+def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = True):
+    """(losses, grads) of one or more rows of a row array (`model.as_rows`):
+    each row's BCE loss, and every parameter's gradients with a leading row
+    axis, row s the bits of row s's gradient alone.
+
+    An encoder model encodes the block once (`encode_with_cache`); each row
+    then runs one `model_forward` and one `backward` on its features, and
+    when `encoder` is set one block `encode_backward` gives the encoder
+    gradients (without it, `grads` holds no encoder keys).
+    """
+    feats = rows
+    if not model.bypass:
+        feats, cache = encode_with_cache(rows, model.encoder_weights, model.encoder_config)
+    losses, steps = [], []
+    for feat, label in zip(feats, labels):
+        forward = model_forward(model, feat)
+        losses.append(bce_loss(forward.p0, forward.p1, label))
+        steps.append(backward(model, forward, label))
+    g_encoder = None
+    if encoder and not model.bypass:
+        # the bias gradient is the gradient at the reduction's output
+        g_feats = [reduce_input_gradient(g["reduction.b"], model.reduction) for g in steps]
+        g_encoder = encode_backward(
+            np.array(g_feats), cache, model.encoder_weights, model.encoder_config
+        )
+    head = [np.array([g[name] for g in steps]) for name in steps[0]]
+    return losses, parameter_dict(*head, g_encoder)
+
+
 def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridModel, TrainingHistory]:
     """Fit the model; returns it holding the best-validation-loss parameters."""
     _check_dataset(dataset)
     started = time.perf_counter()
     xs = as_rows(model, [rec.features for rec in dataset])
+    finite = np.isfinite(xs.reshape(len(xs), -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))}: input values must be finite")
     rng = np.random.default_rng(config.seed)
     labels = [rec.label for rec in dataset]
     train_idx, val_idx = stratified_split(labels, config.validation_fraction, rng)
@@ -228,10 +260,6 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
     else:
         trainable = params
     optimizer = _make_optimizer(config)
-    # the model without its encoder, sharing the reduction and theta arrays:
-    # per-sample forwards and backwards start from the encoded features
-    head = model if model.bypass else replace(model, encoder_config=None, encoder_weights=None)
-    train_encoder = not model.bypass and not config.freeze_encoder
 
     history = TrainingHistory()
     best_val = math.inf
@@ -245,32 +273,17 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
         batch_norms: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [train_idx[i] for i in order[start : start + config.batch_size]]
-            grad_sum = {name: np.zeros_like(arr) for name, arr in trainable.items()}
-            feats = xs[batch]
-            if not model.bypass:
-                feats, encoder_cache = encode_with_cache(
-                    feats, model.encoder_weights, model.encoder_config
-                )
-            g_feats = []
-            for i, feat in zip(batch, feats):
-                cache = model_forward(head, feat)
-                epoch_losses.append(bce_loss(cache.p0, cache.p1, labels[i]))
-                grads = backward(head, cache, labels[i])
-                for name, g in grads.items():
-                    grad_sum[name] += g
-                if train_encoder:
-                    # the bias gradient is the gradient at the reduction's output
-                    g_feats.append(reduce_input_gradient(grads["reduction.b"], model.reduction))
-            if train_encoder:
-                g_encoder = encode_backward(
-                    np.array(g_feats), encoder_cache, model.encoder_weights, model.encoder_config
-                )
-                for name, rows in encoder_named_parameters(g_encoder).items():
-                    for g in rows:
-                        grad_sum[f"encoder.{name}"] += g
+            losses, grads = row_gradients(
+                model, xs[batch], [labels[i] for i in batch], encoder=not config.freeze_encoder
+            )
+            epoch_losses.extend(losses)
+            # each sum adds the rows in order from a zero start: accumulate
+            # adds them in order, and + 0.0 turns a sum of -0.0 rows into
+            # the +0.0 that adding them to zeros gives
             inv = 1.0 / len(batch)
-            for name in grad_sum:
-                grad_sum[name] *= inv
+            grad_sum = {
+                name: (np.add.accumulate(rows)[-1] + 0.0) * inv for name, rows in grads.items()
+            }
             batch_norms.append(
                 math.sqrt(sum(float(np.sum(g * g)) for g in grad_sum.values()))
             )

@@ -37,6 +37,8 @@ from qembed.model import (
 )
 from qembed.statevector import GateOp, apply_gate, marginal_zero_probability, new_zero_state
 
+from per_image import image_loss, image_step
+
 LN2 = 0.6931471805599453
 
 
@@ -373,16 +375,16 @@ def test_encoder_model_full_gradient_check(heads):
 
 
 def per_sample_gradient_check(model, samples, h, abs_tol, rel_tol):
-    """Reference audit: one model_forward per perturbed loss, sample by sample."""
+    """Reference audit, sample by sample: the per-image oracle's gradients,
+    and its loss for every perturbed scalar."""
     params = named_parameters(model)
     groups = {name: GroupDeviation(name=name) for name in params}
 
     def loss(x, label):
-        cache = model_forward(model, x)
-        return bce_loss(cache.p0, cache.p1, label)
+        return image_loss(model, x, label)
 
     for x, label in samples:
-        analytic = backward(model, model_forward(model, x), label)
+        analytic = image_step(model, x, label)[1]
         for name, array in params.items():
             group = groups[name]
             for j in range(array.size):

@@ -15,6 +15,8 @@ from qembed.model import (
 )
 from qembed.training import TrainingConfig
 
+from per_image import image_forward
+
 
 def assert_models_identical(a, b):
     pa, pb = named_parameters(a), named_parameters(b)
@@ -48,7 +50,7 @@ def test_encoder_round_trip(tmp_path):
     assert_models_identical(model, loaded)
     rng = np.random.default_rng(3)
     image = rng.normal(size=(4, 4, 1))
-    assert model_forward(model, image).p0 == model_forward(loaded, image).p0
+    assert image_forward(model, image)[1].p0 == image_forward(loaded, image)[1].p0
 
 
 def test_no_class_token_round_trip(tmp_path):
@@ -89,7 +91,7 @@ def test_non_square_encoder_round_trip(tmp_path):
     assert loaded.readout_qubit == 1
     assert_models_identical(model, loaded)
     image = np.random.default_rng(7).normal(size=(4, 6, 2))
-    assert model_forward(model, image).p0 == model_forward(loaded, image).p0
+    assert image_forward(model, image)[1].p0 == image_forward(loaded, image)[1].p0
     resaved = tmp_path / "again.ckpt"
     save_checkpoint(resaved, loaded)
     assert resaved.read_bytes() == path.read_bytes()

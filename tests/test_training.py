@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import qembed.autodiff as autodiff_module
+import qembed.encoder as qembed_encoder
+import qembed.gradcheck as qembed_gradcheck
 import qembed.model as model_module
 import qembed.statevector as statevector_module
 import qembed.training as training_module
@@ -32,9 +34,12 @@ from qembed.training import (
     decide_label,
     evaluate,
     predict,
+    row_gradients,
     stratified_split,
     train,
 )
+
+from per_image import image_forward, image_step
 
 LN2 = math.log(2.0)
 
@@ -375,7 +380,7 @@ def test_readout_p0_blocks_match_per_row_forward(heads):
                         use_class_token=heads != 2)
     model = make_encoder_model(cfg, (4, 4, 1), seed=heads)
     data = encoder_rows(300, seed=heads)
-    expected = np.array([model_forward(model, rec.features).p0 for rec in data])
+    expected = np.array([image_forward(model, rec.features)[1].p0 for rec in data])
     for b in (1, 7, 129, 300):
         p0 = readout_p0(model, [rec.features for rec in data[:b]])
         assert p0.shape == (b,)
@@ -402,9 +407,9 @@ def test_readout_p0_circuit_blocks_match_per_row_forward(n, monkeypatch):
 
 
 def test_readout_p0_rejects_rows_as_model_forward_does():
-    """A row of the wrong shape is named by its index, with the message
-    model_forward gives that row alone; row shapes are checked before any
-    value is, and a non-finite value reads as model_forward reads it."""
+    """A row of the wrong shape is named by its index, with the message the
+    per-image oracle gives that row alone; row shapes are checked before any
+    value is, and a non-finite value reads as the oracle reads it."""
     model = make_bypass_model(in_dim=3, seed=5)
     good = np.ones(3)
     # (rows, the first bad row, whether the block's message names it)
@@ -428,7 +433,7 @@ def test_readout_p0_rejects_rows_as_model_forward_does():
     cases += [(encoder, flat, 35, True), (encoder, non_finite, 35, False)]
     for m, rows, bad, named in cases:
         with pytest.raises(ValueError) as alone:
-            model_forward(m, rows[bad])
+            image_forward(m, rows[bad])
         with pytest.raises(ValueError) as block:
             readout_p0(m, rows)
         assert str(block.value) == (f"row {bad}: {alone.value}" if named else str(alone.value))
@@ -470,7 +475,7 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
                                   readout_qubit=1)
         data = two_blob_dataset(n=40, d=3, sep=1.0, seed=27)
     rows = [predict(model, rec.features) for rec in data]
-    assert [r[1] for r in rows] == [model_forward(model, rec.features).p0 for rec in data]
+    assert [r[1] for r in rows] == [image_forward(model, rec.features)[1].p0 for rec in data]
     labels = [rec.label for rec in data]
     assert evaluate(model, data) == compute_metrics([r[0] for r in rows], labels)
     p0 = readout_p0(model, [rec.features for rec in data])
@@ -487,8 +492,8 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
 # ---------------------------------------------------------------------------
 
 def per_sample_train(dataset, model, config):
-    """train() as a strict per-sample loop: model_forward and backward on the
-    full model for every sample, no early stop (patience >= max_epochs)."""
+    """train() as a strict per-sample loop: the per-image oracle's loss and
+    gradients for every sample, no early stop (patience >= max_epochs)."""
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = stratified_split(
         [rec.label for rec in dataset], config.validation_fraction, rng)
@@ -503,9 +508,9 @@ def per_sample_train(dataset, model, config):
             batch = [train_idx[i] for i in order[start : start + config.batch_size]]
             grad_sum = {k: np.zeros_like(v) for k, v in trainable.items()}
             for i in batch:
-                cache = model_forward(model, dataset[i].features)
-                losses.append(bce_loss(cache.p0, cache.p1, dataset[i].label))
-                grads = backward(model, cache, dataset[i].label)
+                loss, grads = image_step(model, dataset[i].features, dataset[i].label,
+                                         not config.freeze_encoder)
+                losses.append(loss)
                 for k in grad_sum:
                     grad_sum[k] += grads[k]
             for k in grad_sum:
@@ -544,36 +549,172 @@ def test_encoder_train_matches_per_sample_loop(optimizer, batch, freeze):
         assert np.array_equal(arr, expected_params[name]), name
 
 
+ROW_STEP_MODELS = {
+    **{f"heads-{h}-{'token' if token else 'no-token'}": (h, token)
+       for h in (1, 2, 4) for token in (True, False)},
+    "bypass-1q": 1,
+    "bypass-3q": 3,
+}
+
+
+@pytest.mark.parametrize("rows", [1, 5, 16])
+@pytest.mark.parametrize("kind", list(ROW_STEP_MODELS))
+def test_row_gradients_equal_per_image_oracle(kind, rows, monkeypatch):
+    """Each row's loss and every gradient row equal (==) the per-image
+    oracle's; with encoder=False there are no encoder keys and no encoder
+    backward runs."""
+    rng = np.random.default_rng(rows)
+    if kind.startswith("bypass"):
+        n = ROW_STEP_MODELS[kind]
+        model = make_bypass_model(in_dim=5, n_qubits=n, ansatz_layers=n - 1, seed=rows,
+                                  readout_qubit=n - 1)
+        x = rng.normal(size=(rows, 5))
+    else:
+        heads, token = ROW_STEP_MODELS[kind]
+        cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads=heads, ffn_hidden=6,
+                            out_dim=5, use_class_token=token)
+        model = make_encoder_model(cfg, (4, 6, 2), n_qubits=1 + (heads == 2), seed=rows)
+        x = rng.normal(size=(rows, 4, 6, 2))
+    labels = [int(y) for y in rng.integers(0, 2, size=rows)]
+    backward_calls = []
+    encode_backward = training_module.encode_backward
+    monkeypatch.setattr(training_module, "encode_backward",
+                        lambda *args: backward_calls.append(1) or encode_backward(*args))
+    for encoder in (True, False):
+        expected = [image_step(model, row, label, encoder) for row, label in zip(x, labels)]
+        before = len(backward_calls)
+        losses, grads = row_gradients(model, x, labels, encoder)
+        assert len(backward_calls) - before == (encoder and not model.bypass)
+        assert losses == [loss for loss, _ in expected]
+        assert list(grads) == list(expected[0][1])
+        if not encoder:
+            assert not any(name.startswith("encoder.") for name in grads)
+        for name, g in grads.items():
+            assert g.shape == (rows, *expected[0][1][name].shape), name
+            for s, (_, row_grads) in enumerate(expected):
+                assert np.array_equal(g[s], row_grads[name]), (name, s)
+    assert backward_calls == ([] if model.bypass else [1])
+
+
+@pytest.mark.parametrize("split", ["train", "validation"])
+@pytest.mark.parametrize("kind, value", [("bypass", math.nan), ("bypass", math.inf),
+                                         ("encoder", math.nan), ("encoder", -math.inf)])
+def test_train_rejects_a_non_finite_row_before_any_step(kind, value, split):
+    """A non-finite value in a training or a validation row is named by its
+    row before the split, and no parameter moves."""
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=39)
+        data = encoder_rows(40, seed=39)
+    else:
+        model = make_bypass_model(in_dim=4, seed=39)
+        data = two_blob_dataset(n=40, seed=39)
+    config = TrainingConfig(max_epochs=2, batch_size=4, seed=39, validation_fraction=0.25)
+    train_idx, val_idx = stratified_split([rec.label for rec in data], 0.25,
+                                          np.random.default_rng(39))
+    bad = max(train_idx if split == "train" else val_idx)
+    data[bad].features.flat[-1] = value
+    before = snapshot_parameters(model)
+    with pytest.raises(ValueError, match=rf"^row {bad}: input values must be finite$"):
+        train(data, model, config)
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name].tobytes(), name
+
+
+def trace_calls(monkeypatch, functions):
+    """Wrap each function at every qembed module attribute that holds it, as
+    the benchmark's tracer wraps it (so call the outermost one through its
+    module). Returns the log of (name, caller, args),
+    the caller being the innermost wrapped function on the stack, so that a
+    call is "directly under" the function that logged as its caller."""
+    log, stack = [], []
+    for fn in functions:
+        def wrapped(*args, _fn=fn, **kwargs):
+            log.append((_fn.__name__, stack[-1] if stack else None, args))
+            stack.append(_fn.__name__)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        for key, module in list(sys.modules.items()):
+            if key == "qembed" or key.startswith("qembed."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
+    return log
+
+
+def row_calls(log):
+    """(name, caller, shape of the rows argument) of each logged call: the
+    feature row of model_forward, the images of encode_with_cache and the
+    feature gradients of encode_backward (None for the others)."""
+    position = {"model_forward": 1, "encode_with_cache": 0, "encode_backward": 0}
+    return [(name, caller, np.shape(args[position[name]]) if name in position else None)
+            for name, caller, args in log]
+
+
+def traced_step_functions():
+    return [training_module.train, qembed_gradcheck.gradient_check,
+            qembed_gradcheck.draw_samples, model_module.model_forward,
+            autodiff_module.backward, qembed_encoder.encode_with_cache,
+            qembed_encoder.encode_backward]
+
+
 @pytest.mark.parametrize("freeze", [False, True], ids=["train-encoder", "frozen"])
 def test_encoder_train_runs_encoder_once_per_mini_batch(freeze, monkeypatch):
-    """Counted where train() binds them, and where the per-sample model_forward
-    and backward bind them, which training must no longer reach."""
-    calls = {}
-    for module, name in [(training_module, "encode_with_cache"),
-                         (training_module, "encode_backward"),
-                         (model_module, "encode_with_cache"),
-                         (autodiff_module, "encode_backward")]:
-        key = f"{module.__name__.split('.')[-1]}.{name}"
-        calls[key] = 0
-
-        def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
-            calls[_key] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+    """Counted at every module that binds them: one block encoder forward
+    (and backward, unless frozen) per mini-batch, and one model_forward then
+    one backward per sample directly under train."""
+    log = trace_calls(monkeypatch, traced_step_functions())
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=4)
     model = make_encoder_model(cfg, (4, 4, 1), seed=31)
     data = encoder_rows(23, seed=31)
     config = TrainingConfig(max_epochs=3, batch_size=5, seed=31, validation_fraction=0.2,
                             patience=10, freeze_encoder=freeze)
-    train_idx, _ = stratified_split([rec.label for rec in data], 0.2,
-                                    np.random.default_rng(31))
-    batches = 3 * math.ceil(len(train_idx) / 5)
-    _, history = train(data, model, config)
+    train_idx, val_idx = stratified_split([rec.label for rec in data], 0.2,
+                                          np.random.default_rng(31))
+    _, history = training_module.train(data, model, config)
     assert len(history.records) == 3
-    assert calls == {"training.encode_with_cache": batches,
-                     "training.encode_backward": 0 if freeze else batches,
-                     "model.encode_with_cache": 0, "autodiff.encode_backward": 0}
+    expected = [("train", None, None)]
+    for epoch in range(3):
+        for start in range(0, len(train_idx), 5):
+            rows = min(5, len(train_idx) - start)
+            expected += [("encode_with_cache", "train", (rows, 4, 4, 1))]
+            expected += [("model_forward", "train", (4,)), ("backward", "train", None)] * rows
+            expected += [] if freeze else [("encode_backward", "train", (rows, 4))]
+        # validation encodes its rows as one block (readout_p0 calls encode)
+        expected += [("encode_with_cache", "train", (len(val_idx), 4, 4, 1))]
+    assert row_calls(log) == expected
+
+
+@pytest.mark.parametrize("samples", [1, 3, 7])
+def test_gradient_check_runs_one_row_step(samples, monkeypatch):
+    """draw_samples makes one lone-image encode_with_cache and one
+    model_forward per candidate; gradient_check's analytic half makes one
+    block encode_with_cache, S model_forward and S backward calls directly
+    under it, then one block encode_backward."""
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+    model = make_encoder_model(cfg, (4, 4, 1), seed=38)
+    log = trace_calls(monkeypatch, traced_step_functions())
+    drawn = qembed_gradcheck.draw_samples(model, samples, np.random.default_rng(38),
+                                          image_shape=(4, 4, 1))
+    candidates = (len(log) - 1) // 2
+    assert candidates >= samples
+    assert row_calls(log) == [("draw_samples", None, None)] + [
+        ("encode_with_cache", "draw_samples", (4, 4, 1)), ("model_forward", "draw_samples", (3,))
+    ] * candidates
+    log.clear()
+    qembed_gradcheck.gradient_check(model, drawn)
+    calls = row_calls(log)
+    first = calls.index(("model_forward", "gradient_check", (3,)))
+    assert calls[first - 1] == ("encode_with_cache", "gradient_check", (samples, 4, 4, 1))
+    assert log[first - 1][2][1] is model.encoder_weights
+    # the perturbed losses run encode_with_cache (through encode) but no step
+    step = [("model_forward", "gradient_check", (3,)), ("backward", "gradient_check", None)]
+    assert [c for c in calls if c[0] != "encode_with_cache"] == [
+        ("gradient_check", None, None)] + step * samples + [
+        ("encode_backward", "gradient_check", (samples, 3))]
 
 
 @pytest.mark.parametrize(
@@ -672,10 +813,10 @@ def test_encoder_input_with_a_leading_axis_gives_one_message():
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=3)
     model = make_encoder_model(cfg, (4, 4, 1), seed=36)
     x = np.random.default_rng(36).normal(size=(1, 4, 4, 1))
-    # the row passes name the row: model_forward takes one sample, not rows
+    # the row passes name the row: the per-image oracle takes one image, not rows
     message = r"^(row 0: )?encoder input must be an \(H, W, C\) image, got shape \(1, 4, 4, 1\)"
     calls = [
-        lambda: model_forward(model, x),
+        lambda: image_forward(model, x),
         lambda: predict(model, x),
         lambda: readout_p0(model, [x]),
         lambda: gradient_check(model, [(x, 1)]),
