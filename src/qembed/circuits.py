@@ -46,6 +46,9 @@ from .statevector import (
     run_circuit,
 )
 
+# the message of a feature (or circuit angle) that is not finite
+NON_FINITE_FEATURES = "features must be finite"
+
 
 def _check_qubits(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
@@ -100,7 +103,7 @@ def build_z_feature_map(features, spec: FeatureMapSpec) -> list[GateOp]:
         )
     values = feats.tolist()
     if not all(map(math.isfinite, values)):
-        raise ValueError("features must be finite")
+        raise ValueError(NON_FINITE_FEATURES)
     layer = []
     for q, value in enumerate(values):
         layer += (H_GATES[q], GateOp("U1", q, angle=spec.scale * value))
@@ -176,7 +179,7 @@ def readout_rows(
     # not give the same bits).
     angles = [fm.scale * a for a in feats.ravel().tolist()]
     if not all(map(math.isfinite, angles)):
-        raise ValueError("features must be finite")
+        raise ValueError(NON_FINITE_FEATURES)
     thetas = theta.tolist()
     if not all(map(math.isfinite, thetas)):
         raise ValueError("RY angle must be finite")

@@ -9,7 +9,8 @@ in the model: one encoder forward scores every sample under a block of
 shifted copies, and the reduction and circuit score the block's (copies x
 samples) feature rows in one `model.features_p0` pass. Reduction and
 ansatz scalars are shifted in place, one at a time, and restored; they
-leave the samples' features, encoded once, as they are. The sample inputs
+leave the samples' features as they are, so their losses read the
+features of the row step's own encoder forward. The sample inputs
 must stack into one row array (`model.as_rows`), checked once before any
 parameter moves. `draw_samples` redraws a candidate input whose ReLU
 pre-activations (from its own lone-image `encode_with_cache`) or readout
@@ -29,12 +30,11 @@ from .model import (
     _ENCODE_BLOCK_ROWS,
     HybridModel,
     as_rows,
-    encode_rows,
     features_p0,
     model_forward,
     named_parameters,
 )
-from .training import row_gradients
+from .training import _row_step
 
 DEFAULT_H = 1e-5
 DEFAULT_ABS_TOL = 1e-6
@@ -111,9 +111,8 @@ def gradient_check(
     xs = as_rows(model, [x for x, _ in samples])
     if not samples:
         return all_ok, groups
-    grads = row_gradients(model, xs, labels)[1]
+    _, grads, feats = _row_step(model, xs, labels, True)
     analytic = {name: g.reshape(len(xs), -1) for name, g in grads.items()}
-    feats = xs if model.bypass else encode_rows(model, xs)
     if not model.bypass:
         # +h and -h copies of as many scalars as fit in one encoder block of
         # copies x samples, and at least one pair

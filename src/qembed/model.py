@@ -13,7 +13,8 @@ block of rows, each row model_forward's p0 of its features bit for bit.
 Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
-row. Training reads its rows through `as_rows` too.
+row; a row whose features are not finite is named once the circuit has
+rejected its block. Training reads its rows through `as_rows` too.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .autodiff import ReductionLayer, init_reduction, parameter_dict, reduce, reduce_rows
 from .circuits import (
+    NON_FINITE_FEATURES,
     AnsatzSpec,
     FeatureMapSpec,
     QuantumForwardResult,
@@ -146,16 +148,29 @@ def encode_rows(model: HybridModel, inputs) -> np.ndarray:
 
 def features_p0(model: HybridModel, feats) -> np.ndarray:
     """P(0) of every row of the (rows, in_dim) features `feats`, in order:
-    the reduction and the circuit run once per block of rows."""
+    the reduction and the circuit run once per block of rows. A block
+    rejected for a circuit angle that is not finite is searched for its
+    first such row, and the error names it by its index in `feats`."""
     x = as_rows(model, feats, features=True)
     step = max(1, _BLOCK_AMPLITUDES >> model.feature_map.n_qubits)
-    circuit = (model.theta, model.feature_map, model.ansatz, model.readout_qubit)
     if len(x) <= step:
-        return readout_rows(reduce_rows(x, model.reduction), *circuit)
-    return np.concatenate([
-        readout_rows(reduce_rows(x[i : i + step], model.reduction), *circuit)
-        for i in range(0, len(x), step)
-    ])
+        return _readout_block(model, x, 0)
+    return np.concatenate(
+        [_readout_block(model, x[i : i + step], i) for i in range(0, len(x), step)]
+    )
+
+
+def _readout_block(model: HybridModel, x: np.ndarray, first: int) -> np.ndarray:
+    """`readout_rows` of the feature rows `x`, rows `first` onward of a
+    pass."""
+    y = reduce_rows(x, model.reduction)
+    try:
+        return readout_rows(y, model.theta, model.feature_map, model.ansatz, model.readout_qubit)
+    except ValueError as exc:
+        finite = np.isfinite(model.feature_map.scale * y).all(axis=1)
+        if str(exc) != NON_FINITE_FEATURES or finite.all():
+            raise
+        raise ValueError(f"row {first + int(np.argmin(finite))}: {exc}") from None
 
 
 def as_rows(model: HybridModel, inputs, features: bool = False) -> np.ndarray:

@@ -9,11 +9,21 @@ on a leading row axis); every row is then reduced, pushed through the
 circuit, measured and differentiated on its own (`model_forward`,
 `backward`), and one block `encode_backward` takes the rows of their
 feature gradients back through the encoder (none runs when the encoder is
-frozen). Gradients are summed in batch order, each row the bits of its
-sample's own gradient, and averaged over the batch before the optimizer
-step (batch_size=1 recovers the strict per-sample loop). Early stopping
-watches the validation loss with a patience/min_delta plateau rule, and
-the returned model carries the parameters of the best validation epoch.
+frozen). Each row is the bits of its sample's own gradient.
+
+The update stage works on one flat float64 vector of the trainable
+parameters, in `named_parameters` order. Per mini-batch the row gradients
+become one (rows, P) matrix, whose rows are added in batch order from a
+zero start and scaled by 1/rows (batch_size=1 recovers the strict
+per-sample loop); the gradient norm sums each parameter array's squares
+on its own, in order; SGD, momentum and Adam step the whole vector and
+keep their state as vectors; and the vector's segments are copied into
+the model's own arrays, which keep their identity. Every bit is that of
+one optimizer step per array.
+
+Early stopping watches the validation loss with a patience/min_delta
+plateau rule, and the returned model carries the parameters of the best
+validation epoch.
 
 Runs are deterministic: one seeded generator drives the validation split,
 the per-epoch shuffles, and nothing else.
@@ -110,16 +120,15 @@ class _SgdMomentum:
     def __init__(self, lr: float, beta: float):
         self.lr = lr
         self.beta = beta
-        self.velocity: dict | None = None
+        self.velocity: np.ndarray | None = None
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.velocity is None:
-            self.velocity = {name: np.zeros_like(g) for name, g in grads.items()}
-        for name, g in grads.items():
-            v = self.velocity[name]
-            v *= self.beta
-            v += g
-            params[name] -= self.lr * v
+            self.velocity = np.zeros_like(grad)
+        v = self.velocity
+        v *= self.beta
+        v += grad
+        params -= self.lr * v
 
 
 class _Adam:
@@ -129,24 +138,22 @@ class _Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict | None = None
-        self.v: dict | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
-            self.m = {name: np.zeros_like(g) for name, g in grads.items()}
-            self.v = {name: np.zeros_like(g) for name, g in grads.items()}
+            self.m = np.zeros_like(grad)
+            self.v = np.zeros_like(grad)
         self.t += 1
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
+        m_hat = m / (1 - self.beta1**self.t)
+        v_hat = v / (1 - self.beta2**self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _make_optimizer(config: TrainingConfig):
@@ -222,6 +229,12 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     when `encoder` is set one block `encode_backward` gives the encoder
     gradients (without it, `grads` holds no encoder keys).
     """
+    return _row_step(model, rows, labels, encoder)[:2]
+
+
+def _row_step(model: HybridModel, rows: np.ndarray, labels, encoder: bool):
+    """`row_gradients`' (losses, grads), then the rows' (rows, in_dim)
+    features that the step's forward gave."""
     feats = rows
     if not model.bypass:
         feats, cache = encode_with_cache(rows, model.encoder_weights, model.encoder_config)
@@ -238,7 +251,7 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
             np.array(g_feats), cache, model.encoder_weights, model.encoder_config
         )
     head = [np.array([g[name] for g in steps]) for name in steps[0]]
-    return losses, parameter_dict(*head, g_encoder)
+    return losses, parameter_dict(*head, g_encoder), feats
 
 
 def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridModel, TrainingHistory]:
@@ -255,10 +268,15 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
     val_rows, val_labels = xs[val_idx], [labels[i] for i in val_idx]
 
     params = named_parameters(model)
-    if config.freeze_encoder:
-        trainable = {k: v for k, v in params.items() if not k.startswith("encoder.")}
-    else:
-        trainable = params
+    trainable = [
+        name for name in params if not (config.freeze_encoder and name.startswith("encoder."))
+    ]
+    arrays = [params[name] for name in trainable]
+    # the trainable parameters as one vector: array k is segment k, in
+    # named_parameters order
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    segments = list(zip([0] + ends[:-1], ends))
+    vector = np.concatenate([a.ravel() for a in arrays])
     optimizer = _make_optimizer(config)
 
     history = TrainingHistory()
@@ -277,17 +295,22 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
                 model, xs[batch], [labels[i] for i in batch], encoder=not config.freeze_encoder
             )
             epoch_losses.extend(losses)
-            # each sum adds the rows in order from a zero start: accumulate
-            # adds them in order, and + 0.0 turns a sum of -0.0 rows into
-            # the +0.0 that adding them to zeros gives
-            inv = 1.0 / len(batch)
-            grad_sum = {
-                name: (np.add.accumulate(rows)[-1] + 0.0) * inv for name, rows in grads.items()
-            }
-            batch_norms.append(
-                math.sqrt(sum(float(np.sum(g * g)) for g in grad_sum.values()))
+            matrix = np.concatenate(
+                [grads[name].reshape(len(batch), -1) for name in trainable], axis=1
             )
-            optimizer.step(trainable, grad_sum)
+            # the rows added in batch order from a zero start, as a
+            # per-sample loop adds them
+            grad = np.zeros_like(vector)
+            for row in matrix:
+                grad += row
+            grad *= 1.0 / len(batch)
+            # one sum of squares per array, as np.sum adds each array's
+            # squares in an order that depends on its size
+            sq = grad * grad
+            batch_norms.append(math.sqrt(sum(float(sq[a:b].sum()) for a, b in segments)))
+            optimizer.step(vector, grad)
+            for array, (a, b) in zip(arrays, segments):
+                array[...] = vector[a:b].reshape(array.shape)
 
         val_loss, val_f1 = _mean_loss_and_f1(model, val_rows, val_labels)
         history.records.append(

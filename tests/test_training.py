@@ -1,6 +1,7 @@
 """Training loop: determinism, convergence, early stopping, batching."""
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -407,17 +408,17 @@ def test_readout_p0_circuit_blocks_match_per_row_forward(n, monkeypatch):
 
 
 def test_readout_p0_rejects_rows_as_model_forward_does():
-    """A row of the wrong shape is named by its index, with the message the
-    per-image oracle gives that row alone; row shapes are checked before any
-    value is, and a non-finite value reads as the oracle reads it."""
+    """A bad row is named by its index, with the message the per-image
+    oracle gives that row alone; row shapes are checked before any value
+    is."""
     model = make_bypass_model(in_dim=3, seed=5)
     good = np.ones(3)
-    # (rows, the first bad row, whether the block's message names it)
+    # (rows, the first bad row)
     cases = [
-        ([good, np.ones(4)], 1, True),                                  # width
-        ([good, np.ones(3), np.ones(2)], 2, True),                      # ragged
-        ([good, np.array([1.0, math.nan, 0.0])], 1, False),             # non-finite feature
-        ([good, np.array([1.0, math.inf, 0.0]), np.ones(4)], 2, True),  # shapes first
+        ([good, np.ones(4)], 1),                                  # width
+        ([good, np.ones(3), np.ones(2)], 2),                      # ragged
+        ([good, np.array([1.0, math.nan, 0.0])], 1),              # non-finite feature
+        ([good, np.array([1.0, math.inf, 0.0]), np.ones(4)], 2),  # shapes first
     ]
     # encoder rows: the bad row (row 35 of 40) falls in the second 32-row block
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
@@ -430,13 +431,13 @@ def test_readout_p0_rejects_rows_as_model_forward_does():
     wide = [np.ones(3)] * 40
     wide[35] = np.ones(4)
     cases = [(model, *case) for case in cases]
-    cases += [(encoder, flat, 35, True), (encoder, non_finite, 35, False)]
-    for m, rows, bad, named in cases:
+    cases += [(encoder, flat, 35), (encoder, non_finite, 35)]
+    for m, rows, bad in cases:
         with pytest.raises(ValueError) as alone:
             image_forward(m, rows[bad])
         with pytest.raises(ValueError) as block:
             readout_p0(m, rows)
-        assert str(block.value) == (f"row {bad}: {alone.value}" if named else str(alone.value))
+        assert str(block.value) == f"row {bad}: {alone.value}"
     with pytest.raises(ValueError, match=r"^row 1: input of shape \(2,\) does not match reduction in_dim 3"):
         features_p0(encoder, [np.ones(3), np.ones(2)])
     # each pass names row 35 before any parameter moves
@@ -462,6 +463,35 @@ def test_readout_p0_rejects_rows_as_model_forward_does():
     model.theta = np.ones(3)
     with pytest.raises(ValueError, match="expected 2 ansatz parameter"):
         readout_p0(model, [good])
+
+
+@pytest.mark.parametrize("bad", [2, 35], ids=["first-block", "later-block"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["encoder", "bypass"])
+def test_inference_names_the_first_non_finite_row(kind, value, bad, monkeypatch):
+    """readout_p0, evaluate and predict name the first row whose features
+    are not finite, counted across the 32-row encoder blocks and the circuit
+    blocks (5 rows each here); an inf may warn on its way there."""
+    monkeypatch.setattr(model_module, "_BLOCK_AMPLITUDES", 5 << 1)
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=41)
+        data = encoder_rows(40, seed=41)
+    else:
+        model = make_bypass_model(in_dim=4, seed=41)
+        data = two_blob_dataset(n=40, seed=41)
+    for i in (bad, bad + 3):
+        data[i].features.flat[1] = value
+    rows = [rec.features for rec in data]
+    for call, row in [(lambda: readout_p0(model, rows), bad),
+                      (lambda: evaluate(model, data), bad),
+                      (lambda: predict(model, rows[bad]), 0)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as error:
+                call()
+        assert str(error.value) == f"row {row}: features must be finite"
+        assert {w.category for w in caught} <= ({RuntimeWarning} if value == math.inf else set())
 
 
 @pytest.mark.parametrize("kind", ["encoder", "bypass"])
@@ -491,15 +521,65 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
 # Encoder training over a row axis
 # ---------------------------------------------------------------------------
 
+class ArraySgdMomentum:
+    """The per-array oracle of train's SGD and momentum step: one velocity
+    array per parameter, each parameter array updated on its own."""
+
+    def __init__(self, lr, beta):
+        self.lr, self.beta, self.velocity = lr, beta, None
+
+    def step(self, params, grads):
+        if self.velocity is None:
+            self.velocity = {name: np.zeros_like(g) for name, g in grads.items()}
+        for name, g in grads.items():
+            v = self.velocity[name]
+            v *= self.beta
+            v += g
+            params[name] -= self.lr * v
+
+
+class ArrayAdam:
+    """The per-array oracle of train's Adam step."""
+
+    def __init__(self, lr, beta1, beta2, eps):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t, self.m, self.v = 0, None, None
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = {name: np.zeros_like(g) for name, g in grads.items()}
+            self.v = {name: np.zeros_like(g) for name, g in grads.items()}
+        self.t += 1
+        for name, g in grads.items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1**self.t)
+            v_hat = v / (1 - self.beta2**self.t)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def array_optimizer(config):
+    if config.optimizer == "adam":
+        return ArrayAdam(config.learning_rate, config.adam_beta1, config.adam_beta2,
+                         config.adam_eps)
+    return ArraySgdMomentum(config.learning_rate,
+                            config.momentum if config.optimizer == "sgd-momentum" else 0.0)
+
+
 def per_sample_train(dataset, model, config):
     """train() as a strict per-sample loop: the per-image oracle's loss and
-    gradients for every sample, no early stop (patience >= max_epochs)."""
+    gradients for every sample and the per-array optimizer, no early stop
+    (patience >= max_epochs)."""
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = stratified_split(
         [rec.label for rec in dataset], config.validation_fraction, rng)
     trainable = {k: v for k, v in named_parameters(model).items()
                  if not (config.freeze_encoder and k.startswith("encoder."))}
-    optimizer = _make_optimizer(config)
+    optimizer = array_optimizer(config)
     records_out, best_val, best = [], math.inf, snapshot_parameters(model)
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_idx))
@@ -527,26 +607,90 @@ def per_sample_train(dataset, model, config):
     return model, records_out
 
 
-@pytest.mark.parametrize("freeze", [False, True], ids=["train-encoder", "frozen"])
+def sparse_signed_zero_dataset(n, seed):
+    """Two blobs over 5 features, column 2 -0.0 on all but every seventh
+    row, so that whole mini-batches of its gradient rows are signed zeros."""
+    data = two_blob_dataset(n=n, d=5, sep=2.0, seed=seed)
+    for i, rec in enumerate(data):
+        rec.features[2] = -0.0 if i % 7 else 0.5
+    return data
+
+
+@pytest.mark.parametrize("kind", ["train-encoder", "frozen", "bypass-1q", "bypass-3q"])
 @pytest.mark.parametrize("batch", [1, 5, 16])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum"])
-def test_encoder_train_matches_per_sample_loop(optimizer, batch, freeze):
-    """History and final parameters equal a per-sample loop bit for bit."""
-    cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads={1: 1, 5: 2, 16: 4}[batch],
-                        ffn_hidden=12, out_dim=6, use_class_token=batch != 5)
-    data = encoder_rows(26, shape=(4, 6, 2), seed=batch)
+@pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum", "sgd"])
+def test_encoder_train_matches_per_sample_loop(optimizer, batch, kind):
+    """History and final parameters equal a per-sample loop with per-array
+    optimizer steps bit for bit."""
+    def fresh_model():
+        if kind.startswith("bypass"):
+            n = int(kind[-2])
+            return make_bypass_model(in_dim=5, n_qubits=n, ansatz_layers=1, seed=batch,
+                                     readout_qubit=n - 1)
+        cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2,
+                            heads={1: 1, 5: 2, 16: 4}[batch], ffn_hidden=12, out_dim=6,
+                            use_class_token=batch != 5)
+        return make_encoder_model(cfg, (4, 6, 2), seed=batch)
+
+    if kind.startswith("bypass"):
+        data = sparse_signed_zero_dataset(24, seed=batch)
+    else:
+        data = encoder_rows(26, shape=(4, 6, 2), seed=batch)
     config = TrainingConfig(
         learning_rate=0.05 if optimizer == "adam" else 0.01, max_epochs=3, batch_size=batch,
         optimizer=optimizer, seed=batch, validation_fraction=0.25, patience=10,
-        freeze_encoder=freeze,
+        freeze_encoder=kind == "frozen",
     )
-    expected_model, expected = per_sample_train(
-        data, make_encoder_model(cfg, (4, 6, 2), seed=batch), config)
-    model, history = train(data, make_encoder_model(cfg, (4, 6, 2), seed=batch), config)
+    expected_model, expected = per_sample_train(data, fresh_model(), config)
+    model, history = train(data, fresh_model(), config)
     assert history.records == expected
     expected_params = named_parameters(expected_model)
     for name, arr in named_parameters(model).items():
-        assert np.array_equal(arr, expected_params[name]), name
+        assert arr.tobytes() == expected_params[name].tobytes(), name
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd-momentum", "sgd"])
+def test_flat_optimizer_step_equals_per_array_oracle(optimizer):
+    """Five steps of train's optimizer on one flat vector give the bits of
+    the per-array oracle's steps on the arrays it is made of."""
+    rng = np.random.default_rng(len(optimizer))
+    shapes = {"scalar": (), "vector": (7,), "matrix": (3, 4), "column": (5, 1)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    config = TrainingConfig(learning_rate=0.03, optimizer=optimizer, momentum=0.8)
+    flat = _make_optimizer(config)
+    oracle = array_optimizer(config)
+    vector = np.concatenate([a.ravel() for a in params.values()])
+    for _ in range(5):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grads["column"][::2] = -0.0
+        flat.step(vector, np.concatenate([g.ravel() for g in grads.values()]))
+        oracle.step(params, grads)
+        assert vector.tobytes() == np.concatenate([a.ravel() for a in params.values()]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["encoder", "frozen", "bypass"])
+def test_train_updates_the_callers_arrays_in_place(kind):
+    """Every array named_parameters gives before training is the model's
+    array after it, and each trainable one holds new values."""
+    if kind == "bypass":
+        model = make_bypass_model(in_dim=4, n_qubits=2, ansatz_layers=1, seed=40)
+        data = two_blob_dataset(n=20, seed=40)
+    else:
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=40)
+        data = encoder_rows(20, seed=40)
+    before = named_parameters(model)
+    values = snapshot_parameters(model)
+    config = TrainingConfig(learning_rate=0.05, max_epochs=2, batch_size=4, optimizer="adam",
+                            seed=40, freeze_encoder=kind == "frozen")
+    returned, _ = train(data, model, config)
+    assert returned is model
+    after = named_parameters(model)
+    assert list(after) == list(before)
+    for name, array in after.items():
+        assert array is before[name], name
+        frozen = kind == "frozen" and name.startswith("encoder.")
+        assert np.array_equal(array, values[name]) == frozen, name
 
 
 ROW_STEP_MODELS = {
@@ -693,7 +837,9 @@ def test_gradient_check_runs_one_row_step(samples, monkeypatch):
     """draw_samples makes one lone-image encode_with_cache and one
     model_forward per candidate; gradient_check's analytic half makes one
     block encode_with_cache, S model_forward and S backward calls directly
-    under it, then one block encode_backward."""
+    under it, then one block encode_backward, and that encode is the only
+    one of the live weights (the reduction and ansatz shifts read its
+    features)."""
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
     model = make_encoder_model(cfg, (4, 4, 1), seed=38)
     log = trace_calls(monkeypatch, traced_step_functions())
@@ -709,7 +855,10 @@ def test_gradient_check_runs_one_row_step(samples, monkeypatch):
     calls = row_calls(log)
     first = calls.index(("model_forward", "gradient_check", (3,)))
     assert calls[first - 1] == ("encode_with_cache", "gradient_check", (samples, 4, 4, 1))
-    assert log[first - 1][2][1] is model.encoder_weights
+    # that block encode is the audit's only one of the live weights
+    live = [i for i, (name, _, args) in enumerate(log)
+            if name == "encode_with_cache" and args[1] is model.encoder_weights]
+    assert live == [first - 1]
     # the perturbed losses run encode_with_cache (through encode) but no step
     step = [("model_forward", "gradient_check", (3,)), ("backward", "gradient_check", None)]
     assert [c for c in calls if c[0] != "encode_with_cache"] == [
