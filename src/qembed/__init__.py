@@ -32,11 +32,7 @@ from .encoder import (
     EncoderWeights,
     add_positional,
     encode,
-    encoder_layer,
-    ffn,
     init_encoder_weights,
-    self_attention,
-    tokenize,
 )
 from .metrics import (
     BenchmarkSummary,

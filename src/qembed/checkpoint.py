@@ -12,6 +12,8 @@ save/load cycle is lossless and identical runs produce identical files.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import ENCODER_FIELDS, IMAGE_KEYS, SCHEMA, encoder_config_from, model_from_config
@@ -99,6 +101,41 @@ def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray
     return meta, params
 
 
+def _dim(params, name: str, axis: int = 0) -> int | None:
+    """Length of param `name` along `axis`; None if it is missing or has no such axis."""
+    shape = params[name][0].shape if name in params else ()
+    return shape[axis] if len(shape) > axis else None
+
+
+def _check_sizes(path, meta, config: dict, params) -> None:
+    """Reject a meta size larger than what the param line carrying it holds.
+
+    The model is built at the meta sizes before its params are compared, so
+    such a line would first allocate at its size. A size whose param is
+    missing or mis-shaped is left to the checks against the built model.
+    """
+    theta, n_qubits = _dim(params, "ansatz.theta"), config["model.n_qubits"]
+    held = {"ansatz.layers": None if theta is None or n_qubits < 1 else max(theta // n_qubits - 1, 0)}
+    if config["model.bypass_encoder"]:
+        held["reduction.in_dim"] = _dim(params, "reduction.w")
+    else:
+        rows = _dim(params, "encoder.patch_projection")
+        held.update({
+            # patch * patch * channels projection rows
+            "encoder.patch": None if rows is None else max(math.isqrt(rows), 1),
+            "encoder.dim": _dim(params, "encoder.positional", 1),
+            "encoder.depth": len({n.split(".")[2] for n in params if n.startswith("encoder.layer.")}),
+            "encoder.ffn_hidden": _dim(params, "encoder.layer.0.ffn.w1", 1),
+            "encoder.out_dim": _dim(params, "encoder.head.b"),
+        })
+    for key, size in held.items():
+        if size is not None and config[key] > size:
+            text, lineno = meta[key]
+            raise ValueError(
+                f"{path}:{lineno}: meta {key} is {text}, more than the file's params hold ({size})"
+            )
+
+
 def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:
     """An image shape that gives the encoder the parameter shapes in `params`.
 
@@ -108,13 +145,8 @@ def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:
     builds the same shapes. Missing or mis-shaped entries fall through to
     the shape check against the built model.
     """
-
-    def rows(name: str) -> int:
-        shape = params[name][0].shape if name in params else ()
-        return shape[0] if shape else 1
-
-    patches = max(rows("encoder.positional") - cfg.use_class_token, 1)
-    channels = max(rows("encoder.patch_projection") // cfg.patch_size**2, 1)
+    patches = max((_dim(params, "encoder.positional") or 1) - cfg.use_class_token, 1)
+    channels = max((_dim(params, "encoder.patch_projection") or 1) // cfg.patch_size**2, 1)
     return (cfg.patch_size, cfg.patch_size * patches, channels)
 
 
@@ -123,7 +155,8 @@ def load_checkpoint(path) -> HybridModel:
 
     Every meta line must agree with that model and every param must match
     one of its parameters in name and shape; anything else is rejected with
-    the file's path and line.
+    the file's path and line. A meta size larger than the file's params hold
+    is named before the model is built.
     """
     meta, params = _parse(path)
 
@@ -148,6 +181,7 @@ def load_checkpoint(path) -> HybridModel:
     keys = ["fm.reps", "fm.scale", "ansatz.layers"]
     keys += ["reduction.in_dim"] if config["model.bypass_encoder"] else list(ENCODER_FIELDS)
     config.update({key: get(key, SCHEMA[key][0]) for key in keys})
+    _check_sizes(path, meta, config, params)
     try:
         if not config["model.bypass_encoder"]:
             config.update(zip(IMAGE_KEYS, _image_shape(encoder_config_from(config), params)))

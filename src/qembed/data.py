@@ -6,6 +6,7 @@ repr() for floats, so a write/load round trip reproduces values exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,8 @@ def generate_synthetic(n: int, d: int, separation: float, seed: int) -> list[Emb
         raise ValueError(f"n must be >= 2, got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if separation < 0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     while np.linalg.norm(direction) == 0.0:

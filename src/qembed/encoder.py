@@ -235,11 +235,6 @@ def _embed_patches(image: np.ndarray, weights: EncoderWeights, config: EncoderCo
     return patches, tokens
 
 
-def tokenize(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
-    """Project flattened patches to embeddings; prepend the class token if enabled."""
-    return _embed_patches(image, weights, config)[1]
-
-
 def add_positional(tokens: np.ndarray, weights: EncoderWeights) -> np.ndarray:
     if tokens.shape[-2:] != weights.positional.shape[-2:]:
         raise ValueError(
@@ -263,46 +258,6 @@ def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
 def _merge_heads(m: np.ndarray) -> np.ndarray:
     """(..., heads, T, dk) -> (..., T, heads * dk), the inverse of _split_heads."""
     return m.swapaxes(-3, -2).reshape(m.shape[:-3] + (m.shape[-2], -1))
-
-
-def _attention(x: np.ndarray, lw: LayerWeights, heads: int):
-    """(q, k, v split by head, (..., heads, T, T) softmax weights, heads merged before wo)."""
-    q, k, v = (_split_heads(x @ w, heads) for w in (lw.wq, lw.wk, lw.wv))
-    attn = softmax_rows(q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1]))
-    return q, k, v, attn, _merge_heads(attn @ v)
-
-
-def self_attention(
-    x: np.ndarray,
-    lw: LayerWeights,
-    heads: int,
-    return_weights: bool = False,
-):
-    """Multi-head scaled dot-product attention; heads=1 is the plain form.
-
-    With `return_weights` also returns the softmax weights as one
-    (heads, T, T) array; `weights[h]` is head h's (T, T) matrix.
-    """
-    _, _, _, attn, concat = _attention(x, lw, heads)
-    out = concat @ lw.wo
-    if return_weights:
-        return out, attn
-    return out
-
-
-def ffn(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    """max(0, x @ w1 + b1) @ w2 + b2, elementwise ReLU."""
-    return np.maximum(0.0, x @ lw.w1 + lw.b1) @ lw.w2 + lw.b2
-
-
-def encoder_layer(x: np.ndarray, lw: LayerWeights, heads: int) -> np.ndarray:
-    return _layer_forward(x, lw, heads)[0]
-
-
-def run_layers(tokens: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
-    for lw in weights.layers:
-        tokens = encoder_layer(tokens, lw, config.heads)
-    return tokens
 
 
 def encode(image: np.ndarray, weights: EncoderWeights, config: EncoderConfig) -> np.ndarray:
@@ -352,7 +307,9 @@ def _layer_norm_fwd(s: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 def _layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> tuple[np.ndarray, _LayerCache]:
     """One post-norm encoder layer and the intermediates its backward needs."""
-    q, k, v, attn, concat = _attention(x, lw, heads)
+    q, k, v = (_split_heads(x @ w, heads) for w in (lw.wq, lw.wk, lw.wv))
+    attn = softmax_rows(q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1]))
+    concat = _merge_heads(attn @ v)
     u, xhat1, istd1 = _layer_norm_fwd(x + concat @ lw.wo, lw.ln1_gain, lw.ln1_bias)
     hpre = u @ lw.w1 + lw.b1
     relu = np.maximum(0.0, hpre)

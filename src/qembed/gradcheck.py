@@ -19,6 +19,7 @@ are unreliable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +102,15 @@ def gradient_check(
 
     Passes when |analytic - fd| <= max(abs_tol, rel_tol * max(|analytic|, |fd|))
     holds for every scalar entry on every sample, an iterable of (input,
-    label) pairs. The model's parameters are left as they were.
+    label) pairs. `h` must be finite and > 0, the tolerances finite and
+    >= 0. The model's parameters are left as they were, also when a loss
+    evaluation raises.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
+    for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     params = named_parameters(model)
     groups = {name: GroupDeviation(name=name) for name in params}
     all_ok = True
@@ -147,11 +155,13 @@ def _shifted_losses(model: HybridModel, array: np.ndarray, feats, labels, h: flo
     flat = array.flat
     for j in range(array.size):
         original = float(flat[j])
-        flat[j] = original + h
-        ups = _losses(model, feats, labels)
-        flat[j] = original - h
-        downs = _losses(model, feats, labels)
-        flat[j] = original
+        try:
+            flat[j] = original + h
+            ups = _losses(model, feats, labels)
+            flat[j] = original - h
+            downs = _losses(model, feats, labels)
+        finally:
+            flat[j] = original
         yield j, ups, downs
 
 

@@ -29,17 +29,14 @@ from qembed.benchmark import run_benchmark
 from qembed.circuits import AnsatzSpec, FeatureMapSpec, quantum_forward
 from qembed.cli import main as cli_main
 from qembed.data import EmbeddingRecord, generate_synthetic
-from qembed.encoder import (
-    EncoderConfig,
-    init_encoder_weights,
-    run_layers,
-    softmax_rows,
-)
+from qembed.encoder import EncoderConfig, init_encoder_weights, softmax_rows
 from qembed.gradcheck import draw_samples, gradient_check
 from qembed.metrics import format_comparison_table, median, population_sd
 from qembed.model import make_bypass_model, make_encoder_model
 from qembed.statevector import StateVector, apply_gate, cx, h, ry, u1
 from qembed.training import TrainingConfig, train
+
+from probe import probe_cache
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -104,7 +101,8 @@ def test_criterion_4_attention_invariants():
     for _ in range(20):
         x = rng.normal(size=(4, 8))
         perm = rng.permutation(4)
-        delta = run_layers(x[perm], enc, cfg) - run_layers(x, enc, cfg)[perm]
+        delta = (probe_cache(x[perm], enc.layers, cfg.heads).top
+                 - probe_cache(x, enc.layers, cfg.heads).top[perm])
         perm_ok &= bool(np.max(np.abs(delta)) < 1e-10)
     report(4, rows_ok and perm_ok,
            "softmax rows sum to 1 (1e-9); permutation equivariance (1e-10)")

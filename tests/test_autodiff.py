@@ -24,6 +24,7 @@ from qembed.circuits import (
     quantum_forward,
 )
 from qembed.config import default_config, image_shape_from, model_from_config
+from qembed import gradcheck
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import GroupDeviation, draw_samples, gradient_check
 from qembed.model import (
@@ -472,3 +473,56 @@ def test_gradient_check_stacked_copies_equal_per_sample_loop(case):
     )
     for name, a in named_parameters(model).items():
         assert a.tobytes() == before[name].tobytes(), name
+
+
+def _bypass_audit_case():
+    model = make_bypass_model(in_dim=3, n_qubits=2, seed=18)
+    samples = draw_samples(model, 2, np.random.default_rng(18))
+    return model, samples, {name: a.tobytes() for name, a in named_parameters(model).items()}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"h": 0.0}, "h must be finite and > 0, got 0.0"),
+    ({"h": -1e-5}, "h must be finite and > 0, got -1e-05"),
+    ({"h": math.nan}, "h must be finite and > 0, got nan"),
+    ({"h": math.inf}, "h must be finite and > 0, got inf"),
+    ({"abs_tol": math.nan}, "abs_tol must be finite and >= 0, got nan"),
+    ({"abs_tol": -1e-6}, "abs_tol must be finite and >= 0, got -1e-06"),
+    ({"rel_tol": -1.0}, "rel_tol must be finite and >= 0, got -1.0"),
+    ({"rel_tol": math.inf}, "rel_tol must be finite and >= 0, got inf"),
+], ids=["h-zero", "h-negative", "h-nan", "h-inf", "abs-tol-nan", "abs-tol-negative",
+        "rel-tol-negative", "rel-tol-inf"])
+def test_gradient_check_rejects_bad_arguments_before_any_parameter_moves(kwargs, message):
+    model, samples, before = _bypass_audit_case()
+    with pytest.raises(ValueError) as error:
+        gradient_check(model, samples, **kwargs)
+    assert str(error.value) == message
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name], name
+
+
+@pytest.mark.parametrize("cause", ["h-overflows-features", "loss-raises"])
+def test_gradient_check_restores_a_shifted_scalar_when_a_loss_raises(cause, monkeypatch):
+    """A loss evaluation that raises mid-audit leaves every parameter as it
+    was: a step so large that the shifted features overflow, or a failure
+    while the second reduction weight is shifted by -h."""
+    model, samples, before = _bypass_audit_case()
+    if cause == "h-overflows-features":
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="features must be finite"):
+            gradient_check(model, samples, h=1e308)
+    else:
+        calls = []
+        real = gradcheck.features_p0
+
+        def failing(model, feats):
+            calls.append(feats)
+            if len(calls) == 4:
+                raise RuntimeError("loss evaluation failed")
+            return real(model, feats)
+
+        monkeypatch.setattr(gradcheck, "features_p0", failing)
+        with pytest.raises(RuntimeError, match="loss evaluation failed"):
+            gradient_check(model, samples)
+        assert len(calls) == 4
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name], name

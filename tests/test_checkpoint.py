@@ -1,4 +1,6 @@
 """Checkpoint container: lossless round trips, deterministic bytes."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -303,3 +305,39 @@ def test_rejects_malformed_file_at_its_line(tmp_path, kind, edit):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(where), str(info.value)
+
+
+@pytest.mark.parametrize("kind,key,value,held", [
+    ("bypass", "reduction.in_dim", 300000, 3),
+    ("bypass", "ansatz.layers", 300000, 1),
+    ("encoder", "encoder.dim", 400, 8),
+    ("encoder", "encoder.ffn_hidden", 100000, 16),
+    ("encoder", "encoder.patch", 300, 2),
+    ("encoder", "encoder.depth", 2000, 2),
+], ids=["in-dim", "ansatz-layers", "encoder-dim", "ffn-hidden", "patch", "depth"])
+def test_rejects_meta_size_beyond_its_params_before_allocating(tmp_path, kind, key, value, held):
+    """One edited meta size, far beyond what the file's params hold, is
+    named at its line, and loading peaks under 1 MiB (about 0.1 MiB for
+    the unedited file) instead of allocating the model at that size."""
+    if kind == "bypass":
+        model = make_bypass_model(in_dim=3, n_qubits=2, seed=9)
+    else:
+        config = default_config()
+        config["model.bypass_encoder"] = False
+        model = model_from_config(config, seed=9)
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, model)
+    lines = path.read_text().splitlines()
+    index = _set_meta(key, value)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        f"{path}:{index + 1}: meta {key} is {value}, more than the file's params hold ({held})"
+    )
+    assert peak < 2**20, peak

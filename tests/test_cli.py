@@ -146,6 +146,13 @@ def test_synth_invalid_size_fails_validation(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_synth_rejects_non_finite_separation(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--n", "10", "--d", "2", "--sep", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: separation must be finite and >= 0, got nan\n"
+    assert not out.exists()
+
+
 def test_train_eval_predict_round_trip(tmp_path, capsys):
     data = tmp_path / "data.csv"
     ckpt = tmp_path / "model.ckpt"
@@ -336,7 +343,10 @@ def test_gradcheck_encoder_passes(capsys):
     (["--set", "reduction.in_dim=-1"], "in_dim must be at least 1, got -1"),
     (["--set", "reduction.in_dim=0"], "in_dim must be at least 1, got 0"),
     (["--samples", "0"], "at least 1 sample, got 0"),
-], ids=["in-dim-negative", "in-dim-zero", "zero-samples"])
+    (["--h", "0"], "h must be finite and > 0, got 0.0"),
+    (["--abs-tol", "nan"], "abs_tol must be finite and >= 0, got nan"),
+    (["--rel-tol", "-1"], "rel_tol must be finite and >= 0, got -1.0"),
+], ids=["in-dim-negative", "in-dim-zero", "zero-samples", "h-zero", "abs-tol-nan", "rel-tol-negative"])
 def test_gradcheck_rejects_non_positive_sizes(argv, message, capsys):
     code = main(["gradcheck", *argv])
     assert code == 1

@@ -193,6 +193,12 @@ def test_synthetic_validation():
         generate_synthetic(10, 4, -1.0, seed=0)
 
 
+@pytest.mark.parametrize("separation", [math.nan, math.inf], ids=["nan", "inf"])
+def test_synthetic_rejects_non_finite_separation(separation):
+    with pytest.raises(ValueError, match=f"^separation must be finite and >= 0, got {separation}$"):
+        generate_synthetic(10, 4, separation, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

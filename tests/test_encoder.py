@@ -1,4 +1,9 @@
-"""Encoder forward ops against independent hand-rolled oracles."""
+"""Encoder forward ops against independent hand-rolled oracles.
+
+Attention, the feed-forward sublayer and whole layers are read from the
+intermediates of `encode_with_cache`, the model's one forward, through the
+probe encoder of `tests/probe.py`.
+"""
 import copy
 import dataclasses
 import itertools
@@ -15,17 +20,14 @@ from qembed.encoder import (
     encode,
     encode_backward,
     encode_with_cache,
-    encoder_layer,
     extract_patches,
-    ffn,
     init_encoder_weights,
     named_parameters,
-    run_layers,
-    self_attention,
     softmax_rows,
     stack_weights,
-    tokenize,
 )
+
+from probe import probe_cache
 
 
 def make_layer(rng, d, hidden):
@@ -131,15 +133,17 @@ def test_identity_projection_keeps_patch_values():
     rng = np.random.default_rng(1)
     weights = init_encoder_weights(cfg, (4, 4, 1), rng)
     weights.patch_projection = np.eye(4)
+    weights.positional = np.zeros((4, 4))
     image = rng.normal(size=(4, 4, 1))
-    tokens = tokenize(image, weights, cfg)
+    tokens = encode_with_cache(image, weights, cfg)[1].x0
     assert np.allclose(tokens, extract_patches(image, 2), atol=1e-15)
 
 
 def test_class_token_prepended():
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=0, heads=1, ffn_hidden=4)
     weights = init_encoder_weights(cfg, (4, 4, 1), 2)
-    tokens = tokenize(np.zeros((4, 4, 1)), weights, cfg)
+    weights.positional = np.zeros((5, 4))
+    tokens = encode_with_cache(np.zeros((4, 4, 1)), weights, cfg)[1].x0
     assert tokens.shape == (5, 4)
     assert np.array_equal(tokens[0], weights.class_token)
 
@@ -178,8 +182,10 @@ def test_single_token_attention_is_projected_value():
     rng = np.random.default_rng(6)
     lw = make_layer(rng, 4, 8)
     x = rng.normal(size=(1, 4))
-    out = self_attention(x, lw, heads=1)
-    assert np.allclose(out, (x @ lw.wv) @ lw.wo, atol=1e-12)
+    lc = probe_cache(x, [lw]).layer_caches[0]
+    assert np.allclose(lc.concat, x @ lw.wv, atol=1e-12)
+    expected = layernorm_ref(x + (x @ lw.wv) @ lw.wo, lw.ln1_gain, lw.ln1_bias)
+    assert np.allclose(lc.u, expected, atol=1e-12)
 
 
 def test_identical_tokens_give_uniform_weights():
@@ -187,8 +193,10 @@ def test_identical_tokens_give_uniform_weights():
     lw = make_layer(rng, 4, 8)
     row = rng.normal(size=4)
     x = np.vstack([row, row])
-    _, weights = self_attention(x, lw, heads=1, return_weights=True)
-    assert np.allclose(weights[0], 0.5, atol=1e-12)
+    lc = probe_cache(x, [lw]).layer_caches[0]
+    assert np.allclose(lc.attn[0], 0.5, atol=1e-12)
+    expected = layernorm_ref(x + (x @ lw.wv) @ lw.wo, lw.ln1_gain, lw.ln1_bias)
+    assert np.allclose(lc.u, expected, atol=1e-12)
 
 
 def test_identical_tokens_uniform_under_key_rescaling():
@@ -199,15 +207,19 @@ def test_identical_tokens_uniform_under_key_rescaling():
     x = np.vstack([row, row, row])
     for factor in (1.0, 10.0, 100.0):
         lw.wk *= factor
-        _, weights = self_attention(x, lw, heads=1, return_weights=True)
-        assert np.allclose(weights[0], 1.0 / 3.0, atol=1e-12)
+        lc = probe_cache(x, [lw]).layer_caches[0]
+        assert np.allclose(lc.attn[0], 1.0 / 3.0, atol=1e-12)
+        expected = layernorm_ref(x + (x @ lw.wv) @ lw.wo, lw.ln1_gain, lw.ln1_bias)
+        assert np.allclose(lc.u, expected, atol=1e-12)
 
 
 def test_attention_matches_dense_oracle():
     rng = np.random.default_rng(9)
     lw = make_layer(rng, 6, 8)
     x = rng.normal(size=(3, 6))
-    assert np.allclose(self_attention(x, lw, heads=1), attention_ref(x, lw), atol=1e-10)
+    lc = probe_cache(x, [lw]).layer_caches[0]
+    expected = layernorm_ref(x + attention_ref(x, lw), lw.ln1_gain, lw.ln1_bias)
+    assert np.allclose(lc.u, expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -217,8 +229,8 @@ def test_multi_head_splits_columns(heads):
     rng = np.random.default_rng(10)
     lw = make_layer(rng, 8, 8)
     x = rng.normal(size=(3, 8))
-    out, weights = self_attention(x, lw, heads=heads, return_weights=True)
-    assert weights.shape == (heads, 3, 3)
+    lc = probe_cache(x, [lw], heads).layer_caches[0]
+    assert lc.attn.shape == (heads, 3, 3)
     dk = 8 // heads
     q, k, v = x @ lw.wq, x @ lw.wk, x @ lw.wv
     concat = np.zeros_like(x)
@@ -227,9 +239,11 @@ def test_multi_head_splits_columns(heads):
         logits = q[:, sl] @ k[:, sl].T / math.sqrt(dk)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
-        assert np.allclose(weights[hh], w, atol=1e-12)
+        assert np.allclose(lc.attn[hh], w, atol=1e-12)
         concat[:, sl] = w @ v[:, sl]
-    assert np.allclose(out, concat @ lw.wo, atol=1e-12)
+    assert np.allclose(lc.concat, concat, atol=1e-12)
+    expected = layernorm_ref(x + concat @ lw.wo, lw.ln1_gain, lw.ln1_bias)
+    assert np.allclose(lc.u, expected, atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():
@@ -249,28 +263,34 @@ def test_ffn_zero_first_layer_returns_second_bias():
     lw = make_layer(rng, 4, 8)
     lw.w1 = np.zeros((4, 8))
     lw.b1 = np.zeros(8)
-    assert np.allclose(ffn(rng.normal(size=4), lw), lw.b2, atol=1e-15)
+    lc = probe_cache(rng.normal(size=(1, 4)), [lw]).layer_caches[0]
+    assert np.allclose(lc.relu @ lw.w2 + lw.b2, lw.b2, atol=1e-15)
 
 
 def test_ffn_relu_kills_negative_preactivations():
     rng = np.random.default_rng(13)
     lw = make_layer(rng, 4, 8)
     lw.b1 = np.full(8, -1e6)  # drives every pre-activation negative
-    assert np.allclose(ffn(rng.normal(size=4), lw), lw.b2, atol=1e-15)
+    lc = probe_cache(rng.normal(size=(1, 4)), [lw]).layer_caches[0]
+    assert np.allclose(lc.relu @ lw.w2 + lw.b2, lw.b2, atol=1e-15)
 
 
 def test_ffn_matches_loop_oracle():
     rng = np.random.default_rng(14)
     lw = make_layer(rng, 5, 7)
     x = rng.normal(size=(3, 5))
-    assert np.allclose(ffn(x, lw), ffn_ref(x, lw), atol=1e-12)
+    cache = probe_cache(x, [lw])
+    u = cache.layer_caches[0].u
+    assert np.allclose(cache.layer_caches[0].relu @ lw.w2 + lw.b2, ffn_ref(u, lw), atol=1e-12)
+    expected = layernorm_ref(u + ffn_ref(u, lw), lw.ln2_gain, lw.ln2_bias)
+    assert np.allclose(cache.top, expected, atol=1e-12)
 
 
 def test_layer_output_rows_are_normalized():
     rng = np.random.default_rng(15)
     lw = make_layer(rng, 8, 16)  # gain 1, bias 0 from make_layer
     x = rng.normal(size=(5, 8))
-    out = encoder_layer(x, lw, heads=2)
+    out = probe_cache(x, [lw], heads=2).top
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-9)
     assert np.allclose(out.var(axis=1), 1.0, atol=1e-4)  # eps-shifted variance
 
@@ -280,7 +300,7 @@ def test_zero_sublayers_double_layernorm():
     lw = zero_layer(4, 8)
     x = rng.normal(size=(3, 4))
     expected = layernorm_ref(layernorm_ref(x, np.ones(4), np.zeros(4)), np.ones(4), np.zeros(4))
-    assert np.allclose(encoder_layer(x, lw, heads=1), expected, atol=1e-12)
+    assert np.allclose(probe_cache(x, [lw]).top, expected, atol=1e-12)
 
 
 def test_layer_matches_composed_oracle():
@@ -293,7 +313,7 @@ def test_layer_matches_composed_oracle():
     x = rng.normal(size=(4, 6))
     u = layernorm_ref(x + attention_ref(x, lw), lw.ln1_gain, lw.ln1_bias)
     expected = layernorm_ref(u + ffn_ref(u, lw), lw.ln2_gain, lw.ln2_bias)
-    assert np.allclose(encoder_layer(x, lw, heads=1), expected, atol=1e-10)
+    assert np.allclose(probe_cache(x, [lw]).top, expected, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +328,7 @@ def test_encode_empty_stack_identity_head():
     weights.head_w = np.eye(4)
     weights.head_b = np.zeros(4)
     image = rng.normal(size=(4, 4, 1))
-    expected = add_positional(tokenize(image, weights, cfg), weights)[0]
+    expected = (extract_patches(image, 2) @ weights.patch_projection + weights.positional)[0]
     assert np.allclose(encode(image, weights, cfg), expected, atol=1e-15)
 
 
@@ -363,8 +383,8 @@ def test_permutation_equivariance_without_positions():
     for _ in range(10):
         x = rng.normal(size=(4, 8))
         perm = rng.permutation(4)
-        out = run_layers(x, weights, cfg)
-        out_perm = run_layers(x[perm], weights, cfg)
+        out = probe_cache(x, weights.layers, cfg.heads).top
+        out_perm = probe_cache(x[perm], weights.layers, cfg.heads).top
         assert np.allclose(out_perm, out[perm], atol=1e-10)
 
 
@@ -432,13 +452,14 @@ def test_row_axis_patches_and_tokens_follow_each_image():
     weights = init_encoder_weights(cfg, (4, 6, 2), rng)
     images = rng.normal(size=(3, 4, 6, 2))
     patches = extract_patches(images, 2)
-    tokens = tokenize(images, weights, cfg)
-    assert patches.shape == (3, 6, 8) and tokens.shape == (3, 7, 4)
+    cache = encode_with_cache(images, weights, cfg)[1]
+    assert patches.shape == (3, 6, 8) and cache.x0.shape == (3, 7, 4)
+    assert np.array_equal(cache.patches, patches)
     for i, image in enumerate(images):
         assert np.array_equal(patches[i], extract_patches(image, 2))
-        assert np.array_equal(tokens[i], tokenize(image, weights, cfg))
-        assert np.array_equal(add_positional(tokens, weights)[i],
-                              add_positional(tokens[i], weights))
+        assert np.array_equal(cache.x0[i], encode_with_cache(image, weights, cfg)[1].x0)
+        assert np.array_equal(add_positional(cache.x0, weights)[i],
+                              add_positional(cache.x0[i], weights))
     with pytest.raises(ValueError, match="image must be"):
         extract_patches(np.zeros((16, 1)), 2)
 
