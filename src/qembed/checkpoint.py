@@ -107,33 +107,45 @@ def _dim(params, name: str, axis: int = 0) -> int | None:
     return shape[axis] if len(shape) > axis else None
 
 
+# the (param, axis) lengths that carry each meta size; a param named after
+# "encoder.layer.{i}." carries it in every layer
+_CARRIERS = {
+    "reduction.in_dim": [("reduction.w", 0)],
+    "encoder.dim": [
+        ("encoder.patch_projection", 1), ("encoder.positional", 1), ("encoder.class_token", 0),
+        ("encoder.head.w", 0), ("ffn.w1", 0), ("ffn.w2", 1), ("ffn.b2", 0),
+        *((f"ln{k}.{v}", 0) for k in "12" for v in ("gain", "bias")),
+        *((f"attn.w{m}", axis) for m in "qkvo" for axis in (0, 1)),
+    ],
+    "encoder.ffn_hidden": [("ffn.w1", 1), ("ffn.b1", 0), ("ffn.w2", 0)],
+    "encoder.out_dim": [("encoder.head.w", 1), ("encoder.head.b", 0), ("reduction.w", 0)],
+}
+
+
 def _check_sizes(path, meta, config: dict, params) -> None:
-    """Reject a meta size larger than what the param line carrying it holds.
+    """Reject a meta size larger than every param line carrying it holds.
 
     The model is built at the meta sizes before its params are compared, so
-    such a line would first allocate at its size. A size whose param is
-    missing or mis-shaped is left to the checks against the built model.
+    such a line would first allocate at its size. A size that no param
+    carries is left to the checks against the built model.
     """
     theta, n_qubits = _dim(params, "ansatz.theta"), config["model.n_qubits"]
-    held = {"ansatz.layers": None if theta is None or n_qubits < 1 else max(theta // n_qubits - 1, 0)}
-    if config["model.bypass_encoder"]:
-        held["reduction.in_dim"] = _dim(params, "reduction.w")
-    else:
-        rows = _dim(params, "encoder.patch_projection")
-        held.update({
-            # patch * patch * channels projection rows
-            "encoder.patch": None if rows is None else max(math.isqrt(rows), 1),
-            "encoder.dim": _dim(params, "encoder.positional", 1),
-            "encoder.depth": len({n.split(".")[2] for n in params if n.startswith("encoder.layer.")}),
-            "encoder.ffn_hidden": _dim(params, "encoder.layer.0.ffn.w1", 1),
-            "encoder.out_dim": _dim(params, "encoder.head.b"),
-        })
-    for key, size in held.items():
-        if size is not None and config[key] > size:
+    rows = _dim(params, "encoder.patch_projection")
+    held = {
+        "ansatz.layers": None if theta is None or n_qubits < 1 else max(theta // n_qubits - 1, 0),
+        # patch * patch * channels projection rows
+        "encoder.patch": None if rows is None else max(math.isqrt(rows), 1),
+        "encoder.depth": len({n.split(".")[2] for n in params if n.startswith("encoder.layer.")}),
+    }
+    short = {n: n.split(".", 3)[3] if n.startswith("encoder.layer.") else n for n in params}
+    for key, carriers in _CARRIERS.items():
+        sizes = [_dim(params, n, axis) for n in params for c, axis in carriers if short[n] == c]
+        held[key] = max((d for d in sizes if d is not None), default=None)
+    for key, value in config.items():
+        if held.get(key) is not None and value > held[key]:
             text, lineno = meta[key]
-            raise ValueError(
-                f"{path}:{lineno}: meta {key} is {text}, more than the file's params hold ({size})"
-            )
+            raise ValueError(f"{path}:{lineno}: meta {key} is {text}, more than the file's "
+                             f"params hold ({held[key]})")
 
 
 def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:

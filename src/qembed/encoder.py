@@ -14,16 +14,14 @@ The forward pass also takes a block of images with leading row axes,
 step indexes from the last axis, so a row of a block gets the same bits
 as the image encoded alone. The backward pass takes one image's cache or
 a block's, and gives every weight gradient the block's leading row axes.
-The forward pass also takes weights with leading axes that broadcast
-against the images' row axes (see `stack_weights`): K stacked copies of
-the weights score (S, H, W, C) images as (K, S, T, D) tokens and
-(K, S, out_dim) features when every matrix is (K, 1, *shape), the class
-token, positional matrix and head bias (K, 1, *shape), and every vector
-added along the token axis (ffn biases, layer-norm gains and biases)
-(K, 1, 1, n). Each (k, s) slice then gets the bits of image s encoded
-alone with copy k, as long as the copies are C-contiguous: a stack whose
-copy axis is not outermost sends numpy's matmul to a loop that sums in
-another order.
+The forward pass also takes one weight array with a leading copy axis
+(`with_array`), the rest plain: K C-contiguous copies, (K, 1, 1, n) for a
+vector added along the token axis (ffn biases, layer-norm gains and
+biases) and (K, 1, *shape) for any other, score (S, H, W, C) images as
+(K, S, out_dim) features, the ops upstream of that array once for the S
+images, and each (k, s) slice the bits of image s encoded alone with copy
+k. A copy axis that is not outermost sends numpy's matmul to a loop that
+sums in another order.
 Forward passes are pure given the weights. `encode_with_cache` records the
 intermediates needed by `encode_backward`, which returns analytic gradients
 for every weight as an `EncoderWeights` of gradient arrays, so that
@@ -34,7 +32,7 @@ for every weight as an `EncoderWeights` of gradient arrays, so that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,9 +58,7 @@ class EncoderConfig:
             elif value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.embed_dim % self.heads != 0:
-            raise ValueError(
-                f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}"
-            )
+            raise ValueError(f"embed_dim {self.embed_dim} must be divisible by heads {self.heads}")
 
 
 @dataclass
@@ -121,26 +117,15 @@ def named_parameters(weights: EncoderWeights) -> dict[str, np.ndarray]:
     return params
 
 
-def stack_weights(weights: EncoderWeights, k: int) -> EncoderWeights:
-    """k C-contiguous copies of every array along a leading axis, shaped to
-    broadcast against a block of images: (k, 1, *shape), and (k, 1, 1, n)
-    for the layer vectors added along the token axis."""
-    def stack(a: np.ndarray, vector_lead: tuple[int, ...] = (k, 1)) -> np.ndarray:
-        lead = vector_lead if a.ndim == 1 else (k, 1)
-        return np.broadcast_to(a, lead + a.shape).copy(order="C")
-
-    layers = [
-        LayerWeights(**{attr: stack(getattr(lw, attr), (k, 1, 1)) for _, attr in _LAYER_FIELDS})
-        for lw in weights.layers
-    ]
-    return EncoderWeights(
-        patch_projection=stack(weights.patch_projection),
-        positional=stack(weights.positional),
-        class_token=None if weights.class_token is None else stack(weights.class_token),
-        layers=layers,
-        head_w=stack(weights.head_w),
-        head_b=stack(weights.head_b),
-    )
+def with_array(weights: EncoderWeights, name: str, array: np.ndarray) -> EncoderWeights:
+    """`weights` with the array `named_parameters` calls `name` replaced by
+    `array`, sharing every other array."""
+    if not name.startswith("layer."):
+        return replace(weights, **{name.replace(".", "_"): array})
+    _, i, suffix = name.split(".", 2)
+    layers = list(weights.layers)
+    layers[int(i)] = replace(layers[int(i)], **{dict(_LAYER_FIELDS)[suffix]: array})
+    return replace(weights, layers=layers)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -163,32 +148,29 @@ def init_encoder_weights(
     img_h, img_w, channels = image_shape
     n = config.patch_size
     if img_h % n != 0 or img_w % n != 0:
-        raise ValueError(
-            f"image {img_h}x{img_w} not divisible by patch size {n}"
-        )
+        raise ValueError(f"image {img_h}x{img_w} not divisible by patch size {n}")
     num_patches = (img_h // n) * (img_w // n)
     t = num_patches + (1 if config.use_class_token else 0)
     d = config.embed_dim
     flat = n * n * channels
 
-    layers = []
-    for _ in range(config.layers):
-        layers.append(
-            LayerWeights(
-                wq=_glorot(rng, (d, d)),
-                wk=_glorot(rng, (d, d)),
-                wv=_glorot(rng, (d, d)),
-                wo=_glorot(rng, (d, d)),
-                w1=_glorot(rng, (d, config.ffn_hidden)),
-                b1=np.zeros(config.ffn_hidden),
-                w2=_glorot(rng, (config.ffn_hidden, d)),
-                b2=np.zeros(d),
-                ln1_gain=np.ones(d),
-                ln1_bias=np.zeros(d),
-                ln2_gain=np.ones(d),
-                ln2_bias=np.zeros(d),
-            )
+    layers = [
+        LayerWeights(
+            wq=_glorot(rng, (d, d)),
+            wk=_glorot(rng, (d, d)),
+            wv=_glorot(rng, (d, d)),
+            wo=_glorot(rng, (d, d)),
+            w1=_glorot(rng, (d, config.ffn_hidden)),
+            b1=np.zeros(config.ffn_hidden),
+            w2=_glorot(rng, (config.ffn_hidden, d)),
+            b2=np.zeros(d),
+            ln1_gain=np.ones(d),
+            ln1_bias=np.zeros(d),
+            ln2_gain=np.ones(d),
+            ln2_bias=np.zeros(d),
         )
+        for _ in range(config.layers)
+    ]
     return EncoderWeights(
         patch_projection=_glorot(rng, (flat, d)),
         positional=rng.normal(0.0, 0.02, size=(t, d)),
@@ -226,9 +208,11 @@ def _embed_patches(image: np.ndarray, weights: EncoderWeights, config: EncoderCo
     projected = patches @ weights.patch_projection
     if not config.use_class_token:
         return patches, projected
-    # the class token is broadcast over the row axes by assignment
-    # (np.broadcast_to costs more than the whole copy at this size)
+    # the class token (and any copy axis of its own) is broadcast over the row
+    # axes by assignment (np.broadcast_to costs more than the whole copy here)
     *lead, t, d = projected.shape
+    if weights.class_token.ndim > 1:
+        lead = np.broadcast_shapes(tuple(lead), weights.class_token.shape[:-1])
     tokens = np.empty((*lead, t + 1, d))
     tokens[..., 0, :] = weights.class_token
     tokens[..., 1:, :] = projected

@@ -3,38 +3,33 @@
 Perturbs each scalar parameter by +-h, re-evaluates the loss of every
 sample, and compares each sample's central difference against its
 analytic/parameter-shift gradient: row s of training's row step
-(`training.row_gradients`) over all samples. Encoder scalars are shifted
-in stacked copies of the encoder weights (`encoder.stack_weights`), never
-in the model: one encoder forward scores every sample under a block of
-shifted copies, and the reduction and circuit score the block's (copies x
-samples) feature rows in one `model.features_p0` pass. Reduction and
-ansatz scalars are shifted in place, one at a time, and restored; they
-leave the samples' features as they are, so their losses read the
-features of the row step's own encoder forward. The sample inputs
+(`training.row_gradients`) over all samples. An encoder array is shifted
+in C-contiguous copies of it alone, on the encoder's copy axis, never in
+the model: each block encodes every sample against the +h and -h copies
+of as many scalars as fit in `_BLOCK_ROWS` (copy x sample) rows, the ops
+upstream of the array once for the samples, and the reduction and circuit
+score its feature rows in one `model.features_p0` pass. Reduction and
+ansatz scalars are shifted in place, one at a time, and restored; their
+losses read the features of the row step's own encoder forward. Each
+block's deviations are folded into its group as arrays. The sample inputs
 must stack into one row array (`model.as_rows`), checked once before any
 parameter moves. `draw_samples` redraws a candidate input whose ReLU
-pre-activations (from its own lone-image `encode_with_cache`) or readout
-probability sit too close to a kink or clamp, where central differences
-are unreliable.
+pre-activations or readout probability sit too close to a kink or clamp,
+where central differences are unreliable.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import bce_loss
-from .encoder import EncoderWeights, encode, encode_with_cache, stack_weights
+from .circuits import NON_FINITE_FEATURES
+from .encoder import encode, encode_with_cache, with_array
 from .encoder import named_parameters as encoder_named_parameters
-from .model import (
-    _ENCODE_BLOCK_ROWS,
-    HybridModel,
-    as_rows,
-    features_p0,
-    model_forward,
-    named_parameters,
-)
+from .model import HybridModel, as_rows, features_p0, model_forward, named_parameters
 from .training import _row_step
 
 DEFAULT_H = 1e-5
@@ -42,6 +37,10 @@ DEFAULT_ABS_TOL = 1e-6
 DEFAULT_REL_TOL = 1e-4
 RELU_MARGIN = 1e-3
 PROB_MARGIN = 1e-4
+
+# (copy x sample) rows per encoder block of the audit: the +h and -h copies
+# of as many scalars of one array as fit, and at least one pair
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -56,11 +55,8 @@ class GroupDeviation:
 def _sample_is_clean(p0: float, encoder_cache) -> bool:
     if not PROB_MARGIN < p0 < 1.0 - PROB_MARGIN:
         return False
-    if encoder_cache is not None:
-        for lc in encoder_cache.layer_caches:
-            if np.min(np.abs(lc.hpre)) < RELU_MARGIN:
-                return False
-    return True
+    layers = [] if encoder_cache is None else encoder_cache.layer_caches
+    return not any(np.min(np.abs(lc.hpre)) < RELU_MARGIN for lc in layers)
 
 
 def draw_samples(
@@ -104,7 +100,8 @@ def gradient_check(
     holds for every scalar entry on every sample, an iterable of (input,
     label) pairs. `h` must be finite and > 0, the tolerances finite and
     >= 0. The model's parameters are left as they were, also when a loss
-    evaluation raises.
+    evaluation raises; a shift that makes features non-finite is reported
+    with its parameter, scalar and `h`.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and > 0, got {h}")
@@ -113,90 +110,95 @@ def gradient_check(
             raise ValueError(f"{name} must be finite and >= 0, got {tol}")
     params = named_parameters(model)
     groups = {name: GroupDeviation(name=name) for name in params}
-    all_ok = True
     samples = list(samples)
     labels = [label for _, label in samples]
     xs = as_rows(model, [x for x, _ in samples])
     if not samples:
-        return all_ok, groups
+        return True, groups
     _, grads, feats = _row_step(model, xs, labels, True)
-    analytic = {name: g.reshape(len(xs), -1) for name, g in grads.items()}
-    if not model.bypass:
-        # +h and -h copies of as many scalars as fit in one encoder block of
-        # copies x samples, and at least one pair
-        pairs = max(1, _ENCODE_BLOCK_ROWS // (2 * len(xs)))
-        stacked = stack_weights(model.encoder_weights, 2 * pairs)
     for name, array in params.items():
-        group = groups[name]
         if name.startswith("encoder."):
-            key = name.removeprefix("encoder.")
-            shifted = _encoder_shifted_losses(model, stacked, key, xs, labels, h)
+            shifted = _encoder_shifted_losses(model, name, xs, labels, h)
         else:
-            shifted = _shifted_losses(model, array, feats, labels, h)
-        for j, ups, downs in shifted:
-            for a, up, down in zip(analytic[name][:, j].tolist(), ups, downs):
-                fd = (up - down) / (2.0 * h)
-                dev = abs(a - fd)
-                scale = max(abs(a), abs(fd))
-                rel = dev / scale if scale > 0 else 0.0
-                group.checked += 1
-                group.max_abs_dev = max(group.max_abs_dev, dev)
-                group.max_rel_dev = max(group.max_rel_dev, rel)
-                if dev > max(abs_tol, rel_tol * scale):
-                    group.ok = False
-                    all_ok = False
-    return all_ok, groups
+            shifted = _shifted_losses(model, name, array, feats, labels, h)
+        analytic = grads[name].reshape(len(xs), -1).T
+        for start, ups, downs in shifted:
+            a = analytic[start : start + len(ups)]
+            _record(groups[name], a, (ups - downs) / (2.0 * h), abs_tol, rel_tol)
+    return all(g.ok for g in groups.values()), groups
 
 
-def _shifted_losses(model: HybridModel, array: np.ndarray, feats, labels, h: float):
-    """(j, losses at +h, losses at -h) for every scalar j of a reduction or
-    ansatz array, which is shifted in place and restored: these scalars leave
-    the samples' encoder features `feats` as they are."""
-    flat = array.flat
+def _record(group: GroupDeviation, a: np.ndarray, fd: np.ndarray, abs_tol, rel_tol) -> None:
+    """Fold analytic gradients `a` and central differences `fd` into
+    `group`, entry by entry the bits of Python's `abs`, `max` and `>`: a NaN
+    deviation neither raises a maximum nor fails the group."""
+    dev, a, fd = np.abs(a - fd), np.abs(a), np.abs(fd)
+    scale = np.where(fd > a, fd, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(scale > 0, dev / scale, 0.0)
+    group.checked += dev.size
+    group.max_abs_dev = float(np.fmax.reduce(dev, axis=None, initial=group.max_abs_dev))
+    group.max_rel_dev = float(np.fmax.reduce(rel, axis=None, initial=group.max_rel_dev))
+    group.ok = group.ok and not (dev > np.fmax(abs_tol, rel_tol * scale)).any()
+
+
+def _shifted_losses(model: HybridModel, name: str, array: np.ndarray, feats, labels, h: float):
+    """One block (0, losses at +h, losses at -h) of reduction or ansatz
+    array `name`, shifted in place one scalar at a time and restored."""
+    flat, losses = array.flat, []
     for j in range(array.size):
         original = float(flat[j])
         try:
-            flat[j] = original + h
-            ups = _losses(model, feats, labels)
-            flat[j] = original - h
-            downs = _losses(model, feats, labels)
+            for shift in (h, -h):
+                flat[j] = original + shift
+                losses.append(_losses(model, feats, labels, name, j, h))
         finally:
             flat[j] = original
-        yield j, ups, downs
+    yield 0, np.array(losses[0::2]), np.array(losses[1::2])
 
 
-def _encoder_shifted_losses(
-    model: HybridModel, stacked: EncoderWeights, key: str, xs, labels, h: float
-):
-    """(j, losses at +h, losses at -h) for every scalar j of encoder array
-    `key`, in order, read from `stacked` copies of the encoder weights.
+def _encoder_shifted_losses(model: HybridModel, name: str, xs, labels, h: float):
+    """(first scalar, losses at +h, losses at -h) of every block of scalars
+    of encoder array `name`, in order, each (scalars, samples).
 
-    Each block shifts one scalar per pair of copies, +h in the first and -h
-    in the second, encodes every sample against all copies at once and
-    restores the copies; the live weights are never written.
+    Pairs of copies of the array, (K, 1, *shape) or (K, 1, 1, n) for a
+    layer vector added along the token axis, shift one scalar each, +h in
+    the first and -h in the second; every other array is the model's own.
     """
-    flat = encoder_named_parameters(model.encoder_weights)[key].reshape(-1)
-    rows = encoder_named_parameters(stacked)[key].reshape(len(stacked.head_b), -1)
-    pairs, n = len(rows) // 2, len(xs)
-    for start in range(0, flat.size, pairs):
-        stop = min(start + pairs, flat.size)
-        for i, j in enumerate(range(start, stop)):
-            original = float(flat[j])
-            rows[2 * i, j] = original + h
-            rows[2 * i + 1, j] = original - h
-        k = 2 * (stop - start)
-        feats = encode(xs, stacked, model.encoder_config)[:k]
-        rows[:, start:stop] = flat[start:stop]
-        losses = _losses(model, feats.reshape(-1, feats.shape[-1]), labels * k)
-        for i, j in enumerate(range(start, stop)):
-            yield j, losses[2 * i * n : (2 * i + 1) * n], losses[(2 * i + 1) * n : (2 * i + 2) * n]
+    key = name.removeprefix("encoder.")
+    live = encoder_named_parameters(model.encoder_weights)[key]
+    flat, n = live.reshape(-1), len(xs)
+    pairs = min(live.size, max(1, _BLOCK_ROWS // (2 * n)))
+    lead = (2 * pairs, 1, 1) if key.startswith("layer.") and live.ndim == 1 else (2 * pairs, 1)
+    copies = np.broadcast_to(live, lead + live.shape).copy()
+    rows = copies.reshape(2 * pairs, -1)
+    for start in range(0, live.size, pairs):
+        i = np.arange(min(pairs, live.size - start))
+        rows[2 * i, start + i] = flat[start + i] + h
+        rows[2 * i + 1, start + i] = flat[start + i] - h
+        weights = with_array(model.encoder_weights, key, copies[: 2 * len(i)])
+        feats = encode(xs, weights, model.encoder_config)
+        rows[:, start + i] = flat[start + i]
+        losses = _losses(model, feats.reshape(-1, feats.shape[-1]), labels, name, start, h)
+        losses = np.array(losses).reshape(-1, n)
+        yield start, losses[0::2], losses[1::2]
 
 
-def _losses(model: HybridModel, feats, labels) -> list[float]:
-    return [
-        bce_loss(p0, 1.0 - p0, label)
-        for p0, label in zip(features_p0(model, feats).tolist(), labels)
-    ]
+def _losses(model: HybridModel, feats, labels, name: str, first: int, h: float) -> list[float]:
+    """BCE losses of the feature rows `feats`: runs of one row per sample,
+    and at most two runs (+h, then -h) per scalar of `name` from scalar
+    `first` on. A row the circuit rejects as non-finite names its scalar."""
+    n = len(labels)
+    try:
+        p0 = features_p0(model, feats).tolist()
+    except ValueError as exc:
+        # features_p0 names the first non-finite row of `feats`
+        row = re.fullmatch(rf"row (\d+): {NON_FINITE_FEATURES}", str(exc))
+        if row is None:
+            raise
+        j = first + int(row[1]) // (2 * n)
+        raise ValueError(f"shifting {name} scalar {j} by h={h!r}: {NON_FINITE_FEATURES}") from None
+    return [bce_loss(p, 1.0 - p, y) for p, y in zip(p0, labels * (len(p0) // n))]
 
 
 def format_report(groups: dict[str, GroupDeviation]) -> str:

@@ -28,7 +28,6 @@ from qembed import gradcheck
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import GroupDeviation, draw_samples, gradient_check
 from qembed.model import (
-    _ENCODE_BLOCK_ROWS,
     HybridModel,
     make_bypass_model,
     make_encoder_model,
@@ -406,12 +405,17 @@ def per_sample_gradient_check(model, samples, h, abs_tol, rel_tol):
     return all(g.ok for g in groups.values()), groups
 
 
-@pytest.mark.parametrize("kind", ["encoder", "bypass"])
+@pytest.mark.parametrize("kind", ["encoder", "bypass", "encoder-20-samples"])
 def test_gradient_check_equals_per_sample_loop(kind):
     if kind == "encoder":
         cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=2, heads=2, ffn_hidden=5, out_dim=3)
         model = make_encoder_model(cfg, (4, 6, 2), seed=14)
         samples = draw_samples(model, 3, np.random.default_rng(15), image_shape=(4, 6, 2))
+    elif kind == "encoder-20-samples":
+        # 3 pairs of copies per block, so most arrays end in a partial block
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=3, out_dim=4)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=19)
+        samples = draw_samples(model, 20, np.random.default_rng(20), image_shape=(4, 4, 1))
     else:
         model = make_bypass_model(in_dim=4, n_qubits=3, ansatz_layers=2, seed=14, readout_qubit=2)
         samples = draw_samples(model, 3, np.random.default_rng(15))
@@ -433,7 +437,7 @@ def _encoder_case(case):
         return model, draw_samples(model, 1, np.random.default_rng(0), image_shape_from(config))
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=3, out_dim=5)
     model = make_encoder_model(cfg, (4, 4, 1), n_qubits=2, ansatz_layers=1, seed=16)
-    samples = draw_samples(model, 2, np.random.default_rng(17), image_shape=(4, 4, 1))
+    samples = draw_samples(model, 5, np.random.default_rng(17), image_shape=(4, 4, 1))
     if case == "mixed-shapes":
         # a 2x8 image makes as many 2x2 patches as a 4x4 one, but the
         # samples no longer stack into one (S, H, W, C) row array
@@ -443,8 +447,8 @@ def _encoder_case(case):
 
 @pytest.mark.parametrize("case", ["default", "block-edge-in-head", "mixed-shapes"])
 def test_gradient_check_stacked_copies_equal_per_sample_loop(case):
-    """Encoder losses read from blocks of stacked weight copies give the
-    reference loop's report, and the live parameters are never written.
+    """Encoder losses read from blocks of copies of one shifted array give
+    the reference loop's report, and the live parameters are never written.
     Samples of mixed image shapes do not stack, so they are rejected, naming
     both shapes, before any weight copy is made."""
     model, samples = _encoder_case(case)
@@ -456,9 +460,10 @@ def test_gradient_check_stacked_copies_equal_per_sample_loop(case):
         for name, a in named_parameters(model).items():
             assert a.tobytes() == before[name].tobytes(), name
         return
-    pairs = max(1, _ENCODE_BLOCK_ROWS // (2 * len(samples)))
+    pairs = max(1, gradcheck._BLOCK_ROWS // (2 * len(samples)))
     if case != "default":
-        assert params["encoder.head.w"].size % pairs != 0  # a partial last block
+        size = params["encoder.head.w"].size
+        assert size > pairs and size % pairs != 0  # a partial last block
     expected = per_sample_gradient_check(model, samples, 1e-5, 0.0, 1e-9)
     for name, a in params.items():
         if name.startswith("encoder."):
@@ -497,6 +502,34 @@ def test_gradient_check_rejects_bad_arguments_before_any_parameter_moves(kwargs,
     with pytest.raises(ValueError) as error:
         gradient_check(model, samples, **kwargs)
     assert str(error.value) == message
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name], name
+
+
+def test_gradient_check_names_the_scalar_whose_shift_makes_features_non_finite(monkeypatch):
+    """A block's feature rows run copy by copy, one row per sample, with the
+    +h and -h copies of each scalar in pairs: with 5 samples and 12 scalars
+    per block, row 17 of patch_projection's second block is copy 3, the -h
+    copy of scalar 12 + 1."""
+    model, samples = _encoder_case("block-edge-in-head")
+    before = {name: a.tobytes() for name, a in named_parameters(model).items()}
+    blocks = []
+    real = gradcheck.features_p0
+
+    def failing(model, feats):
+        if len(feats) > len(samples):
+            blocks.append(len(feats))
+            if len(blocks) == 2:
+                raise ValueError("row 17: features must be finite")
+        return real(model, feats)
+
+    monkeypatch.setattr(gradcheck, "features_p0", failing)
+    with pytest.raises(ValueError) as error:
+        gradient_check(model, samples, h=0.5)
+    assert str(error.value) == (
+        "shifting encoder.patch_projection scalar 13 by h=0.5: features must be finite"
+    )
+    assert blocks == [24 * 5, 8 * 5]
     for name, a in named_parameters(model).items():
         assert a.tobytes() == before[name], name
 

@@ -307,18 +307,24 @@ def test_rejects_malformed_file_at_its_line(tmp_path, kind, edit):
     assert str(info.value).startswith(where), str(info.value)
 
 
-@pytest.mark.parametrize("kind,key,value,held", [
-    ("bypass", "reduction.in_dim", 300000, 3),
-    ("bypass", "ansatz.layers", 300000, 1),
-    ("encoder", "encoder.dim", 400, 8),
-    ("encoder", "encoder.ffn_hidden", 100000, 16),
-    ("encoder", "encoder.patch", 300, 2),
-    ("encoder", "encoder.depth", 2000, 2),
-], ids=["in-dim", "ansatz-layers", "encoder-dim", "ffn-hidden", "patch", "depth"])
-def test_rejects_meta_size_beyond_its_params_before_allocating(tmp_path, kind, key, value, held):
+@pytest.mark.parametrize("kind,key,value,held,dropped", [
+    ("bypass", "reduction.in_dim", 300000, 3, None),
+    ("bypass", "ansatz.layers", 300000, 1, None),
+    ("encoder", "encoder.dim", 400, 8, None),
+    ("encoder", "encoder.ffn_hidden", 100000, 16, None),
+    ("encoder", "encoder.patch", 300, 2, None),
+    ("encoder", "encoder.depth", 2000, 2, None),
+    ("encoder", "encoder.ffn_hidden", 100000, 16, "encoder.layer.0.ffn.w1"),
+], ids=["in-dim", "ansatz-layers", "encoder-dim", "ffn-hidden", "patch", "depth",
+        "ffn-hidden-without-w1"])
+def test_rejects_meta_size_beyond_its_params_before_allocating(
+    tmp_path, kind, key, value, held, dropped
+):
     """One edited meta size, far beyond what the file's params hold, is
     named at its line, and loading peaks under 1 MiB (about 0.1 MiB for
-    the unedited file) instead of allocating the model at that size."""
+    the unedited file) instead of allocating the model at that size. The
+    size is read from every param that carries it, so it is caught also
+    when one of them (its param line and values line) is `dropped`."""
     if kind == "bypass":
         model = make_bypass_model(in_dim=3, n_qubits=2, seed=9)
     else:
@@ -329,6 +335,9 @@ def test_rejects_meta_size_beyond_its_params_before_allocating(tmp_path, kind, k
     save_checkpoint(path, model)
     lines = path.read_text().splitlines()
     index = _set_meta(key, value)(lines)
+    if dropped is not None:
+        i = _index(lines, f"param {dropped} ")
+        del lines[i : i + 2]
     path.write_text("\n".join(lines) + "\n")
     tracemalloc.start()
     try:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qembed.checkpoint import save_checkpoint
@@ -353,6 +354,19 @@ def test_gradcheck_rejects_non_positive_sizes(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert "gradient check passed" not in captured.out
+
+
+def test_gradcheck_names_h_when_a_shift_makes_features_non_finite(capsys):
+    """Every sample's features are finite; only a +-h shift overflows them,
+    so the error names the shifted scalar and h, not a sample."""
+    with np.errstate(over="ignore"):
+        code = main(["gradcheck", "--set", "reduction.in_dim=5", "--seed", "7",
+                     "--samples", "2", "--h", "1e308"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: shifting reduction.w scalar ")
+    assert captured.err.endswith(" by h=1e+308: features must be finite\n")
+    assert "row " not in captured.err and "gradient check passed" not in captured.out
 
 
 def test_dump_circuit_text(capsys):

@@ -4,8 +4,6 @@ Attention, the feed-forward sublayer and whole layers are read from the
 intermediates of `encode_with_cache`, the model's one forward, through the
 probe encoder of `tests/probe.py`.
 """
-import copy
-import dataclasses
 import itertools
 import math
 
@@ -24,7 +22,7 @@ from qembed.encoder import (
     init_encoder_weights,
     named_parameters,
     softmax_rows,
-    stack_weights,
+    with_array,
 )
 
 from probe import probe_cache
@@ -465,60 +463,55 @@ def test_row_axis_patches_and_tokens_follow_each_image():
 
 
 # ---------------------------------------------------------------------------
-# Stacked weights (a leading copy axis)
+# A copy axis on one weight array
 # ---------------------------------------------------------------------------
 
-def _distinct_copies(weights, k, rng):
-    """k C-contiguous copies stacked by stack_weights, each copy nudged by
-    its own noise, and the k copies as plain per-copy weights."""
-    stacked = stack_weights(weights, k)
-    for a in named_parameters(stacked).values():
-        a += rng.normal(scale=0.05, size=a.shape)
-    copies = [copy.deepcopy(weights) for _ in range(k)]
-    for i, w in enumerate(copies):
-        for name, a in named_parameters(w).items():
-            a[...] = named_parameters(stacked)[name][i].reshape(a.shape)
-    return stacked, copies
+def _copies_of(weights, name, k, rng):
+    """`weights` in which only array `name` carries k C-contiguous copies on a
+    leading copy axis, (k, 1, *shape) or (k, 1, 1, n) for a layer vector,
+    each copy nudged by its own noise; and the k copies as plain weights."""
+    live = named_parameters(weights)[name]
+    lead = (k, 1, 1) if name.startswith("layer.") and live.ndim == 1 else (k, 1)
+    copies = (live + rng.normal(scale=0.05, size=(k, *live.shape))).reshape(lead + live.shape)
+    plain = [with_array(weights, name, c.reshape(live.shape)) for c in copies]
+    return with_array(weights, name, copies), plain
 
 
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("use_class_token", [True, False], ids=["cls", "no-cls"])
 def test_stacked_weights_encode_matches_per_copy(heads, use_class_token):
-    """Images encoded against k stacked copies give, for every (copy, image),
-    the bits of encoding that image alone with that copy."""
-    for shape, layers, k in itertools.product([(4, 4, 1), (4, 6, 2)], range(3), (1, 2, 32)):
+    """For every weight array, weights in which only that array carries k
+    copies encode (S, H, W, C) images as (k, S, out_dim), every (copy,
+    image) the bits of encoding that image alone with that copy; one image
+    gives (k, 1, out_dim)."""
+    for layers, k in itertools.product(range(3), (1, 2, 64)):
         cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=layers, heads=heads,
                             ffn_hidden=5, out_dim=3, use_class_token=use_class_token)
         rng = np.random.default_rng(100 * layers + k)
-        weights = init_encoder_weights(cfg, shape, rng)
-        stacked, copies = _distinct_copies(weights, k, rng)
-        for a in named_parameters(stacked).values():
-            assert a.flags.c_contiguous and a.shape[:2] == (k, 1)
-        images = rng.normal(scale=2.0, size=(3, *shape))
-        expected = np.array([[encode_with_cache(im, w, cfg)[0] for im in images] for w in copies])
-        block = encode(images, stacked, cfg)
-        assert block.shape == (k, 3, 3)
-        assert np.array_equal(block, expected), (shape, layers, k)
-        single = encode(images[1], stacked, cfg)
-        assert single.shape == (k, 1, 3)
-        assert np.array_equal(single[:, 0], expected[:, 1]), (shape, layers, k)
+        weights = init_encoder_weights(cfg, (4, 6, 2), rng)
+        images = rng.normal(scale=2.0, size=(2, 4, 6, 2))
+        for name in named_parameters(weights):
+            stacked, plain = _copies_of(weights, name, k, rng)
+            expected = np.array([[encode_with_cache(im, w, cfg)[0] for im in images] for w in plain])
+            block = encode(images, stacked, cfg)
+            assert block.shape == (k, 2, 3)
+            assert np.array_equal(block, expected), (layers, k, name)
+            single = encode(images[1], stacked, cfg)
+            assert single.shape == (k, 1, 3)
+            assert np.array_equal(single[:, 0], expected[:, 1]), (layers, k, name)
 
 
 def test_stacked_weights_must_be_c_contiguous():
-    """The pin above catches a stack whose copy axis is not outermost: numpy's
+    """The pin above catches copies whose copy axis is not outermost: numpy's
     matmul runs such slices through a loop that sums in another order."""
     cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads=2, ffn_hidden=16, out_dim=16)
     rng = np.random.default_rng(7)
     weights = init_encoder_weights(cfg, (4, 4, 1), rng)
-    stacked, copies = _distinct_copies(weights, 32, rng)
+    stacked, plain = _copies_of(weights, "head.w", 32, rng)
     images = rng.normal(size=(2, 4, 4, 1))
-    expected = np.array([[encode(im, w, cfg) for im in images] for w in copies])
+    expected = np.array([[encode(im, w, cfg) for im in images] for w in plain])
     assert np.array_equal(encode(images, stacked, cfg), expected)
-    fortran = copy.deepcopy(stacked)
-    for lw in [fortran, *fortran.layers]:
-        for f in dataclasses.fields(lw):
-            if isinstance(getattr(lw, f.name), np.ndarray):
-                setattr(lw, f.name, np.asfortranarray(getattr(lw, f.name)))
+    fortran = with_array(weights, "head.w", np.asfortranarray(stacked.head_w))
     assert not fortran.head_w.flags.c_contiguous
     assert np.array_equal(fortran.head_w, stacked.head_w)
     assert not np.array_equal(encode(images, fortran, cfg), expected)
