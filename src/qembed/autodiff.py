@@ -5,12 +5,14 @@ gate angle individually: for any one U1 or RY angle the readout probability
 is a degree-1 trigonometric polynomial, so
 [p0(a + pi/2) - p0(a - pi/2)] / 2 is the exact derivative. A classical
 feature that enters several phase gates through a scale factor gets the
-chain-rule sum of per-gate shifts. `circuit_angle_gradients` runs each
-shift on one working copy of the gate list, swapping the shifted gate in
-and the original back, so a sample's P angles cost 2P `run_circuit` calls
-and 2P new gates. `backward` covers the head (reduction -> circuit ->
-readout) of one feature row, the reduction in analytic reverse mode, and
-keys its gradients by `parameter_dict`, the one list of parameter names
+chain-rule sum of per-gate shifts. `circuit_angle_gradients` takes the
+gate list the forward pass built and ran (`QuantumForwardResult.gates`)
+and runs each shift on one working copy of it, swapping the shifted gate
+in and the original back, so a sample's P angles cost 2P `run_circuit`
+calls and 2P shifted gates (`GateOp.shifted`), and no second build.
+`backward` covers the head (reduction -> circuit -> readout) of one
+feature row, the reduction in analytic reverse mode, and keys its
+gradients by `parameter_dict`, the one list of parameter names
 that `model.named_parameters` also uses; `training.row_gradients` runs the
 encoder's backward once per block of rows. A central finite-difference
 oracle backs every gradient in the test suite and in the `gradcheck` CLI
@@ -27,15 +29,14 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .circuits import AnsatzSpec, FeatureMapSpec, build_real_amplitudes, build_z_feature_map
+from .circuits import FeatureMapSpec
 from .encoder import named_parameters as encoder_named_parameters
-from .statevector import GateOp, marginal_zero_probability, new_zero_state, run_circuit
+from .statevector import marginal_zero_probability, new_zero_state, run_circuit
 
 if TYPE_CHECKING:
     from .model import ForwardCache, HybridModel
 
 PROB_EPS = 1e-12
-_HALF_PI = math.pi / 2.0
 
 
 @dataclass
@@ -155,18 +156,15 @@ def finite_diff_grad(f: Callable, theta, index: int, h: float = 1e-5) -> float:
 
 
 def circuit_angle_gradients(
-    features,
-    theta,
-    fm: FeatureMapSpec,
-    an: AnsatzSpec,
-    readout_qubit: int = 0,
+    gates, fm: FeatureMapSpec, readout_qubit: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dp0/dfeatures, dp0/dtheta) via per-gate parameter shifts.
+    """(dp0/dfeatures, dp0/dtheta) via per-gate parameter shifts, for the
+    validated gate list of a feature map `fm` followed by an ansatz, as
+    `quantum_forward` returns it.
 
     Each U1 and RY angle is shifted on its own; feature gradients chain the
     per-gate results with the feature-map scale, summing over repetitions.
     """
-    gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
     zero = new_zero_state(fm.n_qubits)
     # Python floats: the same sums, in gate order, that a float64 array holds
     d_features = [0.0] * fm.n_qubits
@@ -174,18 +172,16 @@ def circuit_angle_gradients(
     # One working copy of the gate list: each shift puts its gate back.
     shifted = list(gates)
     for pos, gate in enumerate(gates):
-        angle = gate.angle
-        if angle is None:
+        if gate.angle is None:
             continue
-        kind, target = gate.kind, gate.target
-        shifted[pos] = GateOp(kind, target, angle=angle + _HALF_PI)
+        shifted[pos] = gate.shifted(True)
         up = marginal_zero_probability(run_circuit(zero, shifted), readout_qubit)
-        shifted[pos] = GateOp(kind, target, angle=angle - _HALF_PI)
+        shifted[pos] = gate.shifted(False)
         down = marginal_zero_probability(run_circuit(zero, shifted), readout_qubit)
         shifted[pos] = gate
         shift = (up - down) / 2.0
-        if kind == "U1":
-            d_features[target] += fm.scale * shift
+        if gate.kind == "U1":
+            d_features[gate.target] += fm.scale * shift
         else:
             d_theta.append(shift)
     return np.array(d_features), np.array(d_theta)
@@ -202,7 +198,7 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
         raise RuntimeError("no cached forward pass; call model_forward first")
     g_p0 = bce_grad_p0(cache.p0, y_true)
     d_feat_angles, d_theta_angles = circuit_angle_gradients(
-        cache.y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
+        cache.result.gates, model.feature_map, model.readout_qubit
     )
     g_y = g_p0 * d_feat_angles
     return parameter_dict(np.outer(cache.feat, g_y), g_y, g_p0 * d_theta_angles, None)

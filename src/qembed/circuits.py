@@ -10,8 +10,9 @@ The ansatz stacks RY rotation layers separated by a linear CX chain
 rotations. Parameter count is n_qubits * (layers + 1).
 
 Two kernels run the circuit. `quantum_forward` builds and validates one
-gate list per sample and runs it through `run_circuit`; training uses it
-(its gradient shifts one gate of that list at a time). The builders read
+gate list per sample, runs it through `run_circuit` and returns it with
+the readout; training uses it, and its gradient shifts one gate of that
+same list at a time, so a sample-step builds one list. The builders read
 features and angles as Python floats (`tolist()`, checked with
 `math.isfinite`), and the feature map repeats one list of gates per
 repetition: the shared H gates and one U1 per qubit. `readout_rows`
@@ -85,8 +86,11 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class QuantumForwardResult:
+    """The readout of one circuit run, and the validated gate list it ran."""
+
     p0: float
     p1: float
+    gates: tuple[GateOp, ...]
 
 
 def build_z_feature_map(features, spec: FeatureMapSpec) -> list[GateOp]:
@@ -147,10 +151,10 @@ def quantum_forward(
 ) -> QuantumForwardResult:
     """Run feature map then ansatz from |0...0> and read one qubit's marginal."""
     _check_specs(fm, an)
-    gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
+    gates = tuple(build_z_feature_map(features, fm) + build_real_amplitudes(theta, an))
     final = run_circuit(new_zero_state(fm.n_qubits), gates)
     p0 = marginal_zero_probability(final, readout_qubit)
-    return QuantumForwardResult(p0=p0, p1=1.0 - p0)
+    return QuantumForwardResult(p0=p0, p1=1.0 - p0, gates=gates)
 
 
 def readout_rows(

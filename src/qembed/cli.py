@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -16,11 +17,9 @@ from .benchmark import run_benchmark
 from .checkpoint import load_checkpoint, save_checkpoint
 from .circuits import build_real_amplitudes, build_z_feature_map, serialize_gates
 from .config import (
-    apply_overrides,
-    default_config,
     image_shape_from,
+    load_config,
     model_from_config,
-    parse_config_file,
     specs_from,
     training_config_from,
 )
@@ -33,8 +32,18 @@ from .training import decide_label, evaluate, train
 
 
 def _load_config(args) -> dict:
-    config = parse_config_file(args.config) if args.config else default_config()
-    return apply_overrides(config, args.set or [])
+    return load_config(args.config, args.set or [])
+
+
+def _finite_float(text: str) -> float:
+    """A threshold's argparse type: nan would pass every comparison."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _cmd_synth(args) -> int:
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--min-f1", type=float, help="exit 1 when F1 falls below this")
+    p.add_argument("--min-f1", type=_finite_float, help="exit 1 when F1 falls below this")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict", help="per-record label and probabilities")

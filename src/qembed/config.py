@@ -3,7 +3,8 @@
 Blank lines and `#` comments are ignored; an unknown key, an unparsable
 value or a repeated key in a file is an error naming its `path:line`.
 Booleans are written `true`/`false`. CLI overrides arrive as `key=value`
-strings.
+strings. `load_config` also checks the values' ranges, through the
+objects they build, before any data file is read.
 """
 from __future__ import annotations
 
@@ -24,6 +25,14 @@ ENCODER_FIELDS = {
 }
 
 IMAGE_KEYS = ("encoder.image_h", "encoder.image_w", "encoder.channels")
+
+# config key -> field of the circuit specs that `specs_from` builds
+SPEC_FIELDS = {
+    "model.n_qubits": "n_qubits",
+    "fm.reps": "repetitions",
+    "fm.scale": "scale",
+    "ansatz.layers": "layers",
+}
 
 # config key -> TrainingConfig field, whose default is the key's default
 TRAINING_FIELDS = {
@@ -93,6 +102,12 @@ def _parse_value(key: str, text: str):
 
 def parse_config_file(path) -> dict:
     """Defaults overlaid with the file's assignments; a key may be set once."""
+    return _read_config_file(path)[0]
+
+
+def _read_config_file(path) -> tuple[dict, dict[str, int]]:
+    """`parse_config_file`'s config, and the line that set each key the
+    file sets."""
     config = default_config()
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -112,7 +127,7 @@ def parse_config_file(path) -> dict:
                     f"{path}:{lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
                 )
             first_line[key] = lineno
-    return config
+    return config, first_line
 
 
 def apply_overrides(config: dict, assignments) -> dict:
@@ -122,6 +137,34 @@ def apply_overrides(config: dict, assignments) -> dict:
             raise ValueError(f"override {assignment!r} must look like key=value")
         key, value = assignment.split("=", 1)
         config[key.strip()] = _parse_value(key.strip(), value)
+    return config
+
+
+def load_config(path, assignments) -> dict:
+    """The config file at `path` (None: the defaults) with the `key=value`
+    `assignments` on top, checked: the training config, the circuit specs
+    and, for an encoder model, the encoder config are built from it, so a
+    value they reject fails here, before any data file is read. The error
+    names the value's key, after the `path:line` that set it when the file
+    did."""
+    config, lines = _read_config_file(path) if path else (default_config(), {})
+    apply_overrides(config, assignments)
+    for assignment in assignments:
+        lines.pop(assignment.split("=", 1)[0].strip(), None)
+    checks = [(training_config_from, TRAINING_FIELDS), (specs_from, SPEC_FIELDS)]
+    if not config["model.bypass_encoder"]:
+        checks.append((encoder_config_from, ENCODER_FIELDS))
+    for build, fields in checks:
+        try:
+            build(config)
+        except ValueError as exc:
+            # every check's message starts with the field it rejects
+            field = str(exc).split(" ", 1)[0]
+            key = next((k for k, f in fields.items() if f == field), None)
+            if key is None:
+                raise
+            where = f"{path}:{lines[key]}: " if key in lines else ""
+            raise ValueError(f"{where}{exc} (config key {key})") from None
     return config
 
 

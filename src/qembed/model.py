@@ -80,10 +80,11 @@ class HybridModel:
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs from one feature row's forward pass."""
+    """Everything backward() needs from one feature row's forward pass: the
+    row, and the circuit's readout with the gate list it ran, which
+    backward's parameter shifts reuse."""
 
     feat: np.ndarray
-    y_vec: np.ndarray
     result: QuantumForwardResult
 
     @property
@@ -103,7 +104,7 @@ def model_forward(model: HybridModel, feat) -> ForwardCache:
     result = quantum_forward(
         y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
     )
-    return ForwardCache(feat=feat, y_vec=y_vec, result=result)
+    return ForwardCache(feat=feat, result=result)
 
 
 # Rows per encoder block in readout_p0. A block's intermediates grow with its

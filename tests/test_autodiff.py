@@ -153,12 +153,12 @@ def test_feature_gradient_closed_form():
     """dp0/dy for p0 = cos(y)**2 via chained per-gate shifts."""
     fm = FeatureMapSpec(n_qubits=1)
     an = AnsatzSpec(n_qubits=1, layers=0)
-    d_feat, _ = circuit_angle_gradients([math.pi / 4], [0.0], fm, an)
+    d_feat, _ = circuit_angle_gradients(quantum_forward([math.pi / 4], [0.0], fm, an).gates, fm)
     assert math.isclose(d_feat[0], -1.0, abs_tol=1e-12)
-    d_feat, _ = circuit_angle_gradients([0.0], [0.0], fm, an)
+    d_feat, _ = circuit_angle_gradients(quantum_forward([0.0], [0.0], fm, an).gates, fm)
     assert math.isclose(d_feat[0], 0.0, abs_tol=1e-12)
     for y in np.linspace(-2.0, 2.0, 21):
-        d_feat, _ = circuit_angle_gradients([y], [0.0], fm, an)
+        d_feat, _ = circuit_angle_gradients(quantum_forward([y], [0.0], fm, an).gates, fm)
         assert math.isclose(d_feat[0], -math.sin(2 * y), abs_tol=1e-12)
 
 
@@ -173,7 +173,8 @@ def test_circuit_gradients_match_finite_differences():
         an = AnsatzSpec(n_qubits=n, layers=layers)
         feats = rng.uniform(-2, 2, size=n)
         theta = rng.uniform(-math.pi, math.pi, size=an.parameter_count())
-        d_feat, d_theta = circuit_angle_gradients(feats, theta, fm, an)
+        gates = quantum_forward(feats, theta, fm, an).gates
+        d_feat, d_theta = circuit_angle_gradients(gates, fm)
         for q in range(n):
             fd = finite_diff_grad(lambda v: quantum_forward(v, theta, fm, an).p0, feats, q)
             assert abs(d_feat[q] - fd) < 1e-6
@@ -235,7 +236,8 @@ def test_circuit_kernels_equal_a_gate_by_gate_reference():
                     d_feat[gate.target] += scale * ((p0[0] - p0[1]) / 2.0)
                 else:
                     d_theta.append((p0[0] - p0[1]) / 2.0)
-            got_feat, got_theta = circuit_angle_gradients(feats, theta, fm, an, readout)
+            got_feat, got_theta = circuit_angle_gradients(
+                quantum_forward(feats, theta, fm, an, readout).gates, fm, readout)
             assert np.array_equal(got_feat, d_feat)
             assert np.array_equal(got_theta, np.array(d_theta))
 
@@ -265,7 +267,7 @@ def test_loss_gradient_shift_vs_finite_difference():
     for label in (0, 1):
         y = float(rng.uniform(0.3, 1.2))
         theta = rng.uniform(-1.0, 1.0, size=2)
-        _, d_theta = circuit_angle_gradients([y], theta, fm, an)
+        _, d_theta = circuit_angle_gradients(quantum_forward([y], theta, fm, an).gates, fm)
         p0 = quantum_forward([y], theta, fm, an).p0
         chained = bce_grad_p0(p0, label) * d_theta
 

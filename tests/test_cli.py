@@ -230,6 +230,56 @@ def test_eval_min_f1_failure_exit_code(tmp_path, capsys):
                  "--min-f1", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "high"])
+def test_eval_rejects_a_min_f1_that_is_not_finite_before_reading_the_checkpoint(
+    tmp_path, capsys, threshold
+):
+    """F1 < nan is False, so a nan threshold would pass any model."""
+    code = main(["eval", "--data", str(tmp_path / "none.csv"),
+                 "--checkpoint", str(tmp_path / "none.ckpt"), f"--min-f1={threshold}"])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert f"argument --min-f1: expected a finite number, got '{threshold}'" in err
+    assert "none.ckpt" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "none.csv"],
+    ["benchmark", "--data", "none.csv"],
+    ["gradcheck"],
+    ["dump-circuit", "--features", "0.5"],
+])
+@pytest.mark.parametrize("line, key, message", [
+    ("train.batch = 0", "train.batch", "batch_size must be >= 1, got 0"),
+    ("model.n_qubits = 0", "model.n_qubits", "n_qubits must be in [1, 20], got 0"),
+    ("fm.reps = 0", "fm.reps", "repetitions must be >= 1, got 0"),
+    ("ansatz.layers = -1", "ansatz.layers", "layers must be >= 0, got -1"),
+])
+def test_config_values_out_of_range_fail_at_load_time(tmp_path, capsys, monkeypatch,
+                                                      command, line, key, message):
+    """Every command that takes a config rejects a value out of range before
+    it reads any data file, naming the key and the file line that set it;
+    a --set value is named by its key alone."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, f"# run\nmodel.bypass_encoder = true\n{line}\n")
+    assert main([*command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:3: {message} (config key {key})\n"
+    assert captured.out == ""
+    assert main([*command, "--config", cfg, "--set", line.replace(" ", "")]) == 1
+    assert capsys.readouterr().err == f"error: {message} (config key {key})\n"
+
+
+def test_encoder_config_values_fail_at_load_time(capsys):
+    code = main(["gradcheck", "--set", "model.bypass_encoder=false", "--set", "encoder.heads=3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: embed_dim 8 must be divisible by heads 3 (config key encoder.dim)\n"
+    )
+    # a bypass model builds no encoder, so its encoder keys are not checked
+    assert main(["dump-circuit", "--features", "0.5", "--set", "encoder.heads=3"]) == 0
+
+
 def test_train_refuses_encoder_mode(tmp_path, capsys):
     data = tmp_path / "data.csv"
     main(["synth", "--n", "20", "--d", "4", "--out", str(data)])

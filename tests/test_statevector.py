@@ -79,6 +79,12 @@ def test_amplitudes_are_read_only():
     sv = new_zero_state(1)
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0
+    # states the kernels make skip the constructor, and stay frozen too
+    for made in (run_circuit(sv, [h(0)]), run_circuit(new_zero_state(2), [h(1)])):
+        with pytest.raises(ValueError):
+            made.amplitudes[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.n_qubits = 3
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +148,87 @@ def test_gates_are_immutable_values():
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(g, "kind")
     assert gate.angle == 0.25 and h(0) == GateOp("H", 0)
+
+
+def float_bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def test_gate_rotation_is_the_trig_of_its_angle_bit_for_bit():
+    """U1(a) carries complex(cos a, sin a) and RY(a) (cos a/2, sin a/2), bit
+    for bit, also when made by dataclasses.replace or as a parameter
+    shift; H and CX carry none."""
+    rng = np.random.default_rng(11)
+    angles = [0.0, -0.0, math.pi, -math.pi / 2, 1e-300, 1e300] + rng.normal(0, 4, 40).tolist()
+    for a in angles:
+        for gate in (u1(2, a), dataclasses.replace(h(2), kind="U1", angle=a),
+                     dataclasses.replace(ry(2, 0.5), kind="U1", angle=a)):
+            assert float_bits(gate.rotation.real, gate.rotation.imag) == float_bits(
+                math.cos(a), math.sin(a))
+        for gate in (ry(1, a), dataclasses.replace(ry(1, 0.5), angle=a),
+                     dataclasses.replace(u1(1, a), kind="RY")):
+            assert float_bits(*gate.rotation) == float_bits(math.cos(a / 2.0), math.sin(a / 2.0))
+        for gate in (u1(0, a), ry(0, a)):
+            for up, sign in ((True, 1.0), (False, -1.0)):
+                shifted = gate.shifted(up)
+                made = GateOp(gate.kind, 0, angle=a + sign * (math.pi / 2.0))
+                assert shifted == made and repr(shifted) == repr(made)
+                assert float_bits(*np.ravel(shifted.rotation).view(float)) == float_bits(
+                    *np.ravel(made.rotation).view(float))
+    assert h(0).rotation is None and cx(0, 1).rotation is None
+    assert dataclasses.replace(u1(0, 0.3), kind="H", angle=None).rotation is None
+
+
+def run_with_trig_per_application(state, gates):
+    """run_circuit's arithmetic with every rotation's cos and sin computed
+    where its gate is applied: Python complex scalars on one qubit, the
+    (high bits, 2, low bits) view of the amplitudes on more, and CX as a
+    permutation of basis states."""
+    n = state.n_qubits
+    if n == 1:
+        a0, a1 = state.amplitudes.tolist()
+        for g in gates:
+            if g.kind == "H":
+                a0, a1 = SQRT2_INV * a0 + SQRT2_INV * a1, SQRT2_INV * a0 - SQRT2_INV * a1
+            elif g.kind == "U1":
+                a1 = a1 * complex(math.cos(g.angle), math.sin(g.angle))
+            else:
+                c, s = math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)
+                a0, a1 = c * a0 - s * a1, s * a0 + c * a1
+        return np.array([a0, a1])
+    amps = state.amplitudes
+    for g in gates:
+        a = amps.reshape(-1, 2, 1 << g.target)
+        if g.kind == "CX":
+            index = np.arange(len(amps))
+            amps = amps[np.where(index >> g.control & 1, index ^ (1 << g.target), index)]
+        elif g.kind == "U1":
+            amps = amps.copy()
+            amps.reshape(a.shape)[:, 1] *= complex(math.cos(g.angle), math.sin(g.angle))
+        else:
+            m = mat_h() if g.kind == "H" else mat_ry(g.angle)
+            amps = (m[:, :1] * a[:, :1] + m[:, 1:] * a[:, 1:]).reshape(amps.shape)
+    return amps
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_run_circuit_equals_a_kernel_that_computes_trig_per_application(n):
+    """60 random circuits of 1-30 gates on random states, under ==."""
+    rng = np.random.default_rng(60 + n)
+    kinds = ["H", "U1", "RY"] + (["CX"] if n > 1 else [])
+    for _ in range(60):
+        state = random_state(rng, n)
+        gates = []
+        for _ in range(int(rng.integers(1, 31))):
+            kind, q = rng.choice(kinds), int(rng.integers(0, n))
+            if kind == "CX":
+                gates.append(cx(q, int((q + rng.integers(1, n)) % n)))
+            elif kind == "H":
+                gates.append(h(q))
+            else:
+                gates.append(GateOp(str(kind), q, angle=float(rng.normal(0.0, 3.0))))
+        expected = run_with_trig_per_application(state, gates)
+        assert np.array_equal(run_circuit(state, gates).amplitudes, expected)
 
 
 def test_gate_index_out_of_range():

@@ -912,6 +912,41 @@ def test_train_runs_2p_plus_1_circuits_per_sample_step(kind, gates_per_circuit, 
     assert events == step * (2 * len(data))
 
 
+@pytest.mark.parametrize("kind", ["bypass-1q", "encoder-1q", "bypass-3q-2-layers"])
+def test_row_gradients_builds_one_circuit_per_row(kind, monkeypatch):
+    """Each row's forward builds the feature map and the ansatz once, and its
+    parameter shifts run on that gate list: no row builds either twice.
+    Both builders are wrapped at every qembed module that holds them."""
+    import qembed.circuits as circuits_module
+
+    events = []
+    for name in ("build_z_feature_map", "build_real_amplitudes"):
+        original = getattr(circuits_module, name)
+
+        def logged(*args, _fn=original, _name=name, **kwargs):
+            events.append(_name)
+            return _fn(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key != "qembed" and not key.startswith("qembed."):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, logged)
+    if kind == "encoder-1q":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=43)
+        data = encoder_rows(5, seed=43)
+    else:
+        n, layers = (3, 2) if kind == "bypass-3q-2-layers" else (1, 1)
+        model = make_bypass_model(in_dim=4, n_qubits=n, ansatz_layers=layers, seed=43)
+        data = two_blob_dataset(n=5, seed=43)
+    rows = model_module.as_rows(model, [rec.features for rec in data])
+    losses, _ = row_gradients(model, rows, [rec.label for rec in data])
+    assert len(losses) == 5
+    assert events == ["build_z_feature_map", "build_real_amplitudes"] * 5
+
+
 def test_train_rejects_encoder_inputs_that_are_not_images():
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=4)
     model = make_encoder_model(cfg, (4, 4, 4), seed=32)
