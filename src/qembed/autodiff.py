@@ -74,9 +74,6 @@ def init_reduction(in_dim: int, n_out: int, seed_or_rng) -> ReductionLayer:
     values must stay well inside one period; the plain limit would scatter
     them across several.
     """
-    for name, value in (("in_dim", in_dim), ("n_out", n_out)):
-        if value < 1:
-            raise ValueError(f"reduction {name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed_or_rng)
     limit = 0.1 * math.sqrt(6.0 / (in_dim + n_out))
     return ReductionLayer(w=rng.uniform(-limit, limit, size=(in_dim, n_out)), b=np.zeros(n_out))
@@ -108,15 +105,13 @@ def _clamp(p: float) -> float:
     return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
 
 
-def bce_loss(p0: float, p1: float, y_true: int) -> float:
-    """Binary cross-entropy on measurement probabilities, clamped before logs."""
+def bce_loss(p0: float, y_true: int) -> float:
+    """Binary cross-entropy on the readout P(0), P(1) = 1 - p0, clamped before logs."""
     if y_true not in (0, 1):
         raise ValueError(f"y_true must be 0 or 1, got {y_true!r}")
-    if not (-1e-9 <= p0 <= 1.0 + 1e-9 and -1e-9 <= p1 <= 1.0 + 1e-9):
-        raise ValueError(f"probabilities out of range: p0={p0}, p1={p1}")
-    if abs(p0 + p1 - 1.0) > 1e-9:
-        raise ValueError(f"p0 + p1 must be 1, got {p0 + p1}")
-    return -(y_true * math.log(_clamp(p0)) + (1 - y_true) * math.log(_clamp(p1)))
+    if not -1e-9 <= p0 <= 1.0 + 1e-9:
+        raise ValueError(f"probability out of range: p0={p0}")
+    return -(y_true * math.log(_clamp(p0)) + (1 - y_true) * math.log(_clamp(1.0 - p0)))
 
 
 def bce_grad_p0(p0: float, y_true: int) -> float:

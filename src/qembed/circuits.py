@@ -89,7 +89,6 @@ class QuantumForwardResult:
     """The readout of one circuit run, and the validated gate list it ran."""
 
     p0: float
-    p1: float
     gates: tuple[GateOp, ...]
 
 
@@ -154,7 +153,7 @@ def quantum_forward(
     gates = tuple(build_z_feature_map(features, fm) + build_real_amplitudes(theta, an))
     final = run_circuit(new_zero_state(fm.n_qubits), gates)
     p0 = marginal_zero_probability(final, readout_qubit)
-    return QuantumForwardResult(p0=p0, p1=1.0 - p0, gates=gates)
+    return QuantumForwardResult(p0=p0, gates=gates)
 
 
 def readout_rows(

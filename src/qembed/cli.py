@@ -132,10 +132,21 @@ def _parse_seeds(args) -> list[int]:
     return list(range(args.n_seeds))
 
 
+def _comparison_row(text: str) -> tuple[str, float, float]:
+    """One --row value, 'Label,sd,median' with a finite SD and median."""
+    try:
+        label, sd, median = text.split(",")
+        return label, _finite_float(sd), _finite_float(median)
+    except (ValueError, argparse.ArgumentTypeError):
+        pass
+    raise ValueError(f"--row expects 'Label,sd,median' with a finite sd and median, got {text!r}")
+
+
 def _cmd_benchmark(args) -> int:
     config = _load_config(args)
     if not config["model.bypass_encoder"]:
         raise ValueError("benchmark runs on embedding CSVs or synthetic vectors only")
+    rows = [_comparison_row(text) for text in args.row or []]
     seeds = _parse_seeds(args)
     if args.data:
         fixed = load_embeddings(args.data)
@@ -155,15 +166,9 @@ def _cmd_benchmark(args) -> int:
         method=args.method,
         history_dir=args.history_dir,
     )
-    rows = [(summary.method, summary.sd_f1, summary.median_f1)]
-    for extra in args.row or []:
-        parts = extra.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--row expects 'Label,sd,median', got {extra!r}")
-        rows.append((parts[0], float(parts[1]), float(parts[2])))
     print(json.dumps(summary.to_dict(), indent=2))
     print()
-    print(format_comparison_table(rows))
+    print(format_comparison_table([(summary.method, summary.sd_f1, summary.median_f1), *rows]))
     return 0
 
 

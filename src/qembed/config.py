@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .circuits import AnsatzSpec, FeatureMapSpec
 from .encoder import EncoderConfig
-from .model import HybridModel, make_bypass_model, make_encoder_model
+from .model import HybridModel, check_head, make_bypass_model, make_encoder_model
 from .training import TrainingConfig
 
 # config key -> EncoderConfig field; checkpoint `meta` lines use the same keys
@@ -33,6 +33,9 @@ SPEC_FIELDS = {
     "fm.scale": "scale",
     "ansatz.layers": "layers",
 }
+
+# config key -> argument of `model.check_head`, the model builder's range check
+HEAD_FIELDS = {"model.readout_qubit": "readout_qubit", "reduction.in_dim": "in_dim"}
 
 # config key -> TrainingConfig field, whose default is the key's default
 TRAINING_FIELDS = {
@@ -143,10 +146,10 @@ def apply_overrides(config: dict, assignments) -> dict:
 def load_config(path, assignments) -> dict:
     """The config file at `path` (None: the defaults) with the `key=value`
     `assignments` on top, checked: the training config, the circuit specs
-    and, for an encoder model, the encoder config are built from it, so a
-    value they reject fails here, before any data file is read. The error
-    names the value's key, after the `path:line` that set it when the file
-    did."""
+    and, for an encoder model, the encoder config are built from it, and
+    the model builder's range check runs (`model.check_head`), so a value
+    they reject fails here, before any data file is read. The error names
+    the value's key, after the `path:line` that set it when the file did."""
     config, lines = _read_config_file(path) if path else (default_config(), {})
     apply_overrides(config, assignments)
     for assignment in assignments:
@@ -154,6 +157,7 @@ def load_config(path, assignments) -> dict:
     checks = [(training_config_from, TRAINING_FIELDS), (specs_from, SPEC_FIELDS)]
     if not config["model.bypass_encoder"]:
         checks.append((encoder_config_from, ENCODER_FIELDS))
+    checks.append((_check_head, HEAD_FIELDS))
     for build, fields in checks:
         try:
             build(config)
@@ -166,6 +170,12 @@ def load_config(path, assignments) -> dict:
             where = f"{path}:{lines[key]}: " if key in lines else ""
             raise ValueError(f"{where}{exc} (config key {key})") from None
     return config
+
+
+def _check_head(config: dict) -> None:
+    # an encoder model's reduction takes encoder.out_dim values, not in_dim
+    in_dim = config["reduction.in_dim" if config["model.bypass_encoder"] else "encoder.out_dim"]
+    check_head(config["model.n_qubits"], config["model.readout_qubit"], in_dim)
 
 
 def training_config_from(config: dict) -> TrainingConfig:

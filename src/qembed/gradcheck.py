@@ -30,7 +30,7 @@ from .circuits import NON_FINITE_FEATURES
 from .encoder import encode, encode_with_cache, with_array
 from .encoder import named_parameters as encoder_named_parameters
 from .model import HybridModel, as_rows, features_p0, model_forward, named_parameters
-from .training import _row_step
+from .training import row_gradients
 
 DEFAULT_H = 1e-5
 DEFAULT_ABS_TOL = 1e-6
@@ -115,7 +115,7 @@ def gradient_check(
     xs = as_rows(model, [x for x, _ in samples])
     if not samples:
         return True, groups
-    _, grads, feats = _row_step(model, xs, labels, True)
+    _, grads, feats = row_gradients(model, xs, labels)
     for name, array in params.items():
         if name.startswith("encoder."):
             shifted = _encoder_shifted_losses(model, name, xs, labels, h)
@@ -198,7 +198,7 @@ def _losses(model: HybridModel, feats, labels, name: str, first: int, h: float) 
             raise
         j = first + int(row[1]) // (2 * n)
         raise ValueError(f"shifting {name} scalar {j} by h={h!r}: {NON_FINITE_FEATURES}") from None
-    return [bce_loss(p, 1.0 - p, y) for p, y in zip(p0, labels * (len(p0) // n))]
+    return [bce_loss(p, y) for p, y in zip(p0, labels * (len(p0) // n))]
 
 
 def format_report(groups: dict[str, GroupDeviation]) -> str:

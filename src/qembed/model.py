@@ -70,12 +70,19 @@ class HybridModel:
                     f"encoder out_dim {self.encoder_config.out_dim} does not match "
                     f"reduction in_dim {self.reduction.in_dim}"
                 )
-        if not 0 <= self.readout_qubit < self.feature_map.n_qubits:
-            raise ValueError(f"readout qubit {self.readout_qubit} out of range")
+        check_head(self.feature_map.n_qubits, self.readout_qubit, self.reduction.in_dim)
 
     @property
     def bypass(self) -> bool:
         return self.encoder_config is None
+
+
+def check_head(n_qubits: int, readout_qubit: int, in_dim: int) -> None:
+    """The head's ranges, checked by `HybridModel`, its builder and `config.load_config`."""
+    if in_dim < 1:
+        raise ValueError(f"in_dim must be at least 1, got {in_dim}")
+    if not 0 <= readout_qubit < n_qubits:
+        raise ValueError(f"readout_qubit must be in [0, {n_qubits}), got {readout_qubit}")
 
 
 @dataclass
@@ -90,10 +97,6 @@ class ForwardCache:
     @property
     def p0(self) -> float:
         return self.result.p0
-
-    @property
-    def p1(self) -> float:
-        return self.result.p1
 
 
 def model_forward(model: HybridModel, feat) -> ForwardCache:
@@ -219,10 +222,6 @@ def named_parameters(model: HybridModel) -> dict[str, np.ndarray]:
     )
 
 
-def snapshot_parameters(model: HybridModel) -> dict[str, np.ndarray]:
-    return {name: array.copy() for name, array in named_parameters(model).items()}
-
-
 def set_parameters(model: HybridModel, values: dict[str, np.ndarray]) -> None:
     """Copy values into the model's live arrays (shapes must match)."""
     params = named_parameters(model)
@@ -250,6 +249,7 @@ def _init_model(
     """
     fm = FeatureMapSpec(n_qubits=n_qubits, repetitions=fm_repetitions, scale=fm_scale)
     an = AnsatzSpec(n_qubits=n_qubits, layers=ansatz_layers)
+    check_head(n_qubits, readout_qubit, in_dim)
     reduction = init_reduction(in_dim, n_qubits, rng)
     reduction.b[:] = _neutral_bias(fm)
     theta = rng.normal(0.0, 0.1, size=an.parameter_count())

@@ -9,12 +9,12 @@ on a leading row axis); every row is then reduced, pushed through the
 circuit, measured and differentiated on its own (`model_forward`,
 `backward`), and one block `encode_backward` takes the rows of their
 feature gradients back through the encoder (none runs when the encoder is
-frozen). Each row is the bits of its sample's own gradient.
+frozen). Each row is the bits of its own sample's BCE gradient on P(0).
 
 The update stage works on one flat float64 vector of the trainable
 parameters, in `named_parameters` order. Per mini-batch the row gradients
-become one (rows, P) matrix, whose rows are added in batch order from a
-zero start and scaled by 1/rows (batch_size=1 recovers the strict
+become one (rows, P) matrix, whose rows numpy's `sum(axis=0)` adds in
+batch order, scaled by 1/rows (batch_size=1 recovers the strict
 per-sample loop); the gradient norm sums each parameter array's squares
 on its own, in order; SGD, momentum and Adam step the whole vector and
 keep their state as vectors; and the vector's segments are copied into
@@ -22,8 +22,8 @@ the model's own arrays, which keep their identity. Every bit is that of
 one optimizer step per array.
 
 Early stopping watches the validation loss with a patience/min_delta
-plateau rule, and the returned model carries the parameters of the best
-validation epoch.
+plateau rule; the vector's copy at the best validation epoch goes back
+into the model's trainable arrays at the end.
 
 Runs are deterministic: one seeded generator drives the validation split,
 the per-epoch shuffles, and nothing else.
@@ -45,8 +45,6 @@ from .model import (
     model_forward,
     named_parameters,
     readout_p0,
-    set_parameters,
-    snapshot_parameters,
 )
 
 OPTIMIZERS = ("sgd", "sgd-momentum", "adam")
@@ -214,34 +212,27 @@ def decide_label(p0: float) -> int:
 
 def _mean_loss_and_f1(model: HybridModel, rows, labels) -> tuple[float, float]:
     p0s = readout_p0(model, rows).tolist()
-    losses = [bce_loss(p0, 1.0 - p0, label) for p0, label in zip(p0s, labels)]
-    preds = [decide_label(p0) for p0 in p0s]
-    return float(np.mean(losses)), compute_metrics(preds, labels).f1
+    losses = [bce_loss(p0, label) for p0, label in zip(p0s, labels)]
+    return float(np.mean(losses)), compute_metrics(list(map(decide_label, p0s)), labels).f1
 
 
 def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = True):
-    """(losses, grads) of one or more rows of a row array (`model.as_rows`):
-    each row's BCE loss, and every parameter's gradients with a leading row
-    axis, row s the bits of row s's gradient alone.
+    """(losses, grads, feats) of the rows of a row array (`model.as_rows`):
+    each row's BCE loss, every parameter's gradients with a leading row
+    axis (row s the bits of row s's gradient alone), and their features.
 
     An encoder model encodes the block once (`encode_with_cache`); each row
     then runs one `model_forward` and one `backward` on its features, and
     when `encoder` is set one block `encode_backward` gives the encoder
     gradients (without it, `grads` holds no encoder keys).
     """
-    return _row_step(model, rows, labels, encoder)[:2]
-
-
-def _row_step(model: HybridModel, rows: np.ndarray, labels, encoder: bool):
-    """`row_gradients`' (losses, grads), then the rows' (rows, in_dim)
-    features that the step's forward gave."""
     feats = rows
     if not model.bypass:
         feats, cache = encode_with_cache(rows, model.encoder_weights, model.encoder_config)
     losses, steps = [], []
     for feat, label in zip(feats, labels):
         forward = model_forward(model, feat)
-        losses.append(bce_loss(forward.p0, forward.p1, label))
+        losses.append(bce_loss(forward.p0, label))
         steps.append(backward(model, forward, label))
     g_encoder = None
     if encoder and not model.bypass:
@@ -267,11 +258,11 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
     train_idx, val_idx = stratified_split(labels, config.validation_fraction, rng)
     val_rows, val_labels = xs[val_idx], [labels[i] for i in val_idx]
 
-    params = named_parameters(model)
-    trainable = [
-        name for name in params if not (config.freeze_encoder and name.startswith("encoder."))
+    arrays = [
+        array
+        for name, array in named_parameters(model).items()
+        if not (config.freeze_encoder and name.startswith("encoder."))
     ]
-    arrays = [params[name] for name in trainable]
     # the trainable parameters as one vector: array k is segment k, in
     # named_parameters order
     ends = np.cumsum([a.size for a in arrays]).tolist()
@@ -279,9 +270,13 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
     vector = np.concatenate([a.ravel() for a in arrays])
     optimizer = _make_optimizer(config)
 
+    def load(values: np.ndarray) -> None:
+        for array, (a, b) in zip(arrays, segments):
+            array[...] = values[a:b].reshape(array.shape)
+
     history = TrainingHistory()
     best_val = math.inf
-    best_snapshot = snapshot_parameters(model)
+    best = vector.copy()
     plateau_ref = math.inf
     epochs_without_improvement = 0
 
@@ -291,26 +286,21 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
         batch_norms: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [train_idx[i] for i in order[start : start + config.batch_size]]
-            losses, grads = row_gradients(
+            losses, grads, _ = row_gradients(
                 model, xs[batch], [labels[i] for i in batch], encoder=not config.freeze_encoder
             )
             epoch_losses.extend(losses)
-            matrix = np.concatenate(
-                [grads[name].reshape(len(batch), -1) for name in trainable], axis=1
-            )
-            # the rows added in batch order from a zero start, as a
-            # per-sample loop adds them
-            grad = np.zeros_like(vector)
-            for row in matrix:
-                grad += row
+            # grads holds the trainable arrays' rows, in order; numpy adds
+            # the rows of the (rows, P) matrix in batch order
+            matrix = np.concatenate([g.reshape(len(batch), -1) for g in grads.values()], axis=1)
+            grad = matrix.sum(axis=0)
             grad *= 1.0 / len(batch)
             # one sum of squares per array, as np.sum adds each array's
             # squares in an order that depends on its size
             sq = grad * grad
             batch_norms.append(math.sqrt(sum(float(sq[a:b].sum()) for a, b in segments)))
             optimizer.step(vector, grad)
-            for array, (a, b) in zip(arrays, segments):
-                array[...] = vector[a:b].reshape(array.shape)
+            load(vector)
 
         val_loss, val_f1 = _mean_loss_and_f1(model, val_rows, val_labels)
         history.records.append(
@@ -324,7 +314,7 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = snapshot_parameters(model)
+            best = vector.copy()
             history.best_epoch = epoch
         if val_loss < plateau_ref - config.min_delta:
             plateau_ref = val_loss
@@ -334,7 +324,7 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
             if epochs_without_improvement >= config.patience:
                 break
 
-    set_parameters(model, best_snapshot)
+    load(best)
     history.wall_time_s = time.perf_counter() - started
     return model, history
 

@@ -27,7 +27,7 @@ def image_forward(model, x):
 
 def image_loss(model, x, label):
     cache = image_forward(model, x)[1]
-    return bce_loss(cache.p0, cache.p1, label)
+    return bce_loss(cache.p0, label)
 
 
 def image_step(model, x, label, encoder=True):
@@ -41,4 +41,4 @@ def image_step(model, x, label, encoder=True):
                                     model.encoder_config)
         for name, g in encoder_named_parameters(g_encoder).items():
             grads[f"encoder.{name}"] = g
-    return bce_loss(cache.p0, cache.p1, label), grads
+    return bce_loss(cache.p0, label), grads

@@ -93,25 +93,23 @@ def test_reduce_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_bce_balanced_probability():
-    assert math.isclose(bce_loss(0.5, 0.5, 1), LN2, abs_tol=1e-12)
+    assert math.isclose(bce_loss(0.5, 1), LN2, abs_tol=1e-12)
 
 
 def test_bce_perfect_confidence():
-    assert math.isclose(bce_loss(1.0, 0.0, 1), 0.0, abs_tol=1e-9)
+    assert math.isclose(bce_loss(1.0, 1), 0.0, abs_tol=1e-9)
 
 
 def test_bce_clamped_wrong_confidence():
     # -log(1e-12) = 12 ln 10
-    assert math.isclose(bce_loss(1.0, 0.0, 0), 12 * math.log(10), rel_tol=1e-12)
+    assert math.isclose(bce_loss(1.0, 0), 12 * math.log(10), rel_tol=1e-12)
 
 
 def test_bce_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        bce_loss(0.5, 0.5, 2)
+        bce_loss(0.5, 2)
     with pytest.raises(ValueError):
-        bce_loss(0.7, 0.7, 1)
-    with pytest.raises(ValueError):
-        bce_loss(1.5, -0.5, 1)
+        bce_loss(1.5, 1)
 
 
 def test_bce_grad_is_reciprocal_for_positive_label():
@@ -122,7 +120,7 @@ def test_bce_grad_is_reciprocal_for_positive_label():
 def test_bce_grad_matches_finite_difference():
     for p0 in (0.2, 0.5, 0.8):
         for label in (0, 1):
-            fd = finite_diff_grad(lambda t: bce_loss(t[0], 1 - t[0], label), [p0], 0)
+            fd = finite_diff_grad(lambda t: bce_loss(t[0], label), [p0], 0)
             assert math.isclose(bce_grad_p0(p0, label), fd, abs_tol=1e-6)
 
 
@@ -273,7 +271,7 @@ def test_loss_gradient_shift_vs_finite_difference():
 
         def loss_of(vec):
             res = quantum_forward([y], vec, fm, an)
-            return bce_loss(res.p0, res.p1, label)
+            return bce_loss(res.p0, label)
 
         for j in range(2):
             fd = finite_diff_grad(loss_of, theta, j)
@@ -303,7 +301,7 @@ def test_backward_bias_matches_finite_difference():
         layer = ReductionLayer(w=model.reduction.w, b=np.array(b))
         y = reduce(x, layer)
         res = quantum_forward(y, model.theta, model.feature_map, model.ansatz)
-        return bce_loss(res.p0, res.p1, 1)
+        return bce_loss(res.p0, 1)
 
     fd = finite_diff_grad(loss_of_b, model.reduction.b, 0)
     assert abs(grads["reduction.b"][0] - fd) < 1e-6
@@ -344,7 +342,7 @@ def test_loss_decreases_along_negative_gradient():
         cache = model_forward(model, x)
         if not 0.01 < cache.p0 < 0.99:
             continue
-        loss0 = bce_loss(cache.p0, cache.p1, label)
+        loss0 = bce_loss(cache.p0, label)
         grads = backward(model, cache, label)
         gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if gnorm < 1e-10:
@@ -352,7 +350,7 @@ def test_loss_decreases_along_negative_gradient():
         params = named_parameters(model)
         set_parameters(model, {k: params[k] - 1e-4 * grads[k] for k in params})
         after = model_forward(model, x)
-        loss1 = bce_loss(after.p0, after.p1, label)
+        loss1 = bce_loss(after.p0, label)
         assert loss1 < loss0
         checked += 1
 

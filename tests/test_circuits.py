@@ -193,17 +193,6 @@ def test_forward_periodicity_in_pi():
         assert abs(p_here - p_shift) < 1e-12
 
 
-def test_probabilities_sum_to_one_exactly():
-    rng = np.random.default_rng(9)
-    fm = FeatureMapSpec(n_qubits=2)
-    an = AnsatzSpec(n_qubits=2, layers=2)
-    for _ in range(50):
-        res = quantum_forward(
-            rng.uniform(-3, 3, size=2), rng.uniform(-math.pi, math.pi, size=6), fm, an
-        )
-        assert res.p0 + res.p1 == 1.0
-
-
 def test_identity_circuit_any_width():
     for n in (1, 2, 3):
         fm = FeatureMapSpec(n_qubits=n)

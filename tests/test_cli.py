@@ -254,6 +254,10 @@ def test_eval_rejects_a_min_f1_that_is_not_finite_before_reading_the_checkpoint(
     ("model.n_qubits = 0", "model.n_qubits", "n_qubits must be in [1, 20], got 0"),
     ("fm.reps = 0", "fm.reps", "repetitions must be >= 1, got 0"),
     ("ansatz.layers = -1", "ansatz.layers", "layers must be >= 0, got -1"),
+    ("model.readout_qubit = 5", "model.readout_qubit", "readout_qubit must be in [0, 1), got 5"),
+    ("model.readout_qubit = -1", "model.readout_qubit",
+     "readout_qubit must be in [0, 1), got -1"),
+    ("reduction.in_dim = 0", "reduction.in_dim", "in_dim must be at least 1, got 0"),
 ])
 def test_config_values_out_of_range_fail_at_load_time(tmp_path, capsys, monkeypatch,
                                                       command, line, key, message):
@@ -278,6 +282,9 @@ def test_encoder_config_values_fail_at_load_time(capsys):
     )
     # a bypass model builds no encoder, so its encoder keys are not checked
     assert main(["dump-circuit", "--features", "0.5", "--set", "encoder.heads=3"]) == 0
+    # nor does an encoder model's reduction read reduction.in_dim
+    assert main(["dump-circuit", "--features", "0.5", "--set", "model.bypass_encoder=false",
+                 "--set", "reduction.in_dim=0"]) == 0
 
 
 def test_train_refuses_encoder_mode(tmp_path, capsys):
@@ -370,6 +377,21 @@ def test_benchmark_rejects_repeated_seed(capsys):
                  "--set", "train.epochs=1"])
     assert code == 1
     assert "error: seed 1 is listed more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "Paper,nan,0.9", "Paper,0.05,inf", "Paper,-inf,0.9", "Paper,0.05", "Paper,x,0.9",
+])
+def test_benchmark_rejects_a_row_without_a_finite_sd_and_median(row, capsys):
+    """A bad --row is named before any seed trains, and no table prints."""
+    code = main(["benchmark", "--seeds", "0", "--synth-n", "20", "--synth-d", "3",
+                 "--set", "train.epochs=1", "--row", "Baseline,0.04,0.7", "--row", row])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --row expects 'Label,sd,median' with a finite sd and median, got {row!r}\n"
+    )
+    assert captured.out == ""
 
 
 def test_gradcheck_bypass_passes(capsys):

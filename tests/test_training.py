@@ -21,7 +21,6 @@ from qembed.model import (
     named_parameters,
     readout_p0,
     set_parameters,
-    snapshot_parameters,
 )
 from qembed.autodiff import backward, bce_loss
 from qembed.encoder import EncoderConfig
@@ -43,6 +42,11 @@ from qembed.training import (
 from per_image import image_forward, image_step
 
 LN2 = math.log(2.0)
+
+
+def snapshot_parameters(model):
+    """A copy of every parameter array, keyed as `named_parameters` keys it."""
+    return {name: array.copy() for name, array in named_parameters(model).items()}
 
 
 def records(features, labels):
@@ -231,8 +235,7 @@ def test_returned_model_has_min_validation_loss():
     assert history.records[history.best_epoch].val_loss == best
     # returned parameters reproduce that loss on the validation (= full) set
     losses = [
-        bce_loss(model_forward(model, rec.features).p0,
-                 model_forward(model, rec.features).p1, rec.label)
+        bce_loss(model_forward(model, rec.features).p0, rec.label)
         for rec in data
     ]
     assert math.isclose(float(np.mean(losses)), best, rel_tol=1e-12)
@@ -374,6 +377,27 @@ def encoder_rows(n, shape=(4, 4, 1), seed=0):
     return records(rng.normal(size=(n, *shape)), np.arange(n) % 2)
 
 
+@pytest.mark.parametrize("freeze", [False, True], ids=["train-encoder", "frozen"])
+def test_returned_encoder_model_is_the_best_epochs(freeze):
+    """A run whose best validation epoch comes before its last returns the
+    arrays, bit for bit, of a fresh run stopped after that epoch."""
+    def run(max_epochs):
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+        config = TrainingConfig(learning_rate=0.3, max_epochs=max_epochs, batch_size=5,
+                                optimizer="adam", seed=46, validation_fraction=0.25,
+                                patience=10, freeze_encoder=freeze)
+        return train(encoder_rows(24, seed=46), make_encoder_model(cfg, (4, 4, 1), seed=46),
+                     config)
+
+    model, history = run(6)
+    assert 0 < history.best_epoch < len(history.records) - 1 == 5
+    short, short_history = run(history.best_epoch + 1)
+    assert short_history.records == history.records[: history.best_epoch + 1]
+    expected = named_parameters(short)
+    for name, array in named_parameters(model).items():
+        assert array.tobytes() == expected[name].tobytes(), name
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_readout_p0_blocks_match_per_row_forward(heads):
     """Row counts on both sides of the encoder block edge, bit for bit."""
@@ -511,7 +535,7 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
     p0 = readout_p0(model, [rec.features for rec in data])
     assert np.array_equal(p0, [r[1] for r in rows])
     indices = list(range(1, len(data), 2)) + [0]
-    losses = [bce_loss(rows[i][1], rows[i][2], labels[i]) for i in indices]
+    losses = [bce_loss(rows[i][1], labels[i]) for i in indices]
     f1 = compute_metrics([rows[i][0] for i in indices], [labels[i] for i in indices]).f1
     rows, row_labels = [data[i].features for i in indices], [labels[i] for i in indices]
     assert _mean_loss_and_f1(model, rows, row_labels) == (float(np.mean(losses)), f1)
@@ -727,7 +751,7 @@ def test_row_gradients_equal_per_image_oracle(kind, rows, monkeypatch):
     for encoder in (True, False):
         expected = [image_step(model, row, label, encoder) for row, label in zip(x, labels)]
         before = len(backward_calls)
-        losses, grads = row_gradients(model, x, labels, encoder)
+        losses, grads, _ = row_gradients(model, x, labels, encoder)
         assert len(backward_calls) - before == (encoder and not model.bypass)
         assert losses == [loss for loss, _ in expected]
         assert list(grads) == list(expected[0][1])
@@ -942,7 +966,7 @@ def test_row_gradients_builds_one_circuit_per_row(kind, monkeypatch):
         model = make_bypass_model(in_dim=4, n_qubits=n, ansatz_layers=layers, seed=43)
         data = two_blob_dataset(n=5, seed=43)
     rows = model_module.as_rows(model, [rec.features for rec in data])
-    losses, _ = row_gradients(model, rows, [rec.label for rec in data])
+    losses, _, _ = row_gradients(model, rows, [rec.label for rec in data])
     assert len(losses) == 5
     assert events == ["build_z_feature_map", "build_real_amplitudes"] * 5
 
