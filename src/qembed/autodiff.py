@@ -92,8 +92,13 @@ def reduce(x, layer: ReductionLayer) -> np.ndarray:
 def reduce_rows(x: np.ndarray, layer: ReductionLayer) -> np.ndarray:
     """`reduce` of every row of x, (rows, in_dim), bit for bit: a stack of
     (1, in_dim) @ w products sums each row as x @ w does, while one
-    (rows, in_dim) @ w product sums in another order."""
-    return np.matmul(x[:, None, :], layer.w)[:, 0, :] + layer.b
+    (rows, in_dim) @ w product sums in another order.
+
+    `w` (K, in_dim, n_out) or `b` (K, n_out) with a leading copy axis, as
+    the gradient audit's shifted copies give them, reduce x once per copy:
+    (K, rows, n_out), copy k the bits of reducing against copy k alone.
+    """
+    return np.matmul(x[:, None, :], layer.w[..., None, :, :])[..., 0, :] + layer.b[..., None, :]
 
 
 def reduce_input_gradient(g_y: np.ndarray, layer: ReductionLayer) -> np.ndarray:

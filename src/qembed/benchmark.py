@@ -22,13 +22,15 @@ def run_benchmark(
     """One training run per seed; the seed drives data generation (when the
     dataset factory uses it), model init, and shuffling. The recorded F1 is
     the validation F1 at each run's best-validation-loss epoch. A failing
-    run aborts the sweep naming its seed, and a seed listed twice is
-    rejected. With history_dir set, each run's history lands in
-    history_seed{seed}.csv."""
+    run aborts the sweep naming its seed, and a negative seed or one listed
+    twice is rejected before any run. With history_dir set, each run's
+    history lands in history_seed{seed}.csv."""
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
     for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         if seed in seeds[:i]:
             raise ValueError(f"seed {seed} is listed more than once")
     if history_dir is not None:

@@ -46,6 +46,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed flag's argparse type: numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _cmd_synth(args) -> int:
     records = generate_synthetic(args.n, args.d, args.sep, args.seed)
     write_embeddings(args.out, records)
@@ -127,9 +138,12 @@ def _cmd_predict(args) -> int:
 
 
 def _parse_seeds(args) -> list[int]:
-    if args.seeds:
+    if not args.seeds:
+        return list(range(args.n_seeds))
+    try:
         return [int(s) for s in args.seeds.split(",") if s.strip()]
-    return list(range(args.n_seeds))
+    except ValueError:
+        raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
 
 
 def _comparison_row(text: str) -> tuple[str, float, float]:
@@ -223,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--d", type=int, required=True, help="feature dimension")
     p.add_argument("--sep", type=float, default=6.0, help="cluster mean separation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train on an embedding CSV")
     p.add_argument("--data", required=True, help="embedding CSV")
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, help="override train.seed")
+    p.add_argument("--seed", type=_seed, help="override train.seed")
     p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.add_argument("--history", default="history.csv", help="history CSV path")
     p.set_defaults(func=_cmd_train)
@@ -267,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all gradients")
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--h", type=float, default=DEFAULT_H)
     p.add_argument("--abs-tol", type=float, default=DEFAULT_ABS_TOL)

@@ -119,6 +119,8 @@ def generate_synthetic(n: int, d: int, separation: float, seed: int) -> list[Emb
         raise ValueError(f"d must be >= 1, got {d}")
     if not (math.isfinite(separation) and separation >= 0):
         raise ValueError(f"separation must be finite and >= 0, got {separation}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(d)
     while np.linalg.norm(direction) == 0.0:

@@ -3,33 +3,38 @@
 Perturbs each scalar parameter by +-h, re-evaluates the loss of every
 sample, and compares each sample's central difference against its
 analytic/parameter-shift gradient: row s of training's row step
-(`training.row_gradients`) over all samples. An encoder array is shifted
-in C-contiguous copies of it alone, on the encoder's copy axis, never in
-the model: each block encodes every sample against the +h and -h copies
-of as many scalars as fit in `_BLOCK_ROWS` (copy x sample) rows, the ops
-upstream of the array once for the samples, and the reduction and circuit
-score its feature rows in one `model.features_p0` pass. Reduction and
-ansatz scalars are shifted in place, one at a time, and restored; their
-losses read the features of the row step's own encoder forward. Each
-block's deviations are folded into its group as arrays. The sample inputs
-must stack into one row array (`model.as_rows`), checked once before any
-parameter moves. `draw_samples` redraws a candidate input whose ReLU
-pre-activations or readout probability sit too close to a kink or clamp,
-where central differences are unreliable.
+(`training.row_gradients`) over all samples. Every array follows one
+rule: it is shifted in C-contiguous copies of it alone on a leading copy
+axis, never in the model, each block holding the +h and -h copies of as
+many of its scalars as fit in `_BLOCK_ROWS` (copy x sample) rows, and
+each block's rows are scored in one loss pass whose first non-finite row
+names its scalar. An encoder block encodes every sample against its
+copies, the ops upstream of the array once for the samples, and the
+reduction and circuit score the feature rows in one `model.features_p0`
+pass. A reduction block reduces the row step's features against each copy
+(`autodiff.reduce_rows` on its copy axis) and scores all its rows in one
+`model.reduced_p0` pass; an ansatz block runs one such pass of the row
+step's reductions per copy. Each block's deviations are folded into its
+group as arrays. The sample inputs must stack into one row array
+(`model.as_rows`), checked once before any copy is made. `draw_samples`
+redraws a candidate input whose ReLU pre-activations or readout
+probability sit too close to a kink or clamp, where central differences
+are unreliable.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import bce_loss
+from .autodiff import bce_loss, reduce_rows
 from .circuits import NON_FINITE_FEATURES
 from .encoder import encode, encode_with_cache, with_array
-from .encoder import named_parameters as encoder_named_parameters
 from .model import HybridModel, as_rows, features_p0, model_forward, named_parameters
+from .model import reduced_p0
 from .training import row_gradients
 
 DEFAULT_H = 1e-5
@@ -38,7 +43,7 @@ DEFAULT_REL_TOL = 1e-4
 RELU_MARGIN = 1e-3
 PROB_MARGIN = 1e-4
 
-# (copy x sample) rows per encoder block of the audit: the +h and -h copies
+# (copy x sample) rows per block of the audit: the +h and -h copies
 # of as many scalars of one array as fit, and at least one pair
 _BLOCK_ROWS = 128
 
@@ -99,9 +104,8 @@ def gradient_check(
     Passes when |analytic - fd| <= max(abs_tol, rel_tol * max(|analytic|, |fd|))
     holds for every scalar entry on every sample, an iterable of (input,
     label) pairs. `h` must be finite and > 0, the tolerances finite and
-    >= 0. The model's parameters are left as they were, also when a loss
-    evaluation raises; a shift that makes features non-finite is reported
-    with its parameter, scalar and `h`.
+    >= 0. The model's parameters are never written; a shift that makes
+    features non-finite is reported with its parameter, scalar and `h`.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and > 0, got {h}")
@@ -117,12 +121,8 @@ def gradient_check(
         return True, groups
     _, grads, feats = row_gradients(model, xs, labels)
     for name, array in params.items():
-        if name.startswith("encoder."):
-            shifted = _encoder_shifted_losses(model, name, xs, labels, h)
-        else:
-            shifted = _shifted_losses(model, name, array, feats, labels, h)
         analytic = grads[name].reshape(len(xs), -1).T
-        for start, ups, downs in shifted:
+        for start, ups, downs in _shifted_losses(model, name, array, xs, feats, labels, h):
             a = analytic[start : start + len(ups)]
             _record(groups[name], a, (ups - downs) / (2.0 * h), abs_tol, rel_tol)
     return all(g.ok for g in groups.values()), groups
@@ -142,63 +142,62 @@ def _record(group: GroupDeviation, a: np.ndarray, fd: np.ndarray, abs_tol, rel_t
     group.ok = group.ok and not (dev > np.fmax(abs_tol, rel_tol * scale)).any()
 
 
-def _shifted_losses(model: HybridModel, name: str, array: np.ndarray, feats, labels, h: float):
-    """One block (0, losses at +h, losses at -h) of reduction or ansatz
-    array `name`, shifted in place one scalar at a time and restored."""
-    flat, losses = array.flat, []
-    for j in range(array.size):
-        original = float(flat[j])
-        try:
-            for shift in (h, -h):
-                flat[j] = original + shift
-                losses.append(_losses(model, feats, labels, name, j, h))
-        finally:
-            flat[j] = original
-    yield 0, np.array(losses[0::2]), np.array(losses[1::2])
-
-
-def _encoder_shifted_losses(model: HybridModel, name: str, xs, labels, h: float):
+def _shifted_losses(model: HybridModel, name: str, live: np.ndarray, xs, feats, labels, h: float):
     """(first scalar, losses at +h, losses at -h) of every block of scalars
-    of encoder array `name`, in order, each (scalars, samples).
+    of array `name`, `live` in the model, in order, each (scalars, samples).
 
-    Pairs of copies of the array, (K, 1, *shape) or (K, 1, 1, n) for a
-    layer vector added along the token axis, shift one scalar each, +h in
-    the first and -h in the second; every other array is the model's own.
+    Pairs of copies of the array on a leading copy axis shift one scalar
+    each, +h in the first and -h in the second: (K, *shape) for a head
+    array, and for an encoder array (K, 1, *shape), or (K, 1, 1, n) for a
+    layer vector added along the token axis. Every other array is the
+    model's own. A row whose circuit angles are not finite names its scalar.
     """
-    key = name.removeprefix("encoder.")
-    live = encoder_named_parameters(model.encoder_weights)[key]
-    flat, n = live.reshape(-1), len(xs)
+    flat, n = live.reshape(-1), len(labels)
     pairs = min(live.size, max(1, _BLOCK_ROWS // (2 * n)))
-    lead = (2 * pairs, 1, 1) if key.startswith("layer.") and live.ndim == 1 else (2 * pairs, 1)
+    lead = (2 * pairs,)
+    if name.startswith("encoder."):
+        lead += (1, 1) if name.startswith("encoder.layer.") and live.ndim == 1 else (1,)
     copies = np.broadcast_to(live, lead + live.shape).copy()
     rows = copies.reshape(2 * pairs, -1)
     for start in range(0, live.size, pairs):
         i = np.arange(min(pairs, live.size - start))
         rows[2 * i, start + i] = flat[start + i] + h
         rows[2 * i + 1, start + i] = flat[start + i] - h
-        weights = with_array(model.encoder_weights, key, copies[: 2 * len(i)])
-        feats = encode(xs, weights, model.encoder_config)
+        try:
+            p0 = _copies_p0(model, name, copies[: 2 * len(i)], xs, feats).tolist()
+        except ValueError as exc:
+            # the p0 pass names the first non-finite (copy, sample) row
+            row = re.fullmatch(rf"row (\d+): {NON_FINITE_FEATURES}", str(exc))
+            if row is None:
+                raise
+            j = start + int(row[1]) // (2 * n)
+            message = f"shifting {name} scalar {j} by h={h!r}: {NON_FINITE_FEATURES}"
+            raise ValueError(message) from None
         rows[:, start + i] = flat[start + i]
-        losses = _losses(model, feats.reshape(-1, feats.shape[-1]), labels, name, start, h)
-        losses = np.array(losses).reshape(-1, n)
+        losses = np.array([bce_loss(p, y) for p, y in zip(p0, labels * (len(p0) // n))])
+        losses = losses.reshape(-1, n)
         yield start, losses[0::2], losses[1::2]
 
 
-def _losses(model: HybridModel, feats, labels, name: str, first: int, h: float) -> list[float]:
-    """BCE losses of the feature rows `feats`: runs of one row per sample,
-    and at most two runs (+h, then -h) per scalar of `name` from scalar
-    `first` on. A row the circuit rejects as non-finite names its scalar."""
-    n = len(labels)
-    try:
-        p0 = features_p0(model, feats).tolist()
-    except ValueError as exc:
-        # features_p0 names the first non-finite row of `feats`
-        row = re.fullmatch(rf"row (\d+): {NON_FINITE_FEATURES}", str(exc))
-        if row is None:
-            raise
-        j = first + int(row[1]) // (2 * n)
-        raise ValueError(f"shifting {name} scalar {j} by h={h!r}: {NON_FINITE_FEATURES}") from None
-    return [bce_loss(p, y) for p, y in zip(p0, labels * (len(p0) // n))]
+def _copies_p0(model: HybridModel, name: str, copies: np.ndarray, xs, feats) -> np.ndarray:
+    """P(0) of every sample against every copy of array `name`, copy by
+    copy: an encoder copy encodes the samples `xs`, a reduction copy
+    reduces their features `feats`, and the ansatz angles' copies each run
+    one readout of the features' reductions."""
+    if name == "ansatz.theta":
+        # the row step ran these reductions' angles, so none is non-finite
+        y = reduce_rows(feats, model.reduction)
+        return np.concatenate([reduced_p0(model, y, theta) for theta in copies])
+    if name.startswith("reduction."):
+        shifted = {name.removeprefix("reduction."): copies}
+        layer = SimpleNamespace(**{**vars(model.reduction), **shifted})
+        # a shift that overflows a reduction is named by the readout
+        with np.errstate(over="ignore"):
+            y = reduce_rows(feats, layer)
+        return reduced_p0(model, y.reshape(-1, y.shape[-1]), model.theta)
+    weights = with_array(model.encoder_weights, name.removeprefix("encoder."), copies)
+    encoded = encode(xs, weights, model.encoder_config)
+    return features_p0(model, encoded.reshape(-1, encoded.shape[-1]))
 
 
 def format_report(groups: dict[str, GroupDeviation]) -> str:

@@ -8,8 +8,9 @@ and a single-qubit readout. `model_forward` keeps the head intermediates
 (reduction, circuit, readout) of one feature row, for an encoder model the
 encoder's output; training's row step (`training.row_gradients`) runs the
 encoder. Inference reads P(0) of many rows through `readout_p0`, which
-runs the encoder, the reduction and the circuit over a row axis, once per
-block of rows, each row model_forward's p0 of its features bit for bit.
+runs the encoder and the circuit over a row axis, once per block of rows,
+and the reduction once over all rows, each row model_forward's p0 of its
+features bit for bit.
 Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
@@ -152,26 +153,35 @@ def encode_rows(model: HybridModel, inputs) -> np.ndarray:
 
 def features_p0(model: HybridModel, feats) -> np.ndarray:
     """P(0) of every row of the (rows, in_dim) features `feats`, in order:
-    the reduction and the circuit run once per block of rows. A block
-    rejected for a circuit angle that is not finite is searched for its
-    first such row, and the error names it by its index in `feats`."""
+    `reduced_p0` of their reductions. An error for a circuit angle that is
+    not finite names the first such row by its index in `feats`."""
     x = as_rows(model, feats, features=True)
+    return reduced_p0(model, reduce_rows(x, model.reduction), model.theta)
+
+
+def reduced_p0(model: HybridModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """P(0) of every row of the (rows, n_qubits) reduction outputs `y`, in
+    order, the ansatz at angles `theta`: the circuit runs once per block of
+    rows. A block rejected for a circuit angle that is not finite is
+    searched for its first such row, and the error names it by its index
+    in `y`."""
     step = max(1, _BLOCK_AMPLITUDES >> model.feature_map.n_qubits)
-    if len(x) <= step:
-        return _readout_block(model, x, 0)
+    if len(y) <= step:
+        return _readout_block(model, y, theta, 0)
     return np.concatenate(
-        [_readout_block(model, x[i : i + step], i) for i in range(0, len(x), step)]
+        [_readout_block(model, y[i : i + step], theta, i) for i in range(0, len(y), step)]
     )
 
 
-def _readout_block(model: HybridModel, x: np.ndarray, first: int) -> np.ndarray:
-    """`readout_rows` of the feature rows `x`, rows `first` onward of a
-    pass."""
-    y = reduce_rows(x, model.reduction)
+def _readout_block(model: HybridModel, y: np.ndarray, theta: np.ndarray, first: int) -> np.ndarray:
+    """`readout_rows` of the reduction outputs `y`, rows `first` onward of
+    a pass."""
     try:
-        return readout_rows(y, model.theta, model.feature_map, model.ansatz, model.readout_qubit)
+        return readout_rows(y, theta, model.feature_map, model.ansatz, model.readout_qubit)
     except ValueError as exc:
-        finite = np.isfinite(model.feature_map.scale * y).all(axis=1)
+        # the rows this search looks for are those whose angles overflow
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(model.feature_map.scale * y).all(axis=1)
         if str(exc) != NON_FINITE_FEATURES or finite.all():
             raise
         raise ValueError(f"row {first + int(np.argmin(finite))}: {exc}") from None

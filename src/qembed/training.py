@@ -77,6 +77,8 @@ class TrainingConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.adam_eps < math.inf:
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if not 0.0 <= self.min_delta < math.inf:

@@ -1,6 +1,7 @@
 """Hybrid gradients: parameter shift, BCE, reduction, full backward vs
 finite differences."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ def test_reduce_rows_matches_reduce_per_row(rows, in_dim, n_out):
     # rows read from a strided view, as a column slice of a wider table
     wide = np.concatenate([np.ones((rows, 1)), x], axis=1)
     assert np.array_equal(reduce_rows(wide[:, 1:], layer), expected)
+
+
+@pytest.mark.parametrize("rows, in_dim, n_out", [
+    (1, 16, 1), (3, 16, 1), (5, 25, 2), (4, 7, 3), (2, 768, 4), (40, 33, 7),
+])
+def test_reduce_rows_copy_axis_matches_each_copy(rows, in_dim, n_out):
+    """Copies of w, or of b, on a leading axis reduce x against each copy:
+    copy k's rows are reduce_rows' bits against a layer holding copy k,
+    whatever the copy's offset in the stack."""
+    rng = np.random.default_rng(rows * in_dim + n_out)
+    w, b = rng.normal(size=(in_dim, n_out)), rng.normal(size=n_out)
+    x = rng.normal(scale=3.0, size=(rows, in_dim))
+    w_copies = w + rng.normal(scale=1e-3, size=(5, in_dim, n_out))
+    b_copies = b + rng.normal(scale=1e-3, size=(5, n_out))
+    got_w = reduce_rows(x, SimpleNamespace(w=w_copies, b=b))
+    got_b = reduce_rows(x, SimpleNamespace(w=w, b=b_copies))
+    assert got_w.shape == got_b.shape == (5, rows, n_out)
+    for k in range(5):
+        assert np.array_equal(got_w[k], reduce_rows(x, ReductionLayer(w=w_copies[k].copy(), b=b)))
+        assert np.array_equal(got_b[k], reduce_rows(x, ReductionLayer(w=w, b=b_copies[k].copy())))
 
 
 def test_reduce_shape_mismatch():
@@ -405,7 +426,7 @@ def per_sample_gradient_check(model, samples, h, abs_tol, rel_tol):
     return all(g.ok for g in groups.values()), groups
 
 
-@pytest.mark.parametrize("kind", ["encoder", "bypass", "encoder-20-samples"])
+@pytest.mark.parametrize("kind", ["encoder", "bypass", "encoder-20-samples", "bypass-wide"])
 def test_gradient_check_equals_per_sample_loop(kind):
     if kind == "encoder":
         cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=2, heads=2, ffn_hidden=5, out_dim=3)
@@ -416,6 +437,13 @@ def test_gradient_check_equals_per_sample_loop(kind):
         cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=3, out_dim=4)
         model = make_encoder_model(cfg, (4, 4, 1), seed=19)
         samples = draw_samples(model, 20, np.random.default_rng(20), image_shape=(4, 4, 1))
+    elif kind == "bypass-wide":
+        # 50 reduction weights at 12 pairs of copies per block: 4 full
+        # blocks and a last one of 2 pairs
+        model = make_bypass_model(in_dim=25, n_qubits=2, seed=24)
+        samples = draw_samples(model, 5, np.random.default_rng(25))
+        pairs = gradcheck._BLOCK_ROWS // (2 * len(samples))
+        assert (model.reduction.w.size, pairs) == (50, 12)
     else:
         model = make_bypass_model(in_dim=4, n_qubits=3, ansatz_layers=2, seed=14, readout_qubit=2)
         samples = draw_samples(model, 3, np.random.default_rng(15))
@@ -429,7 +457,10 @@ def test_gradient_check_equals_per_sample_loop(kind):
         assert np.array_equal(a, before[name])
 
 
-def _encoder_case(case):
+def _audit_case(case):
+    if case == "bypass":
+        model = make_bypass_model(in_dim=7, n_qubits=3, ansatz_layers=2, seed=23, readout_qubit=1)
+        return model, draw_samples(model, 4, np.random.default_rng(23))
     if case == "default":
         config = default_config()
         config["model.bypass_encoder"] = False
@@ -445,13 +476,14 @@ def _encoder_case(case):
     return model, samples
 
 
-@pytest.mark.parametrize("case", ["default", "block-edge-in-head", "mixed-shapes"])
+@pytest.mark.parametrize("case", ["default", "block-edge-in-head", "mixed-shapes", "bypass"])
 def test_gradient_check_stacked_copies_equal_per_sample_loop(case):
-    """Encoder losses read from blocks of copies of one shifted array give
-    the reference loop's report, and the live parameters are never written.
-    Samples of mixed image shapes do not stack, so they are rejected, naming
-    both shapes, before any weight copy is made."""
-    model, samples = _encoder_case(case)
+    """Losses read from blocks of copies of one shifted array give the
+    reference loop's report, and no parameter array is ever written: every
+    one is read-only while the audit runs. Samples of mixed image shapes do
+    not stack, so they are rejected, naming both shapes, before any copy is
+    made."""
+    model, samples = _audit_case(case)
     params = named_parameters(model)
     before = {name: a.copy() for name, a in params.items()}
     if case == "mixed-shapes":
@@ -461,13 +493,12 @@ def test_gradient_check_stacked_copies_equal_per_sample_loop(case):
             assert a.tobytes() == before[name].tobytes(), name
         return
     pairs = max(1, gradcheck._BLOCK_ROWS // (2 * len(samples)))
-    if case != "default":
+    if case == "block-edge-in-head":
         size = params["encoder.head.w"].size
         assert size > pairs and size % pairs != 0  # a partial last block
     expected = per_sample_gradient_check(model, samples, 1e-5, 0.0, 1e-9)
-    for name, a in params.items():
-        if name.startswith("encoder."):
-            a.flags.writeable = False
+    for a in params.values():
+        a.flags.writeable = False
     try:
         assert gradient_check(model, samples, 1e-5, 0.0, 1e-9) == expected
     finally:
@@ -511,7 +542,7 @@ def test_gradient_check_names_the_scalar_whose_shift_makes_features_non_finite(m
     +h and -h copies of each scalar in pairs: with 5 samples and 12 scalars
     per block, row 17 of patch_projection's second block is copy 3, the -h
     copy of scalar 12 + 1."""
-    model, samples = _encoder_case("block-edge-in-head")
+    model, samples = _audit_case("block-edge-in-head")
     before = {name: a.tobytes() for name, a in named_parameters(model).items()}
     blocks = []
     real = gradcheck.features_p0
@@ -537,25 +568,29 @@ def test_gradient_check_names_the_scalar_whose_shift_makes_features_non_finite(m
 @pytest.mark.parametrize("cause", ["h-overflows-features", "loss-raises"])
 def test_gradient_check_restores_a_shifted_scalar_when_a_loss_raises(cause, monkeypatch):
     """A loss evaluation that raises mid-audit leaves every parameter as it
-    was: a step so large that the shifted features overflow, or a failure
-    while the second reduction weight is shifted by -h."""
+    was: a step so large that the shifted features overflow, which is named
+    without a numpy warning escaping (tier-1 fails on one), or a failure in
+    the loss pass of the reduction bias's block, after the weights' block
+    was scored."""
     model, samples, before = _bypass_audit_case()
     if cause == "h-overflows-features":
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="features must be finite"):
+        with pytest.raises(ValueError, match="features must be finite"):
             gradient_check(model, samples, h=1e308)
     else:
         calls = []
-        real = gradcheck.features_p0
+        real = gradcheck.reduced_p0
 
-        def failing(model, feats):
-            calls.append(feats)
-            if len(calls) == 4:
+        def failing(model, y, theta):
+            calls.append(y)
+            if len(calls) == 2:
                 raise RuntimeError("loss evaluation failed")
-            return real(model, feats)
+            return real(model, y, theta)
 
-        monkeypatch.setattr(gradcheck, "features_p0", failing)
+        monkeypatch.setattr(gradcheck, "reduced_p0", failing)
         with pytest.raises(RuntimeError, match="loss evaluation failed"):
             gradient_check(model, samples)
-        assert len(calls) == 4
+        # the weights' block (3 x 2 scalars), then the bias block (2): each
+        # scalar at +h and -h, one row per sample
+        assert [len(y) for y in calls] == [2 * 6 * 2, 2 * 2 * 2]
     for name, a in named_parameters(model).items():
         assert a.tobytes() == before[name], name

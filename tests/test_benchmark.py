@@ -56,6 +56,23 @@ def test_requires_two_seeds():
         )
 
 
+def test_negative_seed_is_rejected_before_any_run():
+    built = []
+
+    def make_dataset(seed):
+        built.append(seed)
+        return generate_synthetic(20, 3, 6.0, seed)
+
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        run_benchmark(
+            make_dataset=make_dataset,
+            make_model=lambda seed: make_bypass_model(in_dim=3, seed=seed),
+            config=fast_config(),
+            seeds=[2, -1],
+        )
+    assert built == []
+
+
 def test_failing_run_names_its_seed():
     def broken_model(seed):
         if seed == 1:

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qembed.checkpoint import save_checkpoint
@@ -258,6 +257,7 @@ def test_eval_rejects_a_min_f1_that_is_not_finite_before_reading_the_checkpoint(
     ("model.readout_qubit = -1", "model.readout_qubit",
      "readout_qubit must be in [0, 1), got -1"),
     ("reduction.in_dim = 0", "reduction.in_dim", "in_dim must be at least 1, got 0"),
+    ("train.seed = -1", "train.seed", "seed must be >= 0, got -1"),
 ])
 def test_config_values_out_of_range_fail_at_load_time(tmp_path, capsys, monkeypatch,
                                                       command, line, key, message):
@@ -379,6 +379,36 @@ def test_benchmark_rejects_repeated_seed(capsys):
     assert "error: seed 1 is listed more than once" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("-1,2", "seed must be >= 0, got -1"),
+    ("1,x", "--seeds expects comma-separated integers, got '1,x'"),
+], ids=["negative", "not-an-integer"])
+def test_benchmark_rejects_a_bad_seed_before_any_run(seeds, message, tmp_path, capsys):
+    history = tmp_path / "runs"
+    code = main(["benchmark", f"--seeds={seeds}", "--synth-n", "20", "--synth-d", "3",
+                 "--set", "train.epochs=1", "--history-dir", str(history)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not history.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--n", "10", "--d", "2", "--out", "x.csv"],
+    ["train", "--data", "none.csv"],
+    ["gradcheck"],
+], ids=["synth", "train", "gradcheck"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seed_flags_take_a_non_negative_integer(command, seed, tmp_path, capsys, monkeypatch):
+    """A bad --seed is a usage error naming the flag, before any file is
+    read or written."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, f"--seed={seed}"]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --seed: expected a non-negative integer, got '{seed}'" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("row", [
     "Paper,nan,0.9", "Paper,0.05,inf", "Paper,-inf,0.9", "Paper,0.05", "Paper,x,0.9",
 ])
@@ -430,15 +460,16 @@ def test_gradcheck_rejects_non_positive_sizes(argv, message, capsys):
 
 def test_gradcheck_names_h_when_a_shift_makes_features_non_finite(capsys):
     """Every sample's features are finite; only a +-h shift overflows them,
-    so the error names the shifted scalar and h, not a sample."""
-    with np.errstate(over="ignore"):
-        code = main(["gradcheck", "--set", "reduction.in_dim=5", "--seed", "7",
-                     "--samples", "2", "--h", "1e308"])
+    so the error names the shifted scalar and h, not a sample. The one
+    error line is all of stderr: no numpy overflow warning is printed."""
+    code = main(["gradcheck", "--set", "reduction.in_dim=5", "--seed", "7",
+                 "--samples", "2", "--h", "1e308"])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: shifting reduction.w scalar ")
-    assert captured.err.endswith(" by h=1e+308: features must be finite\n")
-    assert "row " not in captured.err and "gradient check passed" not in captured.out
+    assert captured.err == (
+        "error: shifting reduction.w scalar 1 by h=1e+308: features must be finite\n"
+    )
+    assert "gradient check passed" not in captured.out
 
 
 def test_dump_circuit_text(capsys):

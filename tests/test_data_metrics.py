@@ -191,6 +191,8 @@ def test_synthetic_validation():
         generate_synthetic(10, 0, 1.0, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(10, 4, -1.0, seed=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        generate_synthetic(10, 4, 1.0, seed=-1)
 
 
 @pytest.mark.parametrize("separation", [math.nan, math.inf], ids=["nan", "inf"])

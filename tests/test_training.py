@@ -518,6 +518,18 @@ def test_inference_names_the_first_non_finite_row(kind, value, bad, monkeypatch)
         assert {w.category for w in caught} <= ({RuntimeWarning} if value == math.inf else set())
 
 
+def test_readout_p0_names_a_row_whose_angles_overflow():
+    """Finite features whose reductions overflow only once the feature map
+    scales them: the search for the row warns about no overflow of its own
+    (tier-1 fails on a numpy warning)."""
+    model = make_bypass_model(in_dim=4, seed=41)
+    model.reduction.b[:] = 1e308
+    rows = [rec.features for rec in two_blob_dataset(n=6, seed=41)]
+    with pytest.raises(ValueError) as error:
+        readout_p0(model, rows)
+    assert str(error.value) == "row 0: features must be finite"
+
+
 @pytest.mark.parametrize("kind", ["encoder", "bypass"])
 def test_evaluate_and_validation_match_per_row_predict(kind):
     if kind == "encoder":
