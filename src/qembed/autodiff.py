@@ -9,7 +9,8 @@ chain-rule sum of per-gate shifts. `circuit_angle_gradients` takes the
 gate list the forward pass built and ran (`QuantumForwardResult.gates`)
 and runs each shift on one working copy of it, swapping the shifted gate
 in and the original back, so a sample's P angles cost 2P `run_circuit`
-calls and 2P shifted gates (`GateOp.shifted`), and no second build.
+calls and no second build; each gate makes its two shifted gates
+(`GateOp.shifted`) once, which every list holding it shares.
 `backward` covers the head (reduction -> circuit -> readout) of one
 feature row, the reduction in analytic reverse mode, and keys its
 gradients by `parameter_dict`, the one list of parameter names
@@ -31,7 +32,7 @@ import numpy as np
 
 from .circuits import FeatureMapSpec
 from .encoder import named_parameters as encoder_named_parameters
-from .statevector import marginal_zero_probability, new_zero_state, run_circuit
+from .statevector import StateVector, marginal_zero_probability, new_zero_state, run_circuit
 
 if TYPE_CHECKING:
     from .model import ForwardCache, HybridModel
@@ -156,16 +157,17 @@ def finite_diff_grad(f: Callable, theta, index: int, h: float = 1e-5) -> float:
 
 
 def circuit_angle_gradients(
-    gates, fm: FeatureMapSpec, readout_qubit: int = 0
+    gates, fm: FeatureMapSpec, readout_qubit: int = 0, zero: StateVector | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dp0/dfeatures, dp0/dtheta) via per-gate parameter shifts, for the
     validated gate list of a feature map `fm` followed by an ansatz, as
-    `quantum_forward` returns it.
+    `quantum_forward` returns it, run from `zero` (a new |0...0> if None).
 
     Each U1 and RY angle is shifted on its own; feature gradients chain the
     per-gate results with the feature-map scale, summing over repetitions.
     """
-    zero = new_zero_state(fm.n_qubits)
+    if zero is None:
+        zero = new_zero_state(fm.n_qubits)
     # Python floats: the same sums, in gate order, that a float64 array holds
     d_features = [0.0] * fm.n_qubits
     d_theta = []
@@ -187,18 +189,22 @@ def circuit_angle_gradients(
     return np.array(d_features), np.array(d_theta)
 
 
-def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[str, np.ndarray]:
+def backward(
+    model: "HybridModel", cache: "ForwardCache", y_true: int, zero: StateVector | None = None
+) -> dict[str, np.ndarray]:
     """Gradients of the BCE loss for the head parameters (reduction and
     ansatz) of one feature row.
 
     Requires the cache produced by model_forward for the same row; returns
-    `parameter_dict` of the gradients without encoder weights.
+    `parameter_dict` of the gradients without encoder weights. `zero` is
+    the |0...0> state the parameter shifts start from, which
+    `training.row_gradients` makes once per call.
     """
     if cache is None:
         raise RuntimeError("no cached forward pass; call model_forward first")
     g_p0 = bce_grad_p0(cache.p0, y_true)
     d_feat_angles, d_theta_angles = circuit_angle_gradients(
-        cache.result.gates, model.feature_map, model.readout_qubit
+        cache.result.gates, model.feature_map, model.readout_qubit, zero
     )
     g_y = g_p0 * d_feat_angles
     return parameter_dict(np.outer(cache.feat, g_y), g_y, g_p0 * d_theta_angles, None)

@@ -12,7 +12,9 @@ rotations. Parameter count is n_qubits * (layers + 1).
 Two kernels run the circuit. `quantum_forward` builds and validates one
 gate list per sample, runs it through `run_circuit` and returns it with
 the readout; training uses it, and its gradient shifts one gate of that
-same list at a time, so a sample-step builds one list. The builders read
+same list at a time, so a sample-step builds one list. Training's row
+step makes the ansatz list and the zero state once per mini-batch and
+passes them in, so each row builds only its feature map. The builders read
 features and angles as Python floats (`tolist()`, checked with
 `math.isfinite`), and the feature map repeats one list of gates per
 repetition: the shared H gates and one U1 per qubit. `readout_rows`
@@ -37,6 +39,7 @@ from .statevector import (
     H_GATES,
     SQRT2_INV,
     GateOp,
+    StateVector,
     _check_qubit,
     apply_to_rows,
     cx,
@@ -147,11 +150,19 @@ def quantum_forward(
     fm: FeatureMapSpec,
     an: AnsatzSpec,
     readout_qubit: int = 0,
+    ansatz: list[GateOp] | None = None,
+    zero: StateVector | None = None,
 ) -> QuantumForwardResult:
-    """Run feature map then ansatz from |0...0> and read one qubit's marginal."""
+    """Run feature map then ansatz from |0...0> and read one qubit's marginal.
+
+    A caller that runs many rows at one theta passes what they share, made
+    once: `ansatz`, `build_real_amplitudes(theta, an)`, and `zero`,
+    `new_zero_state(fm.n_qubits)`."""
     _check_specs(fm, an)
-    gates = tuple(build_z_feature_map(features, fm) + build_real_amplitudes(theta, an))
-    final = run_circuit(new_zero_state(fm.n_qubits), gates)
+    if ansatz is None:
+        ansatz = build_real_amplitudes(theta, an)
+    gates = tuple(build_z_feature_map(features, fm) + ansatz)
+    final = run_circuit(new_zero_state(fm.n_qubits) if zero is None else zero, gates)
     p0 = marginal_zero_probability(final, readout_qubit)
     return QuantumForwardResult(p0=p0, gates=gates)
 

@@ -196,7 +196,9 @@ def _copies_p0(model: HybridModel, name: str, copies: np.ndarray, xs, feats) -> 
             y = reduce_rows(feats, layer)
         return reduced_p0(model, y.reshape(-1, y.shape[-1]), model.theta)
     weights = with_array(model.encoder_weights, name.removeprefix("encoder."), copies)
-    encoded = encode(xs, weights, model.encoder_config)
+    # a shift that overflows the encoder is named by the readout
+    with np.errstate(over="ignore", invalid="ignore"):
+        encoded = encode(xs, weights, model.encoder_config)
     return features_p0(model, encoded.reshape(-1, encoded.shape[-1]))
 
 

@@ -7,10 +7,11 @@ layer, whose outputs parameterize the feature map, followed by the ansatz
 and a single-qubit readout. `model_forward` keeps the head intermediates
 (reduction, circuit, readout) of one feature row, for an encoder model the
 encoder's output; training's row step (`training.row_gradients`) runs the
-encoder. Inference reads P(0) of many rows through `readout_p0`, which
-runs the encoder and the circuit over a row axis, once per block of rows,
-and the reduction once over all rows, each row model_forward's p0 of its
-features bit for bit.
+encoder, and the reduction and ansatz once per block of rows. Inference
+reads P(0) of many rows through `readout_p0`, which runs the encoder and
+the circuit over a row axis, once per block of rows, and the reduction
+once over all rows, each row model_forward's p0 of its features bit for
+bit.
 Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
@@ -34,6 +35,7 @@ from .circuits import (
     readout_rows,
 )
 from .encoder import EncoderConfig, EncoderWeights, encode, init_encoder_weights
+from .statevector import GateOp, StateVector
 
 
 @dataclass
@@ -100,13 +102,25 @@ class ForwardCache:
         return self.result.p0
 
 
-def model_forward(model: HybridModel, feat) -> ForwardCache:
+def model_forward(
+    model: HybridModel,
+    feat,
+    reduced: np.ndarray | None = None,
+    ansatz: list[GateOp] | None = None,
+    zero: StateVector | None = None,
+) -> ForwardCache:
     """Reduce -> quantum circuit -> readout marginal of one feature row (an
-    encoder model's row is the encoder's output)."""
+    encoder model's row is the encoder's output).
+
+    `training.row_gradients` passes what a mini-batch's rows share, made
+    once per batch: the row's reduction `reduced` (`reduce`'s bits, from
+    one `reduce_rows`), and `quantum_forward`'s `ansatz` at `model.theta`
+    and `zero` state. Without them the row makes its own."""
     feat = np.asarray(feat, dtype=float)
-    y_vec = reduce(feat, model.reduction)
+    if reduced is None:
+        reduced = reduce(feat, model.reduction)
     result = quantum_forward(
-        y_vec, model.theta, model.feature_map, model.ansatz, model.readout_qubit
+        reduced, model.theta, model.feature_map, model.ansatz, model.readout_qubit, ansatz, zero
     )
     return ForwardCache(feat=feat, result=result)
 

@@ -22,9 +22,10 @@ the objects and checks around them cost more than their arithmetic: the
 only a target other than 0, `GateOp` checks and stores its fields in one
 `__init__` and computes its rotation's cos and sin there, once per gate
 rather than once per application, a parameter shift's gate
-(`GateOp.shifted`) skips the checks its gate passed, gates and result
-states write their fields straight into the instance dict, and `H_GATES`
-holds one shared H gate per qubit.
+(`GateOp.shifted`) skips the checks its gate passed and is made once per
+gate and kept, so a mini-batch's rows share the shifts of their one
+ansatz list, gates and result states write their fields straight into
+the instance dict, and `H_GATES` holds one shared H gate per qubit.
 Many states at a time (`apply_to_rows`, `phase_rows`,
 `marginal_zero_rows`, which inference uses for 2 or more qubits): the same
 axis view on (rows, 2**n) amplitudes, one state per row, giving each row
@@ -79,8 +80,9 @@ class GateOp:
     def __init__(
         self, kind: str, target: int, control: int | None = None, angle: float | None = None
     ) -> None:
-        # Checked and stored in one call: training makes 11 gates per
-        # 1-qubit sample-step (3 built, 8 shifted), and the generated
+        # Checked and stored in one call: on the paper's 1-qubit model
+        # training makes 3 gates per row (1 built, 2 shifted) and 6 per
+        # mini-batch (the ansatz: 2 built, 4 shifted), and the generated
         # __init__ with a __post_init__ took about 1.5x as long per gate.
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}; expected one of {GATE_KINDS}")
@@ -107,9 +109,16 @@ class GateOp:
     def shifted(self, up: bool) -> "GateOp":
         """This U1 or RY gate with pi/2 added to its angle (`up`) or taken
         from it: a parameter shift. A finite angle stays finite, so none of
-        the checks this gate passed runs again."""
-        gate = object.__new__(GateOp)
-        _store(gate, self.kind, self.target, None, self.angle + (_HALF_PI if up else -_HALF_PI))
+        the checks this gate passed runs again. Each shift is made once and
+        kept, as `rotation` is, so every list that holds this gate shares
+        it: a U1 repeated across feature-map repetitions, or the RY gates
+        of one ansatz list shared by a mini-batch's rows."""
+        key = "_up" if up else "_down"
+        gate = self.__dict__.get(key)
+        if gate is None:
+            gate = object.__new__(GateOp)
+            _store(gate, self.kind, self.target, None, self.angle + (_HALF_PI if up else -_HALF_PI))
+            self.__dict__[key] = gate
         return gate
 
 
@@ -181,8 +190,9 @@ class StateVector:
     @classmethod
     def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
         # Fast path for internally produced (already unitary-evolved) arrays,
-        # 11 per 1-qubit training sample-step; the fields go into the
-        # instance dict as GateOp's do (about 0.5 us less per state).
+        # 9 per 1-qubit training row and one zero state per mini-batch; the
+        # fields go into the instance dict as GateOp's do (about 0.5 us
+        # less per state).
         sv = object.__new__(cls)
         amplitudes.setflags(write=False)
         fields = sv.__dict__

@@ -5,11 +5,14 @@
 split are its row subsets. One epoch walks the shuffled training split in
 mini-batches. `row_gradients` is the one training and audit step: an
 encoder model embeds the batch's images as one block (`encode_with_cache`
-on a leading row axis); every row is then reduced, pushed through the
-circuit, measured and differentiated on its own (`model_forward`,
-`backward`), and one block `encode_backward` takes the rows of their
-feature gradients back through the encoder (none runs when the encoder is
-frozen). Each row is the bits of its own sample's BCE gradient on P(0).
+on a leading row axis); the head is set up once for the block (one
+`reduce_rows`, one ansatz gate list at the current theta, one zero
+state); every row is then pushed through the circuit, measured and
+differentiated on its own (`model_forward`, `backward`, each row's feature
+map and 2P+1 circuits), and one block `encode_backward` takes the rows of
+their feature gradients back through the encoder (none runs when the
+encoder is frozen). Each row is the bits of its own sample's BCE gradient
+on P(0).
 
 The update stage works on one flat float64 vector of the trainable
 parameters, in `named_parameters` order. Per mini-batch the row gradients
@@ -36,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, bce_loss, parameter_dict, reduce_input_gradient
+from .autodiff import backward, bce_loss, parameter_dict, reduce_input_gradient, reduce_rows
+from .circuits import build_real_amplitudes
 from .encoder import encode_backward, encode_with_cache
 from .metrics import MetricsReport, compute_metrics
 from .model import (
@@ -46,6 +50,7 @@ from .model import (
     named_parameters,
     readout_p0,
 )
+from .statevector import new_zero_state
 
 OPTIMIZERS = ("sgd", "sgd-momentum", "adam")
 
@@ -223,19 +228,28 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     each row's BCE loss, every parameter's gradients with a leading row
     axis (row s the bits of row s's gradient alone), and their features.
 
-    An encoder model encodes the block once (`encode_with_cache`); each row
-    then runs one `model_forward` and one `backward` on its features, and
-    when `encoder` is set one block `encode_backward` gives the encoder
-    gradients (without it, `grads` holds no encoder keys).
+    An encoder model encodes the block once (`encode_with_cache`); the
+    block's reductions, ansatz gate list and zero state are made once; each
+    row then runs one `model_forward` and one `backward` on its features and
+    those, and when `encoder` is set one block `encode_backward` gives the
+    encoder gradients (without it, `grads` holds no encoder keys). `labels`
+    must hold one label per row.
     """
+    if len(labels) != len(rows):
+        raise ValueError(f"{len(rows)} row(s) but {len(labels)} label(s)")
     feats = rows
     if not model.bypass:
         feats, cache = encode_with_cache(rows, model.encoder_weights, model.encoder_config)
+    # the head's set-up, shared by every row: theta moves only in train's
+    # update stage, between calls
+    reduced = reduce_rows(feats, model.reduction)
+    ansatz = build_real_amplitudes(model.theta, model.ansatz)
+    zero = new_zero_state(model.feature_map.n_qubits)
     losses, steps = [], []
-    for feat, label in zip(feats, labels):
-        forward = model_forward(model, feat)
+    for feat, y, label in zip(feats, reduced, labels):
+        forward = model_forward(model, feat, y, ansatz, zero)
         losses.append(bce_loss(forward.p0, label))
-        steps.append(backward(model, forward, label))
+        steps.append(backward(model, forward, label, zero))
     g_encoder = None
     if encoder and not model.bypass:
         # the bias gradient is the gradient at the reduction's output

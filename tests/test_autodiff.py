@@ -565,6 +565,21 @@ def test_gradient_check_names_the_scalar_whose_shift_makes_features_non_finite(m
         assert a.tobytes() == before[name], name
 
 
+def test_gradient_check_names_an_encoder_shift_that_overflows():
+    """A step that overflows the encoder's attention and layer norms is named
+    by its array, scalar and h, with no numpy warning escaping first (tier-1
+    turns one into an error), and no parameter moves."""
+    model, samples = _audit_case("default")
+    before = {name: a.tobytes() for name, a in named_parameters(model).items()}
+    with pytest.raises(ValueError) as error:
+        gradient_check(model, samples, h=1e160)
+    assert str(error.value) == (
+        "shifting encoder.patch_projection scalar 0 by h=1e+160: features must be finite"
+    )
+    for name, a in named_parameters(model).items():
+        assert a.tobytes() == before[name], name
+
+
 @pytest.mark.parametrize("cause", ["h-overflows-features", "loss-raises"])
 def test_gradient_check_restores_a_shifted_scalar_when_a_loss_raises(cause, monkeypatch):
     """A loss evaluation that raises mid-audit leaves every parameter as it

@@ -472,6 +472,19 @@ def test_gradcheck_names_h_when_a_shift_makes_features_non_finite(capsys):
     assert "gradient check passed" not in captured.out
 
 
+def test_gradcheck_names_an_encoder_shift_that_overflows(capsys):
+    """A shift that overflows the encoder's intermediates is named by the one
+    error line, which is all of stderr: no numpy warning comes first."""
+    code = main(["gradcheck", "--set", "model.bypass_encoder=false", "--samples", "1",
+                 "--h", "1e160"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: shifting encoder.patch_projection scalar 1 by h=1e+160: features must be finite\n"
+    )
+    assert "gradient check passed" not in captured.out
+
+
 def test_dump_circuit_text(capsys):
     code = main(["dump-circuit", "--features", "0.7", "--set", "ansatz.layers=0",
                  "--theta", "0.3"])

@@ -179,6 +179,31 @@ def test_gate_rotation_is_the_trig_of_its_angle_bit_for_bit():
     assert dataclasses.replace(u1(0, 0.3), kind="H", angle=None).rotation is None
 
 
+def test_gate_shifts_are_made_once_and_equal_fresh_gates():
+    """A U1 or RY gate makes each parameter shift once and keeps it, so every
+    gate list that holds the gate shares its shifts: a later call returns
+    the same gate, equal to one freshly made at the shifted angle, with the
+    same angle and rotation bits. A gate made from it by
+    dataclasses.replace makes its own shifts, at its own angle."""
+    rng = np.random.default_rng(12)
+    for a in [0.0, -math.pi / 2, 1e-300, 1e300] + rng.normal(0, 4, 20).tolist():
+        for make in (u1, ry):
+            gate = make(1, a)
+            for up, sign in ((True, 1.0), (False, -1.0)):
+                first = gate.shifted(up)
+                for shifted, angle in ((gate.shifted(up), a),
+                                       (dataclasses.replace(gate, angle=a + 1.0).shifted(up),
+                                        a + 1.0)):
+                    made = GateOp(gate.kind, 1, angle=angle + sign * (math.pi / 2.0))
+                    assert shifted == made and repr(shifted) == repr(made)
+                    assert float_bits(shifted.angle) == float_bits(made.angle)
+                    assert float_bits(*np.ravel(shifted.rotation).view(float)) == float_bits(
+                        *np.ravel(made.rotation).view(float))
+                assert gate.shifted(up) is first
+            assert gate.shifted(True) is not gate.shifted(False)
+            assert gate == make(1, a)
+
+
 def run_with_trig_per_application(state, gates):
     """run_circuit's arithmetic with every rotation's cos and sin computed
     where its gate is applied: Python complex scalars on one qubit, the

@@ -948,11 +948,31 @@ def test_train_runs_2p_plus_1_circuits_per_sample_step(kind, gates_per_circuit, 
     assert events == step * (2 * len(data))
 
 
-@pytest.mark.parametrize("kind", ["bypass-1q", "encoder-1q", "bypass-3q-2-layers"])
-def test_row_gradients_builds_one_circuit_per_row(kind, monkeypatch):
-    """Each row's forward builds the feature map and the ansatz once, and its
-    parameter shifts run on that gate list: no row builds either twice.
-    Both builders are wrapped at every qembed module that holds them."""
+def head_case(kind, seed, n):
+    """A model of one of the head-step kinds and its n rows and labels."""
+    if kind == "encoder-1q":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4)
+        model = make_encoder_model(cfg, (4, 4, 1), seed=seed)
+        data = encoder_rows(n, seed=seed)
+    else:
+        qubits, layers = (3, 2) if kind == "bypass-3q-2-layers" else (1, 1)
+        model = make_bypass_model(in_dim=4, n_qubits=qubits, ansatz_layers=layers, seed=seed,
+                                  readout_qubit=qubits - 1)
+        data = two_blob_dataset(n=n, seed=seed)
+    rows = model_module.as_rows(model, [rec.features for rec in data])
+    return model, rows, [rec.label for rec in data]
+
+
+HEAD_KINDS = ["bypass-1q", "encoder-1q", "bypass-3q-2-layers"]
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+def test_row_gradients_builds_the_ansatz_once_per_call_and_a_feature_map_per_row(
+        kind, monkeypatch):
+    """The head's set-up is made once per row_gradients call: one ansatz
+    gate list, then one feature map per row, and each row's parameter
+    shifts run on the list its forward built. Both builders are wrapped at
+    every qembed module that holds them."""
     import qembed.circuits as circuits_module
 
     events = []
@@ -969,18 +989,47 @@ def test_row_gradients_builds_one_circuit_per_row(kind, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, logged)
-    if kind == "encoder-1q":
-        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4)
-        model = make_encoder_model(cfg, (4, 4, 1), seed=43)
-        data = encoder_rows(5, seed=43)
-    else:
-        n, layers = (3, 2) if kind == "bypass-3q-2-layers" else (1, 1)
-        model = make_bypass_model(in_dim=4, n_qubits=n, ansatz_layers=layers, seed=43)
-        data = two_blob_dataset(n=5, seed=43)
-    rows = model_module.as_rows(model, [rec.features for rec in data])
-    losses, _, _ = row_gradients(model, rows, [rec.label for rec in data])
-    assert len(losses) == 5
-    assert events == ["build_z_feature_map", "build_real_amplitudes"] * 5
+    model, rows, labels = head_case(kind, 43, 5)
+    for _ in range(2):
+        losses, _, _ = row_gradients(model, rows, labels)
+        assert len(losses) == 5
+    assert events == (["build_real_amplitudes"] + ["build_z_feature_map"] * 5) * 2
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+def test_row_gradients_read_the_current_theta(kind):
+    """No ansatz outlives its row_gradients call: after theta changes in
+    place, as train's update stage changes it, every row's loss and head
+    gradients equal (==) a lone model_forward and backward at the new
+    theta."""
+    model, rows, labels = head_case(kind, 44, 6)
+    theta = model.theta
+    seen = []
+    for _ in range(3):
+        losses, grads, feats = row_gradients(model, rows, labels)
+        for s, (feat, label) in enumerate(zip(feats, labels)):
+            forward = model_forward(model, feat)
+            assert losses[s] == bce_loss(forward.p0, label)
+            for name, g in backward(model, forward, label).items():
+                assert np.array_equal(grads[name][s], g), (name, s)
+        seen.append(losses)
+        model.theta += 0.4
+        assert model.theta is theta
+    assert seen[0] != seen[1] != seen[2]
+
+
+@pytest.mark.parametrize("labels", [2, 6])
+@pytest.mark.parametrize("kind", ["bypass-1q", "encoder-1q"])
+def test_row_gradients_rejects_a_label_count_that_is_not_the_row_count(kind, labels,
+                                                                       monkeypatch):
+    """Rows and labels must pair up: a mismatch is named with both counts
+    before any row runs, for a bypass and an encoder model alike."""
+    log = trace_calls(monkeypatch, traced_step_functions())
+    model, rows, all_labels = head_case(kind, 45, 5)
+    with pytest.raises(ValueError) as error:
+        training_module.row_gradients(model, rows, (all_labels * 2)[:labels])
+    assert str(error.value) == f"5 row(s) but {labels} label(s)"
+    assert log == []
 
 
 def test_train_rejects_encoder_inputs_that_are_not_images():
