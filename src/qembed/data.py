@@ -97,9 +97,12 @@ def write_embeddings(path, records) -> None:
     for rec in records:
         if "," in rec.id:
             raise ValueError(f"record id {rec.id!r} must not contain commas")
-        if len(rec.features) != dim:
-            raise ValueError(f"record {rec.id!r} has {len(rec.features)} feature(s), expected {dim}")
-        values = ",".join(repr(float(v)) for v in rec.features)
+        features = np.asarray(rec.features, dtype=np.float64)
+        if features.ndim != 1:
+            raise ValueError(f"record {rec.id!r} has features of shape {features.shape}, not a vector")
+        if len(features) != dim:
+            raise ValueError(f"record {rec.id!r} has {len(features)} feature(s), expected {dim}")
+        values = ",".join(map(repr, features.tolist()))
         lines.append(f"{rec.id},{int(rec.label)},{values}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -233,8 +233,10 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     row then runs one `model_forward` and one `backward` on its features and
     those, and when `encoder` is set one block `encode_backward` gives the
     encoder gradients (without it, `grads` holds no encoder keys). `labels`
-    must hold one label per row.
+    must hold one label per row, and there must be at least one row.
     """
+    if len(rows) == 0:
+        raise ValueError("cannot compute gradients of zero rows")
     if len(labels) != len(rows):
         raise ValueError(f"{len(rows)} row(s) but {len(labels)} label(s)")
     feats = rows

@@ -122,6 +122,16 @@ def test_write_load_round_trip_exact(tmp_path):
         assert np.array_equal(back.features, orig.features)  # repr round-trips exactly
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (4, 4, 1)])
+def test_write_rejects_features_that_are_not_a_vector(tmp_path, shape):
+    """An image or column array is refused by name, and no file is written."""
+    path = tmp_path / "d.csv"
+    record = EmbeddingRecord(id="r0", features=np.ones(shape), label=1)
+    with pytest.raises(ValueError, match=rf"^record 'r0' has features of shape \({shape[0]}, "):
+        write_embeddings(path, [record])
+    assert not path.exists()
+
+
 def test_loaded_records_are_slotted_and_round_trip(tmp_path):
     """Records hold no per-instance `__dict__`; a write/load/write round
     trip gives the same file bytes and the same records."""

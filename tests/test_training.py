@@ -1032,6 +1032,17 @@ def test_row_gradients_rejects_a_label_count_that_is_not_the_row_count(kind, lab
     assert log == []
 
 
+@pytest.mark.parametrize("kind", ["bypass-1q", "encoder-1q"])
+def test_row_gradients_rejects_zero_rows(kind, monkeypatch):
+    """No rows is a named error before any row runs, for a bypass and an
+    encoder model alike."""
+    log = trace_calls(monkeypatch, traced_step_functions())
+    model, rows, _ = head_case(kind, 46, 3)
+    with pytest.raises(ValueError, match="^cannot compute gradients of zero rows$"):
+        training_module.row_gradients(model, rows[:0], [])
+    assert log == []
+
+
 def test_train_rejects_encoder_inputs_that_are_not_images():
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=1, ffn_hidden=4, out_dim=4)
     model = make_encoder_model(cfg, (4, 4, 4), seed=32)
