@@ -9,7 +9,7 @@ objects they build, before any data file is read.
 from __future__ import annotations
 
 from .circuits import AnsatzSpec, FeatureMapSpec
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, check_image_shape
 from .model import HybridModel, check_head, make_bypass_model, make_encoder_model
 from .training import TrainingConfig
 
@@ -147,7 +147,8 @@ def load_config(path, assignments) -> dict:
     """The config file at `path` (None: the defaults) with the `key=value`
     `assignments` on top, checked: the training config, the circuit specs
     and, for an encoder model, the encoder config are built from it, and
-    the model builder's range check runs (`model.check_head`), so a value
+    the range checks of the model builder (`model.check_head`) and of an
+    encoder model's image shape (`encoder.check_image_shape`) run, so a value
     they reject fails here, before any data file is read. The error names
     the value's key, after the `path:line` that set it when the file did."""
     config, lines = _read_config_file(path) if path else (default_config(), {})
@@ -156,7 +157,9 @@ def load_config(path, assignments) -> dict:
         lines.pop(assignment.split("=", 1)[0].strip(), None)
     checks = [(training_config_from, TRAINING_FIELDS), (specs_from, SPEC_FIELDS)]
     if not config["model.bypass_encoder"]:
-        checks.append((encoder_config_from, ENCODER_FIELDS))
+        # encoder.check_image_shape names each value as its key does, less the prefix
+        image_fields = {key: key.removeprefix("encoder.") for key in IMAGE_KEYS}
+        checks += [(encoder_config_from, ENCODER_FIELDS), (_check_image, image_fields)]
     checks.append((_check_head, HEAD_FIELDS))
     for build, fields in checks:
         try:
@@ -176,6 +179,10 @@ def _check_head(config: dict) -> None:
     # an encoder model's reduction takes encoder.out_dim values, not in_dim
     in_dim = config["reduction.in_dim" if config["model.bypass_encoder"] else "encoder.out_dim"]
     check_head(config["model.n_qubits"], config["model.readout_qubit"], in_dim)
+
+
+def _check_image(config: dict) -> None:
+    check_image_shape(image_shape_from(config), config["encoder.patch"])
 
 
 def training_config_from(config: dict) -> TrainingConfig:

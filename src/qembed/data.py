@@ -55,9 +55,8 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
                 continue
             parts = line.split(",")
             if len(parts) != dim + 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} feature(s), got {len(parts) - 2}"
-                )
+                got = len(parts) - 2 if len(parts) > 1 else "one field, no label"
+                raise ValueError(f"{path}:{lineno}: expected {dim} feature(s), got {got}")
             rec_id = parts[0]
             if rec_id in first_line:
                 raise ValueError(
@@ -89,23 +88,38 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
 
 
 def write_embeddings(path, records) -> None:
+    """Write `records` as an embedding CSV; a record `load_embeddings` would
+    reject is refused, by id, before anything is written."""
     records = list(records)
     if not records:
         raise ValueError("refusing to write an empty dataset")
     dim = len(records[0].features)
+    if not dim:
+        raise ValueError("records must have at least one feature")
     lines = [_expected_header(dim)]
+    ids = set()
     for rec in records:
-        if "," in rec.id:
-            raise ValueError(f"record id {rec.id!r} must not contain commas")
+        if "," in rec.id or "\r" in rec.id or "\n" in rec.id:
+            raise ValueError(f"record id {rec.id!r} must not contain a comma, CR or LF")
+        if rec.id in ids:
+            raise ValueError(f"record id {rec.id!r} repeats")
+        ids.add(rec.id)
+        if rec.label not in (0, 1):
+            raise ValueError(f"record {rec.id!r} has label {rec.label!r}, not 0 or 1")
         features = np.asarray(rec.features, dtype=np.float64)
-        if features.ndim != 1:
-            raise ValueError(f"record {rec.id!r} has features of shape {features.shape}, not a vector")
-        if len(features) != dim:
-            raise ValueError(f"record {rec.id!r} has {len(features)} feature(s), expected {dim}")
+        if features.shape != (dim,):
+            raise ValueError(
+                f"record {rec.id!r} has features of shape {features.shape}, not ({dim},)"
+            )
         values = ",".join(map(repr, features.tolist()))
+        # of a float's reprs, only those of inf and nan hold an "n"
+        if "n" in values:
+            raise ValueError(f"record {rec.id!r} has features that are not finite")
         lines.append(f"{rec.id},{int(rec.label)},{values}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # encoded before the file is opened, so an id UTF-8 cannot hold writes nothing
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def generate_synthetic(n: int, d: int, separation: float, seed: int) -> list[EmbeddingRecord]:

@@ -133,6 +133,17 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def check_image_shape(image_shape: tuple[int, int, int], patch_size: int) -> None:
+    """The ranges of an (H, W, C) image shape, checked by `init_encoder_weights`,
+    `extract_patches` and `config.load_config`: each at least 1, H and W
+    divisible by the patch size."""
+    for name, value in zip(("image_h", "image_w", "channels"), image_shape):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+        if name != "channels" and value % patch_size:
+            raise ValueError(f"{name} {value} must be divisible by patch_size {patch_size}")
+
+
 def init_encoder_weights(
     config: EncoderConfig,
     image_shape: tuple[int, int, int],
@@ -145,10 +156,9 @@ def init_encoder_weights(
     are normal(0, 0.02).
     """
     rng = np.random.default_rng(seed_or_rng)
+    check_image_shape(image_shape, config.patch_size)
     img_h, img_w, channels = image_shape
     n = config.patch_size
-    if img_h % n != 0 or img_w % n != 0:
-        raise ValueError(f"image {img_h}x{img_w} not divisible by patch size {n}")
     num_patches = (img_h // n) * (img_w // n)
     t = num_patches + (1 if config.use_class_token else 0)
     d = config.embed_dim
@@ -189,10 +199,9 @@ def extract_patches(image: np.ndarray, patch_size: int) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim < 3:
         raise ValueError(f"image must be (H, W, C), got shape {image.shape}")
+    check_image_shape(image.shape[-3:], patch_size)
     *lead, img_h, img_w, channels = image.shape
     n = patch_size
-    if img_h % n != 0 or img_w % n != 0:
-        raise ValueError(f"image {img_h}x{img_w} not divisible by patch size {n}")
     grid = image.reshape(*lead, img_h // n, n, img_w // n, n, channels)
     return grid.swapaxes(-4, -3).reshape(*lead, -1, n * n * channels)
 

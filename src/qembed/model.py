@@ -8,15 +8,15 @@ and a single-qubit readout. `model_forward` keeps the head intermediates
 (reduction, circuit, readout) of one feature row, for an encoder model the
 encoder's output; training's row step (`training.row_gradients`) runs the
 encoder, and the reduction and ansatz once per block of rows. Inference
-reads P(0) of many rows through `readout_p0`, which runs the encoder and
-the circuit over a row axis, once per block of rows, and the reduction
-once over all rows, each row model_forward's p0 of its features bit for
-bit.
+reads P(0) of many rows through `readout_p0`, which runs the encoder over
+a row axis, once per block of rows, the reduction once over all rows, and
+the circuit through `circuits.readout_rows`, which blocks the rows
+itself, each row model_forward's p0 of its features bit for bit.
 Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
-row; a row whose features are not finite is named once the circuit has
-rejected its block. Training reads its rows through `as_rows` too.
+row; `readout_rows` names a row whose features are not finite. Training
+reads its rows through `as_rows` too.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from .autodiff import ReductionLayer, init_reduction, parameter_dict, reduce, reduce_rows
 from .circuits import (
-    NON_FINITE_FEATURES,
     AnsatzSpec,
     FeatureMapSpec,
     QuantumForwardResult,
@@ -131,15 +130,6 @@ def model_forward(
 # at about 32.
 _ENCODE_BLOCK_ROWS = 32
 
-# Amplitudes per circuit block in readout_p0: rows run together as one
-# (rows, 2**n) array of at most this many (one row when 2**n is larger).
-# Scoring 200 rows at 12 qubits in one block raised peak RSS by 38 MiB,
-# blocks of 2**15 amplitudes by 1.5 MiB and of 2**13 by nothing measurable;
-# a 20 000-row 1-qubit CLI predict peaked 2.4 MiB higher with 2**15 than
-# with 2**13, at the same rows per second.
-_BLOCK_AMPLITUDES = 2**13
-
-
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (rows that stack into one array, see
     `as_rows`), in order: model_forward's p0 of each row's features, bit
@@ -175,30 +165,10 @@ def features_p0(model: HybridModel, feats) -> np.ndarray:
 
 def reduced_p0(model: HybridModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """P(0) of every row of the (rows, n_qubits) reduction outputs `y`, in
-    order, the ansatz at angles `theta`: the circuit runs once per block of
-    rows. A block rejected for a circuit angle that is not finite is
-    searched for its first such row, and the error names it by its index
-    in `y`."""
-    step = max(1, _BLOCK_AMPLITUDES >> model.feature_map.n_qubits)
-    if len(y) <= step:
-        return _readout_block(model, y, theta, 0)
-    return np.concatenate(
-        [_readout_block(model, y[i : i + step], theta, i) for i in range(0, len(y), step)]
-    )
-
-
-def _readout_block(model: HybridModel, y: np.ndarray, theta: np.ndarray, first: int) -> np.ndarray:
-    """`readout_rows` of the reduction outputs `y`, rows `first` onward of
-    a pass."""
-    try:
-        return readout_rows(y, theta, model.feature_map, model.ansatz, model.readout_qubit)
-    except ValueError as exc:
-        # the rows this search looks for are those whose angles overflow
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(model.feature_map.scale * y).all(axis=1)
-        if str(exc) != NON_FINITE_FEATURES or finite.all():
-            raise
-        raise ValueError(f"row {first + int(np.argmin(finite))}: {exc}") from None
+    order, the ansatz at angles `theta`: `circuits.readout_rows` with the
+    model's specs, which runs the rows in blocks and names a row whose
+    circuit angle is not finite by its index in `y`."""
+    return readout_rows(y, theta, model.feature_map, model.ansatz, model.readout_qubit)
 
 
 def as_rows(model: HybridModel, inputs, features: bool = False) -> np.ndarray:

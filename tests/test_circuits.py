@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qembed.circuits as circuits_module
 from qembed.circuits import (
     AnsatzSpec,
     FeatureMapSpec,
@@ -274,6 +275,26 @@ def test_readout_rows_raises_the_first_bad_rows_error(n):
     with pytest.raises(IndexError, match="readout qubit"):
         readout_rows(np.ones((2, n)), theta, fm, an, readout_qubit=n)
     assert readout_rows(np.ones((0, n)), theta, fm, an).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_readout_rows_names_a_non_finite_row_past_its_block_edge(n):
+    """readout_rows runs its rows in blocks of `_BLOCK_AMPLITUDES`
+    amplitudes, and names the first row whose feature angle is not finite
+    by its index in the whole input, in a later block too."""
+    fm, an = FeatureMapSpec(n_qubits=n), AnsatzSpec(n_qubits=n, layers=1)
+    theta = np.full(an.parameter_count(), 0.3)
+    step = circuits_module._BLOCK_AMPLITUDES >> n
+    for bad, value in [(step, math.nan), (step + 7, math.inf), (2 * step - 1, 1e308)]:
+        y = np.full((2 * step + 5, n), 0.25)
+        y[bad, n - 1] = value
+        y[bad + 3, 0] = math.nan
+        with pytest.raises(ValueError, match=rf"^row {bad}: features must be finite$"):
+            readout_rows(y, theta, fm, an)
+    # the rows before the edge, and one row past it, score as they do alone
+    y = np.random.default_rng(n).normal(size=(step + 1, n))
+    expected = [quantum_forward(row, theta, fm, an).p0 for row in y[[0, step - 1, step]]]
+    assert np.array_equal(readout_rows(y, theta, fm, an)[[0, step - 1, step]], expected)
 
 
 # ---------------------------------------------------------------------------

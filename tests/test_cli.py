@@ -274,6 +274,39 @@ def test_config_values_out_of_range_fail_at_load_time(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == f"error: {message} (config key {key})\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["gradcheck", "--samples", "1"],
+    ["dump-circuit", "--features", "0.5"],
+])
+@pytest.mark.parametrize("line, key, message, shape", [
+    ("encoder.image_h = 0", "encoder.image_h", "image_h must be >= 1, got 0", (0, 4, 1)),
+    ("encoder.image_w = -2", "encoder.image_w", "image_w must be >= 1, got -2", (4, -2, 1)),
+    ("encoder.channels = 0", "encoder.channels", "channels must be >= 1, got 0", (4, 4, 0)),
+    ("encoder.image_h = 3", "encoder.image_h", "image_h 3 must be divisible by patch_size 2",
+     (3, 4, 1)),
+    ("encoder.image_w = 5", "encoder.image_w", "image_w 5 must be divisible by patch_size 2",
+     (4, 5, 1)),
+])
+def test_encoder_image_shape_out_of_range_fails_at_load_time(tmp_path, capsys, monkeypatch,
+                                                             command, line, key, message, shape):
+    """An encoder model's image height, width and channels are each at
+    least 1, and the height and width divide by encoder.patch; a bad one
+    is named by its key, after the file line that set it."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, f"# run\nmodel.bypass_encoder = false\n{line}\n")
+    assert main([*command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:3: {message} (config key {key})\n"
+    assert captured.out == ""
+    overrides = ["--set", "model.bypass_encoder=false", "--set", line.replace(" ", "")]
+    assert main([*command, *overrides]) == 1
+    assert capsys.readouterr().err == f"error: {message} (config key {key})\n"
+    # the library's builder keeps the same ranges
+    cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=1, heads=2, ffn_hidden=16)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_encoder_model(cfg, shape)
+
+
 def test_encoder_config_values_fail_at_load_time(capsys):
     code = main(["gradcheck", "--set", "model.bypass_encoder=false", "--set", "encoder.heads=3"])
     assert code == 1

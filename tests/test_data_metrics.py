@@ -132,6 +132,49 @@ def test_write_rejects_features_that_are_not_a_vector(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([("a\nb", 1, [0.5])], r"^record id 'a\\nb' must not contain a comma, CR or LF$"),
+    ([("a\rb", 1, [0.5])], r"^record id 'a\\rb' must not contain a comma, CR or LF$"),
+    ([("a,b", 1, [0.5])], r"^record id 'a,b' must not contain a comma, CR or LF$"),
+    ([("a", 1, [0.5]), ("b", 0, [1.0]), ("a", 0, [2.0])], r"^record id 'a' repeats$"),
+    ([("a", 1, [0.5]), ("b", 0, [math.nan])], r"^record 'b' has features that are not finite$"),
+    ([("a", 1, [-math.inf])], r"^record 'a' has features that are not finite$"),
+    ([("a", 2, [0.5])], r"^record 'a' has label 2, not 0 or 1$"),
+    ([("a", 0.5, [0.5])], r"^record 'a' has label 0\.5, not 0 or 1$"),
+    ([("a", 1, []), ("b", 0, [])], r"^records must have at least one feature$"),
+])
+def test_write_refuses_records_the_loader_rejects(tmp_path, rows, message):
+    """Written as they are, these records make a file load_embeddings
+    rejects; the writer refuses them before it writes a byte, so the file
+    it would have replaced keeps its bytes."""
+    plain = tmp_path / "plain.csv"
+    dim = len(rows[0][2])
+    plain.write_text("id,label," + ",".join(f"f{i}" for i in range(dim)) + "\n" + "".join(
+        f"{i},{y}," + ",".join(map(repr, f)) + "\n" for i, y, f in rows))
+    with pytest.raises(ValueError):
+        load_embeddings(plain)
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"kept")
+    records = [EmbeddingRecord(id=i, features=np.array(f), label=y) for i, y, f in rows]
+    with pytest.raises(ValueError, match=message):
+        write_embeddings(path, records)
+    assert path.read_bytes() == b"kept"
+    # an id UTF-8 cannot encode is refused before the file is opened too
+    with pytest.raises(UnicodeEncodeError):
+        write_embeddings(path, [EmbeddingRecord(id="\ud800", features=np.ones(1), label=1)])
+    assert path.read_bytes() == b"kept"
+
+
+def test_load_names_the_field_count_of_a_line_without_a_label(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,label,f0,f1\na,1,0.5,1.5\nb\n")
+    with pytest.raises(ValueError, match=r"^.*d\.csv:3: expected 2 feature\(s\), got one field, no label$"):
+        load_embeddings(path)
+    path.write_text("id,label,f0,f1\nb,1\n")
+    with pytest.raises(ValueError, match=r"d\.csv:2: expected 2 feature\(s\), got 0$"):
+        load_embeddings(path)
+
+
 def test_loaded_records_are_slotted_and_round_trip(tmp_path):
     """Records hold no per-instance `__dict__`; a write/load/write round
     trip gives the same file bytes and the same records."""

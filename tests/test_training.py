@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qembed.autodiff as autodiff_module
+import qembed.circuits as circuits_module
 import qembed.encoder as qembed_encoder
 import qembed.gradcheck as qembed_gradcheck
 import qembed.model as model_module
@@ -416,7 +417,7 @@ def test_readout_p0_blocks_match_per_row_forward(heads):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_readout_p0_circuit_blocks_match_per_row_forward(n, monkeypatch):
     """Bypass rows across circuit block edges (5 rows a block here), bit for bit."""
-    monkeypatch.setattr(model_module, "_BLOCK_AMPLITUDES", 5 << n)
+    monkeypatch.setattr(circuits_module, "_BLOCK_AMPLITUDES", 5 << n)
     rng = np.random.default_rng(200 + n)
     model = make_bypass_model(
         in_dim=6, n_qubits=n, fm_repetitions=int(rng.integers(1, 4)),
@@ -496,7 +497,7 @@ def test_inference_names_the_first_non_finite_row(kind, value, bad, monkeypatch)
     """readout_p0, evaluate and predict name the first row whose features
     are not finite, counted across the 32-row encoder blocks and the circuit
     blocks (5 rows each here); an inf may warn on its way there."""
-    monkeypatch.setattr(model_module, "_BLOCK_AMPLITUDES", 5 << 1)
+    monkeypatch.setattr(circuits_module, "_BLOCK_AMPLITUDES", 5 << 1)
     if kind == "encoder":
         cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
         model = make_encoder_model(cfg, (4, 4, 1), seed=41)
@@ -973,8 +974,6 @@ def test_row_gradients_builds_the_ansatz_once_per_call_and_a_feature_map_per_row
     gate list, then one feature map per row, and each row's parameter
     shifts run on the list its forward built. Both builders are wrapped at
     every qembed module that holds them."""
-    import qembed.circuits as circuits_module
-
     events = []
     for name in ("build_z_feature_map", "build_real_amplitudes"):
         original = getattr(circuits_module, name)
