@@ -13,20 +13,19 @@ Two kernels run the circuit. `quantum_forward` builds and validates one
 gate list per sample, runs it through `run_circuit` and returns it with
 the readout; training uses it, and its gradient shifts one gate of that
 same list at a time, so a sample-step builds one list. Training's row
-step makes the ansatz list and the zero state once per mini-batch and
-passes them in, so each row builds only its feature map. The builders read
-features and angles as Python floats (`tolist()`, checked with
-`math.isfinite`), and the feature map repeats one list of gates per
-repetition: the shared H gates and one U1 per qubit. `readout_rows`
-runs the same gates in the same order over any number of rows, in blocks
-of at most `_BLOCK_AMPLITUDES` amplitudes, giving every row
-quantum_forward's p0 bit for bit; inference uses it. It checks each
-block's angles before that block's gates run and names a row whose angle
-is not finite by its index in its input. One qubit runs on real and
-imaginary parts as Python floats for one row or (rows,) arrays for a
-block; wider circuits run on (rows, 2**n) amplitudes. The two stay apart
-until the benchmark's traced check, which counts `run_circuit` calls per
-training sample-step, counts rows instead.
+step makes the ansatz list once per mini-batch and passes it in, so each
+row builds only its feature map. The builders read features and angles
+as Python floats (`tolist()`, checked with `math.isfinite`), and the
+feature map repeats one list of gates per repetition: the shared H gates
+and one U1 per qubit. `readout_rows` runs the same gates in the same
+order over any number of rows, in blocks of at most `_BLOCK_AMPLITUDES`
+amplitudes, giving every row quantum_forward's p0 bit for bit; inference
+uses it. It checks each block's angles before that block's gates run and
+names a row whose angle is not finite by its index in its input. One
+qubit runs on real and imaginary parts as Python floats for one row or
+(rows,) arrays for a block; wider circuits run on (rows, 2**n)
+amplitudes. The two stay apart until the benchmark's traced check, which
+counts `run_circuit` calls per training sample-step, counts rows instead.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ from .statevector import (
     H_GATES,
     SQRT2_INV,
     GateOp,
-    StateVector,
     _check_qubit,
     apply_to_rows,
     cx,
@@ -53,6 +51,18 @@ from .statevector import (
 
 # the message of a feature (or circuit angle) that is not finite
 NON_FINITE_FEATURES = "features must be finite"
+
+
+class NonFiniteRowError(ValueError):
+    """`readout_rows`' `row i: features must be finite`, `NonFiniteRowError(i)`."""
+
+    @property
+    def row(self) -> int:
+        """The index in its input of the row whose circuit angle is not finite."""
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"row {self.row}: {NON_FINITE_FEATURES}"
 
 
 def _check_qubits(n_qubits: int) -> None:
@@ -152,18 +162,16 @@ def quantum_forward(
     an: AnsatzSpec,
     readout_qubit: int = 0,
     ansatz: list[GateOp] | None = None,
-    zero: StateVector | None = None,
 ) -> QuantumForwardResult:
     """Run feature map then ansatz from |0...0> and read one qubit's marginal.
 
-    A caller that runs many rows at one theta passes what they share, made
-    once: `ansatz`, `build_real_amplitudes(theta, an)`, and `zero`,
-    `new_zero_state(fm.n_qubits)`."""
+    A caller that runs many rows at one theta passes the `ansatz` they
+    share, `build_real_amplitudes(theta, an)`, made once."""
     _check_specs(fm, an)
     if ansatz is None:
         ansatz = build_real_amplitudes(theta, an)
     gates = tuple(build_z_feature_map(features, fm) + ansatz)
-    final = run_circuit(new_zero_state(fm.n_qubits) if zero is None else zero, gates)
+    final = run_circuit(new_zero_state(fm.n_qubits), gates)
     p0 = marginal_zero_probability(final, readout_qubit)
     return QuantumForwardResult(p0=p0, gates=gates)
 
@@ -190,7 +198,8 @@ def readout_rows(
     The specs' qubit counts, the shape, theta and the readout qubit are
     checked once, before any gate runs; each block's feature angles are
     checked before its gates run, and a row whose angle is not finite is
-    named by its index in `features`: `row 5: features must be finite`.
+    named by its index in `features`, a `NonFiniteRowError` that reads
+    `row 5: features must be finite`.
     """
     _check_specs(fm, an)
     n = fm.n_qubits
@@ -224,7 +233,7 @@ def _block_p0(feats: np.ndarray, first: int, ansatz: list, fm: FeatureMapSpec, r
     angles = [fm.scale * a for a in feats.ravel().tolist()]
     if not all(map(math.isfinite, angles)):
         bad = next(i for i, a in enumerate(angles) if not math.isfinite(a))
-        raise ValueError(f"row {first + bad // n}: {NON_FINITE_FEATURES}")
+        raise NonFiniteRowError(first + bad // n)
     if n == 1:
         if len(angles) == 1:
             a = angles[0]

@@ -137,13 +137,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _parse_seeds(args) -> list[int]:
-    if not args.seeds:
-        return list(range(args.n_seeds))
+def _list_flag(flag: str, text: str, kind, what: str) -> list:
+    """The comma-separated entries of `flag`'s value `text`, each read by
+    `kind`; an empty value or entry is rejected, as a bad one is, naming
+    the flag."""
     try:
-        return [int(s) for s in args.seeds.split(",") if s.strip()]
+        return [kind(entry) for entry in text.split(",")]
     except ValueError:
-        raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
+        raise ValueError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
 
 def _comparison_row(text: str) -> tuple[str, float, float]:
@@ -161,7 +162,10 @@ def _cmd_benchmark(args) -> int:
     if not config["model.bypass_encoder"]:
         raise ValueError("benchmark runs on embedding CSVs or synthetic vectors only")
     rows = [_comparison_row(text) for text in args.row or []]
-    seeds = _parse_seeds(args)
+    if args.seeds is None:
+        seeds = list(range(10 if args.n_seeds is None else args.n_seeds))
+    else:
+        seeds = _list_flag("--seeds", args.seeds, int, "integers")
     if args.data:
         fixed = load_embeddings(args.data)
         make_dataset = lambda seed: fixed  # noqa: E731 - data fixed, seed drives init/shuffle
@@ -206,11 +210,11 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_dump_circuit(args) -> int:
     config = _load_config(args)
     fm, an = specs_from(config)
-    features = [float(v) for v in args.features.split(",") if v.strip()]
-    if args.theta:
-        theta = [float(v) for v in args.theta.split(",") if v.strip()]
-    else:
+    features = _list_flag("--features", args.features, float, "numbers")
+    if args.theta is None:
         theta = [0.0] * an.parameter_count()
+    else:
+        theta = _list_flag("--theta", args.theta, float, "numbers")
     gates = build_z_feature_map(features, fm) + build_real_amplitudes(theta, an)
     print(serialize_gates(gates))
     return 0
@@ -267,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-d", type=int, default=16)
     p.add_argument("--synth-sep", type=float, default=6.0)
     _add_config_flags(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--n-seeds", type=int, default=10, help="use seeds 0..n-1")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", help="comma-separated seed list")
+    # no default: argparse counts a flag set to its default as absent
+    seeds.add_argument("--n-seeds", type=int, help="use seeds 0..n-1 (default 10)")
     p.add_argument("--method", default="Transformer-based", help="label for the table row")
     p.add_argument(
         "--row",

@@ -8,7 +8,8 @@ rule: it is shifted in C-contiguous copies of it alone on a leading copy
 axis, never in the model, each block holding the +h and -h copies of as
 many of its scalars as fit in `_BLOCK_ROWS` (copy x sample) rows, and
 each block's rows are scored in one loss pass whose first non-finite row
-names its scalar. An encoder block encodes every sample against its
+names its scalar: the pass's `circuits.NonFiniteRowError` carries that
+row's index. An encoder block encodes every sample against its
 copies, the ops upstream of the array once for the samples, and the
 reduction and circuit score the feature rows in one `model.features_p0`
 pass. A reduction block reduces the row step's features against each copy
@@ -24,14 +25,13 @@ are unreliable.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .autodiff import bce_loss, reduce_rows
-from .circuits import NON_FINITE_FEATURES
+from .circuits import NON_FINITE_FEATURES, NonFiniteRowError
 from .encoder import encode, encode_with_cache, with_array
 from .model import HybridModel, as_rows, features_p0, model_forward, named_parameters
 from .model import reduced_p0
@@ -165,12 +165,9 @@ def _shifted_losses(model: HybridModel, name: str, live: np.ndarray, xs, feats, 
         rows[2 * i + 1, start + i] = flat[start + i] - h
         try:
             p0 = _copies_p0(model, name, copies[: 2 * len(i)], xs, feats).tolist()
-        except ValueError as exc:
+        except NonFiniteRowError as exc:
             # the p0 pass names the first non-finite (copy, sample) row
-            row = re.fullmatch(rf"row (\d+): {NON_FINITE_FEATURES}", str(exc))
-            if row is None:
-                raise
-            j = start + int(row[1]) // (2 * n)
+            j = start + exc.row // (2 * n)
             message = f"shifting {name} scalar {j} by h={h!r}: {NON_FINITE_FEATURES}"
             raise ValueError(message) from None
         rows[:, start + i] = flat[start + i]

@@ -34,7 +34,7 @@ from .circuits import (
     readout_rows,
 )
 from .encoder import EncoderConfig, EncoderWeights, encode, init_encoder_weights
-from .statevector import GateOp, StateVector
+from .statevector import GateOp
 
 
 @dataclass
@@ -106,20 +106,19 @@ def model_forward(
     feat,
     reduced: np.ndarray | None = None,
     ansatz: list[GateOp] | None = None,
-    zero: StateVector | None = None,
 ) -> ForwardCache:
     """Reduce -> quantum circuit -> readout marginal of one feature row (an
     encoder model's row is the encoder's output).
 
     `training.row_gradients` passes what a mini-batch's rows share, made
     once per batch: the row's reduction `reduced` (`reduce`'s bits, from
-    one `reduce_rows`), and `quantum_forward`'s `ansatz` at `model.theta`
-    and `zero` state. Without them the row makes its own."""
+    one `reduce_rows`), and `quantum_forward`'s `ansatz` at `model.theta`.
+    Without them the row makes its own."""
     feat = np.asarray(feat, dtype=float)
     if reduced is None:
         reduced = reduce(feat, model.reduction)
     result = quantum_forward(
-        reduced, model.theta, model.feature_map, model.ansatz, model.readout_qubit, ansatz, zero
+        reduced, model.theta, model.feature_map, model.ansatz, model.readout_qubit, ansatz
     )
     return ForwardCache(feat=feat, result=result)
 

@@ -190,9 +190,8 @@ class StateVector:
     @classmethod
     def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
         # Fast path for internally produced (already unitary-evolved) arrays,
-        # 9 per 1-qubit training row and one zero state per mini-batch; the
-        # fields go into the instance dict as GateOp's do (about 0.5 us
-        # less per state).
+        # 9 per 1-qubit training row; the fields go into the instance dict
+        # as GateOp's do (about 0.5 us less per state).
         sv = object.__new__(cls)
         amplitudes.setflags(write=False)
         fields = sv.__dict__
@@ -201,10 +200,19 @@ class StateVector:
         return sv
 
 
+# |0> on one qubit, shared as H_GATES shares H gates: every 1-qubit circuit
+# starts from it, two per training row. Its amplitudes view an immutable
+# bytes object, so no caller can make them writable.
+_ZERO_1 = StateVector._trusted(1, np.frombuffer(bytes(np.array([1, 0], dtype=complex)), complex))
+
+
 def new_zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on n_qubits qubits."""
+    """|0...0> on n_qubits qubits: one shared state for one qubit, a new one
+    for more, where it costs little next to the circuit that runs from it."""
     if not isinstance(n_qubits, (int, np.integer)) or not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}")
+    if n_qubits == 1:
+        return _ZERO_1
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector._trusted(int(n_qubits), amps)

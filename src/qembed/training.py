@@ -6,13 +6,12 @@ split are its row subsets. One epoch walks the shuffled training split in
 mini-batches. `row_gradients` is the one training and audit step: an
 encoder model embeds the batch's images as one block (`encode_with_cache`
 on a leading row axis); the head is set up once for the block (one
-`reduce_rows`, one ansatz gate list at the current theta, one zero
-state); every row is then pushed through the circuit, measured and
-differentiated on its own (`model_forward`, `backward`, each row's feature
-map and 2P+1 circuits), and one block `encode_backward` takes the rows of
-their feature gradients back through the encoder (none runs when the
-encoder is frozen). Each row is the bits of its own sample's BCE gradient
-on P(0).
+`reduce_rows` and one ansatz gate list at the current theta); every row
+is then pushed through the circuit, measured and differentiated on its own
+(`model_forward`, `backward`, each row's feature map and 2P+1 circuits),
+and one block `encode_backward` takes the rows of their feature gradients
+back through the encoder (none runs when the encoder is frozen). Each row
+is the bits of its own sample's BCE gradient on P(0).
 
 The update stage works on one flat float64 vector of the trainable
 parameters, in `named_parameters` order. Per mini-batch the row gradients
@@ -50,7 +49,6 @@ from .model import (
     named_parameters,
     readout_p0,
 )
-from .statevector import new_zero_state
 
 OPTIMIZERS = ("sgd", "sgd-momentum", "adam")
 
@@ -73,7 +71,7 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
@@ -229,9 +227,9 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     axis (row s the bits of row s's gradient alone), and their features.
 
     An encoder model encodes the block once (`encode_with_cache`); the
-    block's reductions, ansatz gate list and zero state are made once; each
-    row then runs one `model_forward` and one `backward` on its features and
-    those, and when `encoder` is set one block `encode_backward` gives the
+    block's reductions and ansatz gate list are made once; each row then
+    runs one `model_forward` and one `backward` on its features and those,
+    and when `encoder` is set one block `encode_backward` gives the
     encoder gradients (without it, `grads` holds no encoder keys). `labels`
     must hold one label per row, and there must be at least one row.
     """
@@ -246,12 +244,11 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     # update stage, between calls
     reduced = reduce_rows(feats, model.reduction)
     ansatz = build_real_amplitudes(model.theta, model.ansatz)
-    zero = new_zero_state(model.feature_map.n_qubits)
     losses, steps = [], []
     for feat, y, label in zip(feats, reduced, labels):
-        forward = model_forward(model, feat, y, ansatz, zero)
+        forward = model_forward(model, feat, y, ansatz)
         losses.append(bce_loss(forward.p0, label))
-        steps.append(backward(model, forward, label, zero))
+        steps.append(backward(model, forward, label))
     g_encoder = None
     if encoder and not model.bypass:
         # the bias gradient is the gradient at the reduction's output

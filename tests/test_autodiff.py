@@ -20,6 +20,7 @@ from qembed.autodiff import (
 from qembed.circuits import (
     AnsatzSpec,
     FeatureMapSpec,
+    NonFiniteRowError,
     build_real_amplitudes,
     build_z_feature_map,
     quantum_forward,
@@ -542,6 +543,21 @@ def test_gradient_check_names_the_scalar_whose_shift_makes_features_non_finite(m
     +h and -h copies of each scalar in pairs: with 5 samples and 12 scalars
     per block, row 17 of patch_projection's second block is copy 3, the -h
     copy of scalar 12 + 1."""
+    _check_audit_names_row_17_as_scalar_13(monkeypatch, NonFiniteRowError)
+
+
+def test_gradient_check_reads_the_row_from_the_error_not_its_message(monkeypatch):
+    class RewordedRowError(NonFiniteRowError):
+        def __str__(self) -> str:
+            return f"the angle of row {self.row} is not a number"
+
+    _check_audit_names_row_17_as_scalar_13(monkeypatch, RewordedRowError)
+
+
+def _check_audit_names_row_17_as_scalar_13(monkeypatch, error_type) -> None:
+    """The audit names the scalar of row 17 of patch_projection's second
+    block when that block's loss pass raises `error_type(17)`, and no
+    parameter moves."""
     model, samples = _audit_case("block-edge-in-head")
     before = {name: a.tobytes() for name, a in named_parameters(model).items()}
     blocks = []
@@ -551,7 +567,7 @@ def test_gradient_check_names_the_scalar_whose_shift_makes_features_non_finite(m
         if len(feats) > len(samples):
             blocks.append(len(feats))
             if len(blocks) == 2:
-                raise ValueError("row 17: features must be finite")
+                raise error_type(17)
         return real(model, feats)
 
     monkeypatch.setattr(gradcheck, "features_p0", failing)

@@ -8,6 +8,7 @@ import qembed.circuits as circuits_module
 from qembed.circuits import (
     AnsatzSpec,
     FeatureMapSpec,
+    NonFiniteRowError,
     build_real_amplitudes,
     build_z_feature_map,
     quantum_forward,
@@ -281,7 +282,8 @@ def test_readout_rows_raises_the_first_bad_rows_error(n):
 def test_readout_rows_names_a_non_finite_row_past_its_block_edge(n):
     """readout_rows runs its rows in blocks of `_BLOCK_AMPLITUDES`
     amplitudes, and names the first row whose feature angle is not finite
-    by its index in the whole input, in a later block too."""
+    by its index in the whole input, in a later block too, as the
+    `NonFiniteRowError` that carries that index."""
     fm, an = FeatureMapSpec(n_qubits=n), AnsatzSpec(n_qubits=n, layers=1)
     theta = np.full(an.parameter_count(), 0.3)
     step = circuits_module._BLOCK_AMPLITUDES >> n
@@ -289,8 +291,9 @@ def test_readout_rows_names_a_non_finite_row_past_its_block_edge(n):
         y = np.full((2 * step + 5, n), 0.25)
         y[bad, n - 1] = value
         y[bad + 3, 0] = math.nan
-        with pytest.raises(ValueError, match=rf"^row {bad}: features must be finite$"):
+        with pytest.raises(NonFiniteRowError, match=rf"^row {bad}: features must be finite$") as e:
             readout_rows(y, theta, fm, an)
+        assert e.value.row == bad
     # the rows before the edge, and one row past it, score as they do alone
     y = np.random.default_rng(n).normal(size=(step + 1, n))
     expected = [quantum_forward(row, theta, fm, an).p0 for row in y[[0, step - 1, step]]]

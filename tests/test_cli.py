@@ -258,6 +258,28 @@ def test_eval_rejects_a_min_f1_that_is_not_finite_before_reading_the_checkpoint(
      "readout_qubit must be in [0, 1), got -1"),
     ("reduction.in_dim = 0", "reduction.in_dim", "in_dim must be at least 1, got 0"),
     ("train.seed = -1", "train.seed", "seed must be >= 0, got -1"),
+    ("train.lr = inf", "train.lr", "learning_rate must be finite and >= 0, got inf"),
+    ("train.lr = nan", "train.lr", "learning_rate must be finite and >= 0, got nan"),
+    ("train.lr = -0.1", "train.lr", "learning_rate must be finite and >= 0, got -0.1"),
+    ("train.epochs = 0", "train.epochs", "max_epochs must be >= 1, got 0"),
+    ("train.optimizer = rmsprop", "train.optimizer",
+     "optimizer must be one of ('sgd', 'sgd-momentum', 'adam'), got 'rmsprop'"),
+    ("train.momentum = 1", "train.momentum", "momentum must be in [0, 1), got 1.0"),
+    ("train.beta1 = -0.5", "train.beta1", "adam_beta1 must be in [0, 1), got -0.5"),
+    ("train.beta2 = 1.5", "train.beta2", "adam_beta2 must be in [0, 1), got 1.5"),
+    ("train.adam_eps = 0", "train.adam_eps", "adam_eps must be finite and > 0, got 0.0"),
+    ("train.patience = 0", "train.patience", "patience must be >= 1, got 0"),
+    ("train.min_delta = -1", "train.min_delta", "min_delta must be finite and >= 0, got -1.0"),
+    ("train.val_fraction = 1", "train.val_fraction",
+     "validation_fraction must be in [0, 1), got 1.0"),
+    ("fm.scale = 0", "fm.scale", "scale must be finite and nonzero, got 0.0"),
+    # encoder keys are checked for encoder models only (model.bypass_encoder = false)
+    ("encoder.patch = 0", "encoder.patch", "patch_size must be >= 1, got 0"),
+    ("encoder.dim = 0", "encoder.dim", "embed_dim must be >= 1, got 0"),
+    ("encoder.depth = -1", "encoder.depth", "layers must be >= 0, got -1"),
+    ("encoder.heads = 0", "encoder.heads", "heads must be >= 1, got 0"),
+    ("encoder.ffn_hidden = 0", "encoder.ffn_hidden", "ffn_hidden must be >= 1, got 0"),
+    ("encoder.out_dim = 0", "encoder.out_dim", "out_dim must be >= 1, got 0"),
 ])
 def test_config_values_out_of_range_fail_at_load_time(tmp_path, capsys, monkeypatch,
                                                       command, line, key, message):
@@ -265,7 +287,8 @@ def test_config_values_out_of_range_fail_at_load_time(tmp_path, capsys, monkeypa
     it reads any data file, naming the key and the file line that set it;
     a --set value is named by its key alone."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_cfg(tmp_path, f"# run\nmodel.bypass_encoder = true\n{line}\n")
+    bypass = "false" if key.startswith("encoder.") else "true"
+    cfg = write_cfg(tmp_path, f"# run\nmodel.bypass_encoder = {bypass}\n{line}\n")
     assert main([*command, "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {cfg}:3: {message} (config key {key})\n"
@@ -415,7 +438,10 @@ def test_benchmark_rejects_repeated_seed(capsys):
 @pytest.mark.parametrize("seeds, message", [
     ("-1,2", "seed must be >= 0, got -1"),
     ("1,x", "--seeds expects comma-separated integers, got '1,x'"),
-], ids=["negative", "not-an-integer"])
+    ("", "--seeds expects comma-separated integers, got ''"),
+    ("1,,2", "--seeds expects comma-separated integers, got '1,,2'"),
+    ("1,2,", "--seeds expects comma-separated integers, got '1,2,'"),
+], ids=["negative", "not-an-integer", "empty", "empty-entry", "trailing-comma"])
 def test_benchmark_rejects_a_bad_seed_before_any_run(seeds, message, tmp_path, capsys):
     history = tmp_path / "runs"
     code = main(["benchmark", f"--seeds={seeds}", "--synth-n", "20", "--synth-d", "3",
@@ -423,6 +449,18 @@ def test_benchmark_rejects_a_bad_seed_before_any_run(seeds, message, tmp_path, c
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not history.exists()
+
+
+@pytest.mark.parametrize("n_seeds", ["5", "10"])
+def test_benchmark_takes_seeds_or_n_seeds_not_both(n_seeds, tmp_path, capsys):
+    """--n-seeds 10 names the default count, and is refused beside --seeds too."""
+    history = tmp_path / "runs"
+    code = main(["benchmark", "--seeds", "3,4", "--n-seeds", n_seeds, "--synth-n", "20",
+                 "--synth-d", "3", "--set", "train.epochs=1", "--history-dir", str(history)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "argument --n-seeds: not allowed with argument --seeds" in captured.err
     assert captured.out == "" and not history.exists()
 
 
@@ -529,6 +567,25 @@ def test_dump_circuit_text(capsys):
         "U1 0 1.4",
         "RY 0 0.3",
     ]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--features", ""], "--features expects comma-separated numbers, got ''"),
+    (["--features", "0.5,,"], "--features expects comma-separated numbers, got '0.5,,'"),
+    (["--features", "0.5", "--theta", ""], "--theta expects comma-separated numbers, got ''"),
+    (["--features", "0.5", "--theta", "0.1,,0.2"],
+     "--theta expects comma-separated numbers, got '0.1,,0.2'"),
+    (["--features", "0.5", "--theta", "0.1,x"],
+     "--theta expects comma-separated numbers, got '0.1,x'"),
+], ids=["empty-features", "empty-feature-entry", "empty-theta", "empty-theta-entry",
+        "theta-not-a-number"])
+def test_dump_circuit_rejects_an_empty_value_or_entry(flags, message, capsys):
+    """An empty --theta is not read as a missing one (all-zero angles), and
+    no empty entry is dropped."""
+    assert main(["dump-circuit", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_dump_circuit_two_qubits(capsys):

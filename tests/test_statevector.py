@@ -58,6 +58,22 @@ def test_zero_state_two_qubits():
     assert np.array_equal(sv.amplitudes, np.array([1, 0, 0, 0], dtype=complex))
 
 
+def test_one_qubit_zero_state_is_one_shared_state_that_stays_read_only():
+    """Every 1-qubit circuit starts from the same |0>, so no caller may make
+    its buffer writable; wider zero states are made anew on each call."""
+    shared = new_zero_state(1)
+    assert shared is new_zero_state(1)
+    assert np.array_equal(shared.amplitudes, [1, 0])
+    with pytest.raises(ValueError):
+        shared.amplitudes.setflags(write=True)
+    assert not shared.amplitudes.flags.writeable
+    wide = new_zero_state(2)
+    assert wide is not new_zero_state(2)
+    assert wide.amplitudes is not new_zero_state(2).amplitudes
+    assert np.array_equal(wide.amplitudes, [1, 0, 0, 0])
+    assert np.array_equal(new_zero_state(np.int64(1)).amplitudes, [1, 0])
+
+
 def test_zero_state_bounds():
     with pytest.raises(ValueError):
         new_zero_state(21)
