@@ -202,7 +202,7 @@ def backward(model: "HybridModel", cache: "ForwardCache", y_true: int) -> dict[s
         cache.result.gates, model.feature_map, model.readout_qubit
     )
     g_y = g_p0 * d_feat_angles
-    return parameter_dict(np.outer(cache.feat, g_y), g_y, g_p0 * d_theta_angles, None)
+    return parameter_dict(cache.feat[:, None] * g_y, g_y, g_p0 * d_theta_angles, None)
 
 
 def parameter_dict(w, b, theta, encoder_weights) -> dict[str, np.ndarray]:

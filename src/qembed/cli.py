@@ -157,13 +157,32 @@ def _comparison_row(text: str) -> tuple[str, float, float]:
     raise ValueError(f"--row expects 'Label,sd,median' with a finite sd and median, got {text!r}")
 
 
+def _at_least(flag: str, value: int, least: int) -> int:
+    """A count flag's value, rejected below `least` with the flag's name."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
+def _separation(text: str) -> float:
+    """--synth-sep's value: a finite distance, 0 or more."""
+    try:
+        value = _finite_float(text)
+    except argparse.ArgumentTypeError:
+        value = -1.0
+    if value < 0.0:
+        raise ValueError(f"--synth-sep must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _cmd_benchmark(args) -> int:
     config = _load_config(args)
     if not config["model.bypass_encoder"]:
         raise ValueError("benchmark runs on embedding CSVs or synthetic vectors only")
     rows = [_comparison_row(text) for text in args.row or []]
     if args.seeds is None:
-        seeds = list(range(10 if args.n_seeds is None else args.n_seeds))
+        n_seeds = 10 if args.n_seeds is None else _at_least("--n-seeds", args.n_seeds, 2)
+        seeds = list(range(n_seeds))
     else:
         seeds = _list_flag("--seeds", args.seeds, int, "integers")
     if args.data:
@@ -171,10 +190,10 @@ def _cmd_benchmark(args) -> int:
         make_dataset = lambda seed: fixed  # noqa: E731 - data fixed, seed drives init/shuffle
         dim = len(fixed[0].features)
     else:
-        make_dataset = lambda seed: generate_synthetic(  # noqa: E731
-            args.synth_n, args.synth_d, args.synth_sep, seed
-        )
-        dim = args.synth_d
+        n = _at_least("--synth-n", args.synth_n, 2)
+        dim = _at_least("--synth-d", args.synth_d, 1)
+        separation = _separation(args.synth_sep)
+        make_dataset = lambda seed: generate_synthetic(n, dim, separation, seed)  # noqa: E731
     make_model = lambda seed: model_from_config(config, seed=seed, in_dim=dim)  # noqa: E731
     summary = run_benchmark(
         make_dataset,
@@ -269,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="fixed embedding CSV (else synthetic per seed)")
     p.add_argument("--synth-n", type=int, default=200)
     p.add_argument("--synth-d", type=int, default=16)
-    p.add_argument("--synth-sep", type=float, default=6.0)
+    p.add_argument("--synth-sep", default="6.0")
     _add_config_flags(p)
     seeds = p.add_mutually_exclusive_group()
     seeds.add_argument("--seeds", help="comma-separated seed list")

@@ -17,11 +17,14 @@ One state at a time (`run_circuit`, which training uses): 1-qubit
 circuits run as scalar Python complex arithmetic (a length-2 array is too
 small for numpy dispatch), wider ones through the axis view in `_apply_raw`.
 A training sample-step runs nine 1-qubit circuits on the paper's model, so
-the objects and checks around them cost more than their arithmetic: the
-1-qubit run reads both amplitudes with one `tolist()` and range-checks
-only a target other than 0, `GateOp` checks and stores its fields in one
-`__init__` and computes its rotation's cos and sin there, once per gate
-rather than once per application, a parameter shift's gate
+the objects and checks around them cost more than their arithmetic: a
+1-qubit state keeps its two amplitudes as Python complex numbers, which
+the next circuit starts from and `marginal_zero_probability` reads, and a
+1-qubit state that `run_circuit` made builds its `amplitudes` array only
+when something reads it, so training makes none; the 1-qubit run
+range-checks only a target other than 0, `GateOp` checks and stores its
+fields in one `__init__` and computes its rotation's cos and sin there,
+once per gate rather than once per application, a parameter shift's gate
 (`GateOp.shifted`) skips the checks its gate passed and is made once per
 gate and kept, so a mini-batch's rows share the shifts of their one
 ansatz list, gates and result states write their fields straight into
@@ -32,7 +35,9 @@ axis view on (rows, 2**n) amplitudes, one state per row, giving each row
 the bits it gets alone. Training stays on `run_circuit` because the
 benchmark's traced check counts `run_circuit` calls per training
 sample-step (9/9/121 on its workloads); it moves to rows once that check
-counts rows. The module holds no mutable state.
+counts rows. The module holds no mutable state: the array a 1-qubit state
+makes on first read is stored in that state, which is instance state, and
+the shared 1-qubit |0> is made with its array.
 
 Supported gates: H, U1(lambda), RY(theta), CX. RY uses the real rotation
 matrix [[cos t/2, -sin t/2], [sin t/2, cos t/2]].
@@ -184,14 +189,17 @@ class StateVector:
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm**2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
+        if self.n_qubits == 1:  # the pair and its array can never disagree
+            amps = np.frombuffer(bytes(amps), complex)
+            self.__dict__["_pair"] = tuple(amps.tolist())
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
-        # Fast path for internally produced (already unitary-evolved) arrays,
-        # 9 per 1-qubit training row; the fields go into the instance dict
-        # as GateOp's do (about 0.5 us less per state).
+        # Fast path for internally produced (already unitary-evolved) arrays
+        # of 2 or more qubits; the fields go into the instance dict as
+        # GateOp's do (about 0.5 us less per state).
         sv = object.__new__(cls)
         amplitudes.setflags(write=False)
         fields = sv.__dict__
@@ -199,11 +207,32 @@ class StateVector:
         fields["amplitudes"] = amplitudes
         return sv
 
+    @classmethod
+    def _from_pair(cls, a0: complex, a1: complex) -> "StateVector":
+        # A 1-qubit state as its two Python complex amplitudes, 9 per training
+        # row; __getattr__ builds `amplitudes` on a first read training never makes.
+        sv = object.__new__(cls)
+        fields = sv.__dict__
+        fields["n_qubits"] = 1
+        fields["_pair"] = (a0, a1)
+        return sv
+
+    def __getattr__(self, name: str):
+        # Reached only for a name missing from the instance dict: the
+        # amplitudes of a state made by _from_pair, stored on first read as
+        # a view of immutable bytes, as a constructed 1-qubit state's are.
+        pair = self.__dict__.get("_pair")
+        if name != "amplitudes" or pair is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        amps = np.frombuffer(bytes(np.array(pair, dtype=complex)), complex)
+        self.__dict__["amplitudes"] = amps
+        return amps
+
 
 # |0> on one qubit, shared as H_GATES shares H gates: every 1-qubit circuit
-# starts from it, two per training row. Its amplitudes view an immutable
-# bytes object, so no caller can make them writable.
-_ZERO_1 = StateVector._trusted(1, np.frombuffer(bytes(np.array([1, 0], dtype=complex)), complex))
+# starts from its pair, two per training row. Constructed, so its amplitudes
+# are made here (it never changes) and view bytes that no caller can write.
+_ZERO_1 = StateVector(1, [1, 0])
 
 
 def new_zero_state(n_qubits: int) -> StateVector:
@@ -254,17 +283,18 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def _run_single_qubit(state: StateVector, gates) -> StateVector:
-    # Scalar arithmetic on Python complex numbers: length-2 arrays are too
-    # small for numpy dispatch. Target 0 is the one in range, so only another
-    # target goes through the range check.
-    a0, a1 = state.amplitudes.tolist()
+    # Scalar arithmetic on the state's pair of Python complex numbers, giving
+    # a pair-backed state: length-2 arrays are too small for numpy dispatch.
+    # Target 0 is the one in range, so only another goes through the check.
+    a0, a1 = state._pair
     changed = False
     for gate in gates:
         if gate.target != 0:
             _check_qubit(gate.target, 1, "target")
         kind = gate.kind
         if kind == "H":
-            a0, a1 = SQRT2_INV * a0 + SQRT2_INV * a1, SQRT2_INV * a0 - SQRT2_INV * a1
+            a0, a1 = SQRT2_INV * a0, SQRT2_INV * a1
+            a0, a1 = a0 + a1, a0 - a1
         elif kind == "U1":
             a1 = a1 * gate.rotation
         elif kind == "RY":
@@ -275,7 +305,7 @@ def _run_single_qubit(state: StateVector, gates) -> StateVector:
         changed = True
     if not changed:
         return state
-    return StateVector._trusted(1, np.array([a0, a1], dtype=complex))
+    return StateVector._from_pair(a0, a1)
 
 
 def run_circuit(state: StateVector, gates) -> StateVector:
@@ -301,13 +331,13 @@ def marginal_zero_probability(state: StateVector, qubit: int) -> float:
     if state.n_qubits == 1:
         if qubit != 0:
             _check_qubit(qubit, 1, "readout")
-        a0 = state.amplitudes.item(0)
+        a0 = state._pair[0]
         p = a0.real * a0.real + a0.imag * a0.imag
     else:
         _check_qubit(qubit, state.n_qubits, "readout")
         a = state.amplitudes.reshape(-1, 2, 1 << qubit)
         p = float(np.sum(np.abs(a[:, 0]) ** 2))
-    return min(max(p, 0.0), 1.0)
+    return p if 0.0 <= p <= 1.0 else min(max(p, 0.0), 1.0)
 
 
 # Row kernels: the gate kernel above on (rows, 2**n) amplitudes, one state

@@ -350,6 +350,23 @@ def test_chain_rule_factorization_bitwise():
     assert np.array_equal(grads["reduction.w"][:, 0], dl_dy * x)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_backward_weight_gradient_is_the_outer_product_bit_for_bit(n_qubits):
+    """dL/dw is np.outer(features, dL/dy), with dL/dy the bias gradient, in
+    every bit: on seeded rows and labels of 1-3 qubit models, some
+    features exactly 0 or -0."""
+    rng = np.random.default_rng(40 + n_qubits)
+    for seed in range(12):
+        model = make_bypass_model(in_dim=5, n_qubits=n_qubits, seed=seed,
+                                  readout_qubit=seed % n_qubits)
+        x = rng.normal(size=5)
+        x[seed % 5] = (0.0, -0.0)[seed % 2]
+        grads = backward(model, model_forward(model, x), seed % 2)
+        expected = np.outer(x, grads["reduction.b"])
+        assert grads["reduction.w"].shape == expected.shape
+        assert grads["reduction.w"].tobytes() == expected.tobytes()
+
+
 def test_loss_decreases_along_negative_gradient():
     """Step 1e-4 along -grad reduces the loss on random instances."""
     rng = np.random.default_rng(9)

@@ -452,6 +452,29 @@ def test_benchmark_rejects_a_bad_seed_before_any_run(seeds, message, tmp_path, c
     assert captured.out == "" and not history.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-seeds", "-3", "--n-seeds must be >= 2, got -3"),
+    ("--synth-n", "0", "--synth-n must be >= 2, got 0"),
+    ("--synth-d", "0", "--synth-d must be >= 1, got 0"),
+    ("--synth-sep", "nan", "--synth-sep must be a finite number >= 0, got 'nan'"),
+], ids=["n-seeds", "synth-n", "synth-d", "synth-sep"])
+def test_benchmark_rejects_a_bad_count_before_any_run(flag, value, message, tmp_path, capsys,
+                                                      monkeypatch):
+    """A bad count or separation is named by its flag before the sweep
+    starts: no seed trains and no worker is forked."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("qembed.cli.run_benchmark", no_sweep)
+    history = tmp_path / "runs"
+    code = main(["benchmark", "--synth-n", "20", "--synth-d", "3", "--set", "train.epochs=1",
+                 "--history-dir", str(history), f"{flag}={value}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not history.exists()
+
+
 @pytest.mark.parametrize("n_seeds", ["5", "10"])
 def test_benchmark_takes_seeds_or_n_seeds_not_both(n_seeds, tmp_path, capsys):
     """--n-seeds 10 names the default count, and is refused beside --seeds too."""

@@ -272,6 +272,91 @@ def test_run_circuit_equals_a_kernel_that_computes_trig_per_application(n):
         assert np.array_equal(run_circuit(state, gates).amplitudes, expected)
 
 
+def random_one_qubit_circuit(rng, length):
+    gates = []
+    for _ in range(length):
+        kind = str(rng.choice(["H", "U1", "RY"]))
+        gates.append(h(0) if kind == "H" else GateOp(kind, 0, angle=float(rng.normal(0.0, 3.0))))
+    return gates
+
+
+def test_one_qubit_result_builds_its_read_only_amplitudes_on_first_read():
+    """A 1-qubit run_circuit state holds two Python complex numbers and makes
+    its array when read: complex128, read-only, the bits of the reference
+    kernel, and the same array on every later read."""
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        start = random_state(rng, 1) if rng.random() < 0.5 else new_zero_state(1)
+        gates = random_one_qubit_circuit(rng, int(rng.integers(1, 12)))
+        made = run_circuit(start, gates)
+        assert "amplitudes" not in vars(made)
+        amps = made.amplitudes
+        assert amps.dtype == np.complex128 and amps.shape == (2,)
+        assert not amps.flags.writeable
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+        with pytest.raises(ValueError):  # so the array cannot leave the pair behind
+            amps.setflags(write=True)
+        expected = run_with_trig_per_application(start, gates)
+        assert amps.tobytes() == expected.tobytes()
+        assert made.amplitudes is amps and made.amplitudes.tobytes() == expected.tobytes()
+
+
+def test_chained_one_qubit_circuits_equal_one_circuit_bit_for_bit():
+    """A pair-backed state is a start state like any other: two circuits run
+    one after the other give the bits of their gates run as one list."""
+    rng = np.random.default_rng(72)
+    for _ in range(40):
+        start = random_state(rng, 1)
+        first = random_one_qubit_circuit(rng, int(rng.integers(1, 8)))
+        second = random_one_qubit_circuit(rng, int(rng.integers(1, 8)))
+        chained = run_circuit(run_circuit(start, first), second)
+        whole = run_circuit(start, first + second)
+        assert chained.amplitudes.tobytes() == whole.amplitudes.tobytes()
+        assert float_bits(marginal_zero_probability(chained, 0)) == float_bits(
+            marginal_zero_probability(whole, 0)
+        )
+
+
+def test_one_qubit_marginal_is_the_same_for_a_pair_and_an_array():
+    """P(0) of a pair-backed state, read before and after its array exists,
+    has the bits of P(0) of a constructed state with the same amplitudes."""
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        made = run_circuit(new_zero_state(1), random_one_qubit_circuit(rng, 6))
+        before = marginal_zero_probability(made, 0)
+        built = StateVector(1, made.amplitudes)
+        assert float_bits(before) == float_bits(marginal_zero_probability(made, 0))
+        assert float_bits(before) == float_bits(marginal_zero_probability(built, 0))
+        assert 0.0 <= before <= 1.0
+
+
+def equality(left, right):
+    try:
+        return left == right
+    except ValueError as exc:  # the dataclass's == on two distinct length-2 arrays
+        return type(exc)
+
+
+def test_pair_backed_state_keeps_the_dataclass_surface():
+    """==, repr and frozen fields work on a state whose array is not built
+    yet, as they do on a constructed state with the same amplitudes."""
+    made = run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)])
+    built = StateVector(1, run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)]).amplitudes)
+    assert made == made and built == built
+    assert equality(run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)]), made) == equality(
+        StateVector(1, built.amplitudes), built
+    )
+    assert (made == "state") is (built == "state") is False
+    assert repr(run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)])) == repr(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made.n_qubits = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made.amplitudes = np.array([1, 0], dtype=complex)
+    with pytest.raises(AttributeError, match="'StateVector' object has no attribute 'missing'"):
+        run_circuit(new_zero_state(1), [h(0)]).missing
+
+
 def test_gate_index_out_of_range():
     sv = new_zero_state(1)
     with pytest.raises(IndexError):
