@@ -12,7 +12,6 @@ from .autodiff import (
     bce_loss,
     circuit_angle_gradients,
     finite_diff_grad,
-    param_shift_grad,
     reduce,
 )
 from .benchmark import run_benchmark

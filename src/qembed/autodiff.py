@@ -127,22 +127,6 @@ def bce_grad_p0(p0: float, y_true: int) -> float:
     return -y_true / _clamp(p0) + (1 - y_true) / _clamp(1.0 - p0)
 
 
-def param_shift_grad(circuit_eval: Callable, theta, index: int) -> float:
-    """Two-point parameter-shift derivative at +-pi/2.
-
-    Exact whenever theta[index] is the angle of a single RY or U1 gate.
-    """
-    theta = np.asarray(theta, dtype=float)
-    up = theta.copy()
-    up[index] += math.pi / 2.0
-    down = theta.copy()
-    down[index] -= math.pi / 2.0
-    grad = (float(circuit_eval(up)) - float(circuit_eval(down))) / 2.0
-    if not math.isfinite(grad):
-        raise FloatingPointError(f"parameter-shift evaluation at index {index} is not finite")
-    return grad
-
-
 def finite_diff_grad(f: Callable, theta, index: int, h: float = 1e-5) -> float:
     """Central difference [f(t+h) - f(t-h)] / 2h on one coordinate."""
     theta = np.asarray(theta, dtype=float)

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevector import (
-    MAX_QUBITS,
     H_GATES,
     SQRT2_INV,
     GateOp,
     _check_qubit,
+    _check_qubit_count,
     apply_to_rows,
     cx,
     marginal_zero_probability,
@@ -65,11 +65,6 @@ class NonFiniteRowError(ValueError):
         return f"row {self.row}: {NON_FINITE_FEATURES}"
 
 
-def _check_qubits(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
 @dataclass(frozen=True)
 class FeatureMapSpec:
     n_qubits: int
@@ -77,7 +72,7 @@ class FeatureMapSpec:
     scale: float = 2.0
 
     def __post_init__(self) -> None:
-        _check_qubits(self.n_qubits)
+        _check_qubit_count(self.n_qubits)
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not math.isfinite(self.scale) or self.scale == 0.0:
@@ -90,7 +85,7 @@ class AnsatzSpec:
     layers: int = 1
 
     def __post_init__(self) -> None:
-        _check_qubits(self.n_qubits)
+        _check_qubit_count(self.n_qubits)
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
 

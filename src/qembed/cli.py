@@ -58,9 +58,10 @@ def _seed(text: str) -> int:
 
 
 def _cmd_synth(args) -> int:
-    records = generate_synthetic(args.n, args.d, args.sep, args.seed)
+    n, d = _at_least("--n", args.n, 2), _at_least("--d", args.d, 1)
+    records = generate_synthetic(n, d, _separation("--sep", args.sep), args.seed)
     write_embeddings(args.out, records)
-    print(f"wrote {len(records)} records of dimension {args.d} to {args.out}")
+    print(f"wrote {len(records)} records of dimension {d} to {args.out}")
     return 0
 
 
@@ -164,14 +165,14 @@ def _at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def _separation(text: str) -> float:
-    """--synth-sep's value: a finite distance, 0 or more."""
+def _separation(flag: str, text: str) -> float:
+    """A cluster separation flag's value: a finite distance, 0 or more."""
     try:
         value = _finite_float(text)
     except argparse.ArgumentTypeError:
         value = -1.0
     if value < 0.0:
-        raise ValueError(f"--synth-sep must be a finite number >= 0, got {text!r}")
+        raise ValueError(f"{flag} must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -185,6 +186,7 @@ def _cmd_benchmark(args) -> int:
         seeds = list(range(n_seeds))
     else:
         seeds = _list_flag("--seeds", args.seeds, int, "integers")
+        seeds = [_at_least("--seeds", seed, 0) for seed in seeds]
     if args.data:
         fixed = load_embeddings(args.data)
         make_dataset = lambda seed: fixed  # noqa: E731 - data fixed, seed drives init/shuffle
@@ -192,7 +194,7 @@ def _cmd_benchmark(args) -> int:
     else:
         n = _at_least("--synth-n", args.synth_n, 2)
         dim = _at_least("--synth-d", args.synth_d, 1)
-        separation = _separation(args.synth_sep)
+        separation = _separation("--synth-sep", args.synth_sep)
         make_dataset = lambda seed: generate_synthetic(n, dim, separation, seed)  # noqa: E731
     make_model = lambda seed: model_from_config(config, seed=seed, in_dim=dim)  # noqa: E731
     summary = run_benchmark(
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic two-cluster embedding CSV")
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--d", type=int, required=True, help="feature dimension")
-    p.add_argument("--sep", type=float, default=6.0, help="cluster mean separation")
+    p.add_argument("--sep", default="6.0", help="cluster mean separation")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_synth)

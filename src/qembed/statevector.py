@@ -168,16 +168,22 @@ def cx(control: int, target: int) -> GateOp:
     return GateOp("CX", target, control=control)
 
 
-@dataclass(frozen=True)
+def _check_qubit_count(n_qubits: int) -> None:
+    # the one range check of a state's, a feature map's and an ansatz's qubits
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+
+
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure n-qubit state: 2**n_qubits complex amplitudes at unit norm."""
+    """Pure n-qubit state: 2**n_qubits complex amplitudes at unit norm.
+    `==` and hash are by identity: compare amplitudes with numpy."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        _check_qubit_count(self.n_qubits)
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] != 2**self.n_qubits:
             raise ValueError(
@@ -333,11 +339,8 @@ def marginal_zero_probability(state: StateVector, qubit: int) -> float:
             _check_qubit(qubit, 1, "readout")
         a0 = state._pair[0]
         p = a0.real * a0.real + a0.imag * a0.imag
-    else:
-        _check_qubit(qubit, state.n_qubits, "readout")
-        a = state.amplitudes.reshape(-1, 2, 1 << qubit)
-        p = float(np.sum(np.abs(a[:, 0]) ** 2))
-    return p if 0.0 <= p <= 1.0 else min(max(p, 0.0), 1.0)
+        return p if 0.0 <= p <= 1.0 else min(max(p, 0.0), 1.0)
+    return float(marginal_zero_rows(state.amplitudes[None], qubit)[0])
 
 
 # Row kernels: the gate kernel above on (rows, 2**n) amplitudes, one state

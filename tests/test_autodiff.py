@@ -13,7 +13,6 @@ from qembed.autodiff import (
     bce_loss,
     circuit_angle_gradients,
     finite_diff_grad,
-    param_shift_grad,
     reduce,
     reduce_rows,
 )
@@ -150,22 +149,25 @@ def test_bce_grad_matches_finite_difference():
 # Parameter shift
 # ---------------------------------------------------------------------------
 
-def single_ry_p0(theta):
+def single_ry_d_theta(theta):
+    """circuit_angle_gradients' d_theta of the lone RY(theta): feature 0
+    makes the two-repetition map act as identity, so p0 = cos(theta/2)**2."""
     fm = FeatureMapSpec(n_qubits=1)
     an = AnsatzSpec(n_qubits=1, layers=0)
-    # feature 0 makes the two-repetition map act as identity; only RY(theta) remains
-    return quantum_forward([0.0], theta, fm, an).p0
+    _, d_theta = circuit_angle_gradients(quantum_forward([0.0], [theta], fm, an).gates, fm)
+    assert d_theta.shape == (1,)
+    return d_theta[0]
 
 
 def test_shift_rule_on_single_ry():
     # p0 = cos(theta/2)**2, derivative -sin(theta)/2
-    assert math.isclose(param_shift_grad(single_ry_p0, [math.pi / 2], 0), -0.5, abs_tol=1e-12)
-    assert math.isclose(param_shift_grad(single_ry_p0, [0.0], 0), 0.0, abs_tol=1e-12)
+    assert math.isclose(single_ry_d_theta(math.pi / 2), -0.5, abs_tol=1e-12)
+    assert math.isclose(single_ry_d_theta(0.0), 0.0, abs_tol=1e-12)
 
 
 def test_shift_rule_exact_across_angles():
     for theta in np.linspace(-math.pi, math.pi, 25):
-        got = param_shift_grad(single_ry_p0, [theta], 0)
+        got = single_ry_d_theta(float(theta))
         assert math.isclose(got, -math.sin(theta) / 2.0, abs_tol=1e-12)
 
 

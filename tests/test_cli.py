@@ -149,8 +149,31 @@ def test_synth_invalid_size_fails_validation(tmp_path, capsys):
 def test_synth_rejects_non_finite_separation(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["synth", "--n", "10", "--d", "2", "--sep", "nan", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: separation must be finite and >= 0, got nan\n"
+    assert capsys.readouterr().err == "error: --sep must be a finite number >= 0, got 'nan'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", "1", "--d", "2"], "--n must be >= 2, got 1"),
+    (["synth", "--n", "10", "--d", "0"], "--d must be >= 1, got 0"),
+    (["synth", "--n", "10", "--d", "2", "--sep", "nan"],
+     "--sep must be a finite number >= 0, got 'nan'"),
+    (["synth", "--n", "10", "--d", "2", "--sep", "-1"],
+     "--sep must be a finite number >= 0, got '-1'"),
+    (["synth", "--n", "10", "--d", "2", "--sep", "x"],
+     "--sep must be a finite number >= 0, got 'x'"),
+    (["benchmark", "--seeds", "1,-1", "--synth-n", "20", "--synth-d", "3"],
+     "--seeds must be >= 0, got -1"),
+], ids=["n", "d", "sep-nan", "sep-negative", "sep-not-a-number", "seeds-negative"])
+def test_bad_values_are_named_by_their_flag(argv, message, tmp_path, capsys, monkeypatch):
+    """A bad count, separation or seed exits 1 naming its flag, before any
+    file is written or any seed trains."""
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "x.csv"] if argv[0] == "synth" else ["--history-dir", "runs"]
+    assert main([*argv, *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_train_eval_predict_round_trip(tmp_path, capsys):
@@ -436,7 +459,7 @@ def test_benchmark_rejects_repeated_seed(capsys):
 
 
 @pytest.mark.parametrize("seeds, message", [
-    ("-1,2", "seed must be >= 0, got -1"),
+    ("-1,2", "--seeds must be >= 0, got -1"),
     ("1,x", "--seeds expects comma-separated integers, got '1,x'"),
     ("", "--seeds expects comma-separated integers, got ''"),
     ("1,,2", "--seeds expects comma-separated integers, got '1,,2'"),

@@ -331,22 +331,15 @@ def test_one_qubit_marginal_is_the_same_for_a_pair_and_an_array():
         assert 0.0 <= before <= 1.0
 
 
-def equality(left, right):
-    try:
-        return left == right
-    except ValueError as exc:  # the dataclass's == on two distinct length-2 arrays
-        return type(exc)
-
-
 def test_pair_backed_state_keeps_the_dataclass_surface():
     """==, repr and frozen fields work on a state whose array is not built
     yet, as they do on a constructed state with the same amplitudes."""
     made = run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)])
     built = StateVector(1, run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)]).amplitudes)
     assert made == made and built == built
-    assert equality(run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)]), made) == equality(
-        StateVector(1, built.amplitudes), built
-    )
+    assert (run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)]) == made) is (
+        StateVector(1, built.amplitudes) == built
+    ) is False
     assert (made == "state") is (built == "state") is False
     assert repr(run_circuit(new_zero_state(1), [h(0), u1(0, 0.3)])) == repr(built)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -355,6 +348,19 @@ def test_pair_backed_state_keeps_the_dataclass_surface():
         made.amplitudes = np.array([1, 0], dtype=complex)
     with pytest.raises(AttributeError, match="'StateVector' object has no attribute 'missing'"):
         run_circuit(new_zero_state(1), [h(0)]).missing
+
+
+def test_states_compare_and_hash_by_identity():
+    """Two states with equal amplitudes are two states: == neither raises
+    nor compares arrays, and states go in a set."""
+    for n in (1, 2):
+        amps = new_zero_state(n).amplitudes
+        first, second = StateVector(n, amps), StateVector(n, amps)
+        assert first == first and not first != first
+        assert (first == second) is False and first != second
+        assert len({first, second, first}) == 2 and hash(first) == hash(first)
+    made = run_circuit(new_zero_state(1), [h(0)])
+    assert made != run_circuit(new_zero_state(1), [h(0)]) and made in {made}
 
 
 def test_gate_index_out_of_range():
@@ -617,8 +623,11 @@ def test_row_kernels_match_one_state_at_a_time(n):
     for q in range(n):
         expected = [run_circuit(s, [u1(q, float(a))]).amplitudes for s, a in zip(states, angles)]
         assert np.array_equal(phase_rows(rows, q, phases), expected), q
-        assert np.array_equal(
-            marginal_zero_rows(rows, q), [marginal_zero_probability(s, q) for s in states]
-        )
+        # an oracle apart from marginal_zero_rows, which both calls below run
+        expected = [
+            float(np.sum(np.abs(s.amplitudes.reshape(-1, 2, 1 << q)[:, 0]) ** 2)) for s in states
+        ]
+        assert marginal_zero_rows(rows, q).tolist() == expected
+        assert [marginal_zero_probability(s, q) for s in states] == expected
     with pytest.raises(IndexError, match="readout qubit"):
         marginal_zero_rows(rows, n)
