@@ -129,6 +129,9 @@ def _check_sizes(path, meta, config: dict, params) -> None:
     such a line would first allocate at its size. A size that no param
     carries is left to the checks against the built model.
     """
+    for name, (_, lineno) in params.items():
+        if name.startswith("encoder.layer.") and name.count(".") < 3:  # no field after the layer
+            raise ValueError(f"{path}:{lineno}: unknown parameter {name!r}")
     theta, n_qubits = _dim(params, "ansatz.theta"), config["model.n_qubits"]
     rows = _dim(params, "encoder.patch_projection")
     held = {

@@ -3,10 +3,15 @@ dump-circuit.
 
 Exit status: 0 on success, 1 on validation or tolerance failure (bad data
 files, failed gradient check, missed --min-f1), 2 on usage errors.
+
+`main` builds its parser on its first call and reuses it for the rest of
+the process, so an in-process call pays only for its command; `--help` and
+usage text still read the terminal width and stderr when they print.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -251,7 +256,10 @@ def _add_config_flags(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; every later call returns
+    that same object, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="qembed",
         description="Hybrid quantum-classical binary classifier toolkit",

@@ -224,6 +224,11 @@ def _unknown_param(lines):
     return len(lines) - 2
 
 
+def _layer_without_field(lines):
+    lines += ["param encoder.layer.0 4", "0.0 0.0 0.0 0.0"]
+    return len(lines) - 2
+
+
 def _duplicate_param(lines):
     i = _index(lines, "param reduction.b ")
     lines += lines[i:i + 2]
@@ -270,6 +275,8 @@ BAD_FILES = [
     ("missing-meta", "bypass", _drop_reps),
     ("nan-param", "bypass", _nan_theta),
     ("unknown-param", "bypass", _unknown_param),
+    # a layer name with no field, which the size check cannot split into layer and field
+    ("layer-without-field", "encoder", _layer_without_field),
     ("duplicate-param", "bypass", _duplicate_param),
     ("non-bool-meta", "bypass", _set_meta("encoder.present", "maybe")),
     ("meta-without-value", "bypass", _set_meta("fm.reps", "")),

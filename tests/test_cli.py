@@ -1,4 +1,5 @@
 """CLI surface: subcommands, config files, exit codes."""
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qembed.checkpoint import save_checkpoint
-from qembed.cli import main
+from qembed.cli import build_parser, main
 from qembed.config import apply_overrides, default_config, parse_config_file
 from qembed.data import load_embeddings
 from qembed.encoder import EncoderConfig
@@ -99,6 +100,51 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["synth", "--n", "10", "--d", "2", "--out", "x.csv", "--bogus"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    """The top-level parser and its 7 subcommands are built by the first
+    call only."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["dump-circuit", "--features", "0.7"]) == 0
+    assert main(["dump-circuit", "--features", "0.7"]) == 0
+    assert len(built) == 8, built
+
+
+def test_flags_of_one_call_do_not_carry_over_to_the_next(capsys):
+    assert main(["dump-circuit", "--features", "0.7", "--set", "fm.reps=3"]) == 0
+    assert capsys.readouterr().out.count("U1 0 1.4") == 3
+    assert main(["dump-circuit", "--features", "0.7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "H 0", "U1 0 1.4", "H 0", "U1 0 1.4", "RY 0 0.0", "RY 0 0.0",
+    ]
+
+
+def test_usage_error_and_help_between_calls_change_nothing(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["synth", "--n", "6", "--d", "3", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out, out.read_bytes()
+    out.unlink()
+    assert main(["synth", "--n", "x", "--d", "3", "--out", str(out)]) == 2
+    assert main(["synth", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "argument --n: invalid int value: 'x'" in captured.err
+    assert captured.out.startswith("usage: qembed synth") and not out.exists()
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, out.read_bytes()) == first
 
 
 # ---------------------------------------------------------------------------

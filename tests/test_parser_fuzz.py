@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from qembed.checkpoint import load_checkpoint, save_checkpoint
 from qembed.config import SCHEMA, apply_overrides, default_config, parse_config_file
 from qembed.data import load_embeddings
-from qembed.model import make_bypass_model
+from qembed.encoder import EncoderConfig
+from qembed.model import make_bypass_model, make_encoder_model
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -42,23 +43,49 @@ def test_load_embeddings_takes_any_text_after_a_valid_header(tmp_path, body):
         assert rec.features.shape == (2,) and rec.label in (0, 1)
 
 
+def saved_text(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(path, model)
+    return path.read_text(encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def checkpoint_text(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
-    save_checkpoint(path, make_bypass_model(in_dim=3, n_qubits=2, ansatz_layers=1, seed=0))
-    return path.read_text(encoding="utf-8")
+    return saved_text(
+        tmp_path_factory, make_bypass_model(in_dim=3, n_qubits=2, ansatz_layers=1, seed=0)
+    )
+
+
+@pytest.fixture(scope="module")
+def encoder_checkpoint_text(tmp_path_factory):
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=6, out_dim=4)
+    return saved_text(tmp_path_factory, make_encoder_model(cfg, (4, 4, 1), seed=0))
 
 
 # Splices insert at most 3 characters, so that a spliced size (such as
 # reduction.in_dim) stays small enough to build.
+SPLICES = given(start=st.integers(0, 10**6), cut=st.integers(0, 8), insert=texts(3))
+
+
+def load_splice(path, text, start, cut, insert):
+    start %= len(text) + 1
+    loads_or_names_path(load_checkpoint, path, text[:start] + insert + text[start + cut :])
+
+
 @FUZZ
-@given(start=st.integers(0, 10**6), cut=st.integers(0, 8), insert=texts(3))
+@SPLICES
 def test_load_checkpoint_takes_any_splice_into_a_valid_file(
     tmp_path, checkpoint_text, start, cut, insert
 ):
-    start %= len(checkpoint_text) + 1
-    text = checkpoint_text[:start] + insert + checkpoint_text[start + cut :]
-    loads_or_names_path(load_checkpoint, tmp_path / "m.ckpt", text)
+    load_splice(tmp_path / "m.ckpt", checkpoint_text, start, cut, insert)
+
+
+@FUZZ
+@SPLICES
+def test_load_checkpoint_takes_any_splice_into_a_valid_encoder_file(
+    tmp_path, encoder_checkpoint_text, start, cut, insert
+):
+    load_splice(tmp_path / "m.ckpt", encoder_checkpoint_text, start, cut, insert)
 
 
 KEYS = st.sampled_from(sorted(SCHEMA))
