@@ -16,11 +16,15 @@ import math
 
 import numpy as np
 
-from .config import ENCODER_FIELDS, IMAGE_KEYS, SCHEMA, encoder_config_from, model_from_config
+from .config import ENCODER_FIELDS, IMAGE_KEYS, SCHEMA, encoder_config_from, model_checks
+from .config import model_from_config, run_checks
 from .encoder import EncoderConfig
 from .model import HybridModel, named_parameters, set_parameters
 
 MAGIC = "qembed-checkpoint v1"
+
+# config key -> meta key where they differ (encoder.present is not model.bypass_encoder)
+_V1_NAMES = {"model.n_qubits": "fm.n_qubits", "model.readout_qubit": "readout_qubit"}
 
 
 def _meta(model: HybridModel) -> dict[str, object]:
@@ -123,32 +127,50 @@ _CARRIERS = {
 
 
 def _check_sizes(path, meta, config: dict, params) -> None:
-    """Reject a meta size larger than every param line carrying it holds.
+    """Reject a file whose params do not hold its meta sizes.
 
     The model is built at the meta sizes before its params are compared, so
-    such a line would first allocate at its size. A size that no param
-    carries is left to the checks against the built model.
+    such a file would first allocate at them. A meta size larger than every
+    param carrying it holds is named at its meta line, and so is one beyond
+    what `ansatz.theta`, `encoder.patch_projection` or the layer count
+    allow; a param of another size than the meta size it carries is named
+    at its line; a size that no param carries is a missing param (but for
+    `encoder.ffn_hidden` at depth 0, which sizes nothing).
     """
-    for name, (_, lineno) in params.items():
-        if name.startswith("encoder.layer.") and name.count(".") < 3:  # no field after the layer
-            raise ValueError(f"{path}:{lineno}: unknown parameter {name!r}")
-    theta, n_qubits = _dim(params, "ansatz.theta"), config["model.n_qubits"]
-    rows = _dim(params, "encoder.patch_projection")
+    theta, rows = _dim(params, "ansatz.theta"), _dim(params, "encoder.patch_projection")
     held = {
-        "ansatz.layers": None if theta is None or n_qubits < 1 else max(theta // n_qubits - 1, 0),
+        "ansatz.layers": None if theta is None else max(theta // config["model.n_qubits"] - 1, 0),
         # patch * patch * channels projection rows
         "encoder.patch": None if rows is None else max(math.isqrt(rows), 1),
         "encoder.depth": len({n.split(".")[2] for n in params if n.startswith("encoder.layer.")}),
     }
-    short = {n: n.split(".", 3)[3] if n.startswith("encoder.layer.") else n for n in params}
+    needs = {"ansatz.layers": "ansatz.theta", "encoder.patch": "encoder.patch_projection"}
+    # (param, axis, meta key) of every length that carries a meta size, in file order
+    carried = []
+    for n in params:
+        field = n.split(".", 3)[-1] if n.startswith("encoder.layer.") else n
+        carried += [(n, axis, key) for key, carriers in _CARRIERS.items() if key in config
+                    for c, axis in carriers if c == field]
     for key, carriers in _CARRIERS.items():
-        sizes = [_dim(params, n, axis) for n in params for c, axis in carriers if short[n] == c]
+        sizes = [_dim(params, n, axis) for n, axis, k in carried if k == key]
         held[key] = max((d for d in sizes if d is not None), default=None)
+        c = carriers[0][0]  # the param a file without carriers misses: layer 0's, if a layer's
+        needs[key] = c if c.startswith(("encoder.", "reduction.")) else f"encoder.layer.0.{c}"
+    if config.get("encoder.depth") == 0:  # no layer, so no param that ffn_hidden sizes
+        del needs["encoder.ffn_hidden"]
     for key, value in config.items():
         if held.get(key) is not None and value > held[key]:
             text, lineno = meta[key]
             raise ValueError(f"{path}:{lineno}: meta {key} is {text}, more than the file's "
                              f"params hold ({held[key]})")
+    for name, axis, key in carried:
+        if _dim(params, name, axis) != config[key]:
+            array, lineno = params[name]
+            raise ValueError(f"{path}:{lineno}: parameter {name!r} has shape {array.shape}, "
+                             f"but meta {key} is {meta[key][0]}")
+    for key, name in needs.items():
+        if key in config and held[key] is None:
+            raise ValueError(f"{path}: missing param {name}")
 
 
 def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:
@@ -170,8 +192,9 @@ def load_checkpoint(path) -> HybridModel:
 
     Every meta line must agree with that model and every param must match
     one of its parameters in name and shape; anything else is rejected with
-    the file's path and line. A meta size larger than the file's params hold
-    is named before the model is built.
+    the file's path and line. A meta value the builders reject, or a meta
+    size the file's params do not hold (`_check_sizes`), is rejected before
+    the model is built.
     """
     meta, params = _parse(path)
 
@@ -187,15 +210,12 @@ def load_checkpoint(path) -> HybridModel:
             raise ValueError(f"{path}:{lineno}: meta {key} {text!r} is not a canonical {kind.__name__}")
         return value
 
-    # the three v1 meta lines whose names differ from their config keys
-    config = {
-        "model.n_qubits": get("fm.n_qubits", int),
-        "model.readout_qubit": get("readout_qubit", int),
-        "model.bypass_encoder": not get("encoder.present", bool),
-    }
-    keys = ["fm.reps", "fm.scale", "ansatz.layers"]
+    config = {"model.bypass_encoder": not get("encoder.present", bool)}
+    keys = ["model.n_qubits", "model.readout_qubit", "fm.reps", "fm.scale", "ansatz.layers"]
     keys += ["reduction.in_dim"] if config["model.bypass_encoder"] else list(ENCODER_FIELDS)
-    config.update({key: get(key, SCHEMA[key][0]) for key in keys})
+    names = {key: _V1_NAMES.get(key, key) for key in keys}
+    config.update({key: get(name, SCHEMA[key][0]) for key, name in names.items()})
+    run_checks(model_checks(config), config, path, {k: meta[n][1] for k, n in names.items()})
     _check_sizes(path, meta, config, params)
     try:
         if not config["model.bypass_encoder"]:

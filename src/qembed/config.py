@@ -155,24 +155,39 @@ def load_config(path, assignments) -> dict:
     apply_overrides(config, assignments)
     for assignment in assignments:
         lines.pop(assignment.split("=", 1)[0].strip(), None)
-    checks = [(training_config_from, TRAINING_FIELDS), (specs_from, SPEC_FIELDS)]
+    checks = [(training_config_from, TRAINING_FIELDS), *model_checks(config)]
     if not config["model.bypass_encoder"]:
         # encoder.check_image_shape names each value as its key does, less the prefix
-        image_fields = {key: key.removeprefix("encoder.") for key in IMAGE_KEYS}
-        checks += [(encoder_config_from, ENCODER_FIELDS), (_check_image, image_fields)]
-    checks.append((_check_head, HEAD_FIELDS))
-    for build, fields in checks:
+        checks.append((_check_image, {key: key.removeprefix("encoder.") for key in IMAGE_KEYS}))
+    run_checks(checks, config, path, lines)
+    return config
+
+
+def model_checks(config: dict) -> list:
+    """The (check, fields) pairs of the model `config` describes, for
+    `run_checks`: its circuit specs, an encoder model's encoder config, and
+    the model builder's head ranges (`model.check_head`)."""
+    checks = [(specs_from, SPEC_FIELDS)]
+    if not config["model.bypass_encoder"]:
+        checks.append((encoder_config_from, ENCODER_FIELDS))
+    return checks + [(_check_head, HEAD_FIELDS)]
+
+
+def run_checks(checks, config: dict, path, lines: dict[str, int]) -> None:
+    """Run each `check(config)` of the (check, fields) pairs, in order. Its
+    error names the field it rejects first, and is raised again naming
+    that field's key in `fields`, after the `path:line` that set the key
+    when `lines` holds it."""
+    for check, fields in checks:
         try:
-            build(config)
+            check(config)
         except ValueError as exc:
-            # every check's message starts with the field it rejects
             field = str(exc).split(" ", 1)[0]
             key = next((k for k, f in fields.items() if f == field), None)
             if key is None:
                 raise
             where = f"{path}:{lines[key]}: " if key in lines else ""
             raise ValueError(f"{where}{exc} (config key {key})") from None
-    return config
 
 
 def _check_head(config: dict) -> None:

@@ -8,6 +8,7 @@ per-seed scores.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 
@@ -73,14 +74,8 @@ def compute_metrics(predictions, labels) -> MetricsReport:
 
 
 def median(values) -> float:
-    """Middle value of the sorted list; mean of the two middles when even."""
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        raise ValueError("median of empty list")
-    mid = len(ordered) // 2
-    if len(ordered) % 2 == 1:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+    """`statistics.median` of the values as floats (empty: its `StatisticsError`, a ValueError)."""
+    return statistics.median(map(float, values))
 
 
 def population_sd(values) -> float:

@@ -30,6 +30,8 @@ from .circuits import (
     AnsatzSpec,
     FeatureMapSpec,
     QuantumForwardResult,
+    _ansatz_angles,
+    _check_specs,
     quantum_forward,
     readout_rows,
 )
@@ -48,21 +50,12 @@ class HybridModel:
     readout_qubit: int = 0
 
     def __post_init__(self) -> None:
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.feature_map.n_qubits != self.ansatz.n_qubits:
-            raise ValueError(
-                f"feature map has {self.feature_map.n_qubits} qubit(s), "
-                f"ansatz has {self.ansatz.n_qubits}"
-            )
+        _check_specs(self.feature_map, self.ansatz)
+        self.theta = _ansatz_angles(self.theta, self.ansatz)
         if self.reduction.n_out != self.feature_map.n_qubits:
             raise ValueError(
                 f"reduction emits {self.reduction.n_out} value(s) but the "
                 f"feature map expects {self.feature_map.n_qubits}"
-            )
-        expected = self.ansatz.parameter_count()
-        if self.theta.shape != (expected,):
-            raise ValueError(
-                f"theta must have {expected} entries, got shape {self.theta.shape}"
             )
         if (self.encoder_config is None) != (self.encoder_weights is None):
             raise ValueError("encoder config and weights must be provided together")
@@ -129,6 +122,9 @@ def model_forward(
 # at about 32.
 _ENCODE_BLOCK_ROWS = 32
 
+# as in the gradient audit, a row whose features overflow the encoder or the
+# reduction is named by the readout (`NonFiniteRowError`), with no numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (rows that stack into one array, see
     `as_rows`), in order: model_forward's p0 of each row's features, bit

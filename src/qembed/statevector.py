@@ -293,7 +293,6 @@ def _run_single_qubit(state: StateVector, gates) -> StateVector:
     # a pair-backed state: length-2 arrays are too small for numpy dispatch.
     # Target 0 is the one in range, so only another goes through the check.
     a0, a1 = state._pair
-    changed = False
     for gate in gates:
         if gate.target != 0:
             _check_qubit(gate.target, 1, "target")
@@ -308,22 +307,20 @@ def _run_single_qubit(state: StateVector, gates) -> StateVector:
             a0, a1 = c * a0 - s * a1, s * a0 + c * a1
         else:
             _check_qubit(gate.control, 1, "control")
-        changed = True
-    if not changed:
-        return state
     return StateVector._from_pair(a0, a1)
 
 
 def run_circuit(state: StateVector, gates) -> StateVector:
-    """Apply gates in order; with no gates the input state is returned."""
+    """Apply the sequence `gates` in order; with no gates the input state
+    is returned."""
+    if not gates:
+        return state
     n = state.n_qubits
     if n == 1:
         return _run_single_qubit(state, gates)
     amps = state.amplitudes
     for gate in gates:
         amps = _apply_raw(amps, gate, n)
-    if amps is state.amplitudes:
-        return state
     return StateVector._trusted(n, amps)
 
 

@@ -229,6 +229,11 @@ def _layer_without_field(lines):
     return len(lines) - 2
 
 
+def _drop_last_values(lines):
+    del lines[-1]  # the file now ends at a param line
+    return len(lines) - 1
+
+
 def _duplicate_param(lines):
     i = _index(lines, "param reduction.b ")
     lines += lines[i:i + 2]
@@ -277,6 +282,7 @@ BAD_FILES = [
     ("unknown-param", "bypass", _unknown_param),
     # a layer name with no field, which the size check cannot split into layer and field
     ("layer-without-field", "encoder", _layer_without_field),
+    ("param-without-values", "bypass", _drop_last_values),
     ("duplicate-param", "bypass", _duplicate_param),
     ("non-bool-meta", "bypass", _set_meta("encoder.present", "maybe")),
     ("meta-without-value", "bypass", _set_meta("fm.reps", "")),
@@ -284,6 +290,8 @@ BAD_FILES = [
     ("unknown-meta-key", "bypass", _insert_meta("meta fm.bogus 1")),
     ("duplicate-meta-key", "bypass", _duplicate_meta),
     ("contradicting-meta", "encoder", _set_meta("reduction.in_dim", "5")),
+    # a value the circuit specs' own check rejects
+    ("meta-out-of-range", "bypass", _set_meta("fm.reps", "0")),
     ("non-integer-dims", "bypass", _bad_dims("one")),
     # str.isdigit() holds for "²", which int() does not take
     ("superscript-dims", "bypass", _bad_dims("\u00b2")),
@@ -314,24 +322,47 @@ def test_rejects_malformed_file_at_its_line(tmp_path, kind, edit):
     assert str(info.value).startswith(where), str(info.value)
 
 
-@pytest.mark.parametrize("kind,key,value,held,dropped", [
-    ("bypass", "reduction.in_dim", 300000, 3, None),
-    ("bypass", "ansatz.layers", 300000, 1, None),
-    ("encoder", "encoder.dim", 400, 8, None),
-    ("encoder", "encoder.ffn_hidden", 100000, 16, None),
-    ("encoder", "encoder.patch", 300, 2, None),
-    ("encoder", "encoder.depth", 2000, 2, None),
-    ("encoder", "encoder.ffn_hidden", 100000, 16, "encoder.layer.0.ffn.w1"),
+# every param that carries encoder.ffn_hidden in the default 2-layer encoder
+FFN_HIDDEN_CARRIERS = [f"encoder.layer.{i}.ffn.{p}" for i in (0, 1) for p in ("w1", "b1", "w2")]
+
+
+@pytest.mark.parametrize("kind,key,value,dropped,widened,at,error", [
+    ("bypass", "reduction.in_dim", 300000, (), None, "meta",
+     "more than the file's params hold (3)"),
+    ("bypass", "ansatz.layers", 300000, (), None, "meta",
+     "more than the file's params hold (1)"),
+    ("encoder", "encoder.dim", 400, (), None, "meta", "more than the file's params hold (8)"),
+    ("encoder", "encoder.ffn_hidden", 100000, (), None, "meta",
+     "more than the file's params hold (16)"),
+    ("encoder", "encoder.patch", 300, (), None, "meta", "more than the file's params hold (2)"),
+    ("encoder", "encoder.depth", 2000, (), None, "meta", "more than the file's params hold (2)"),
+    ("encoder", "encoder.ffn_hidden", 100000, ("encoder.layer.0.ffn.w1",), None, "meta",
+     "more than the file's params hold (16)"),
+    # one carrier widened to the meta size: the first other carrier is named
+    ("encoder", "encoder.dim", 400, (), "encoder.class_token", "encoder.patch_projection",
+     "has shape (4, 8), but meta encoder.dim is 400"),
+    # no param carries the size
+    ("bypass", "ansatz.layers", 300000, ("ansatz.theta",), None, None,
+     "missing param ansatz.theta"),
+    ("bypass", "reduction.in_dim", 300000, ("reduction.w",), None, None,
+     "missing param reduction.w"),
+    ("encoder", "encoder.patch", 300, ("encoder.patch_projection",), None, None,
+     "missing param encoder.patch_projection"),
+    ("encoder", "encoder.ffn_hidden", 100000, FFN_HIDDEN_CARRIERS, None, None,
+     "missing param encoder.layer.0.ffn.w1"),
 ], ids=["in-dim", "ansatz-layers", "encoder-dim", "ffn-hidden", "patch", "depth",
-        "ffn-hidden-without-w1"])
+        "ffn-hidden-without-w1", "encoder-dim-one-carrier-widened", "ansatz-layers-without-theta",
+        "in-dim-without-w", "patch-without-projection", "ffn-hidden-without-ffn"])
 def test_rejects_meta_size_beyond_its_params_before_allocating(
-    tmp_path, kind, key, value, held, dropped
+    tmp_path, kind, key, value, dropped, widened, at, error
 ):
     """One edited meta size, far beyond what the file's params hold, is
-    named at its line, and loading peaks under 1 MiB (about 0.1 MiB for
-    the unedited file) instead of allocating the model at that size. The
-    size is read from every param that carries it, so it is caught also
-    when one of them (its param line and values line) is `dropped`."""
+    rejected, and loading peaks under 1 MiB (about 0.1 MiB for the unedited
+    file) instead of allocating the model at that size. The size is read
+    from every param that carries it, so it is caught also when some of
+    them (each its param line and values line) are `dropped`; when one is
+    `widened` to the size, the first other carrier is named at its line
+    (`at`); when none is left, the error names a missing param."""
     if kind == "bypass":
         model = make_bypass_model(in_dim=3, n_qubits=2, seed=9)
     else:
@@ -341,10 +372,13 @@ def test_rejects_meta_size_beyond_its_params_before_allocating(
     path = tmp_path / "big.ckpt"
     save_checkpoint(path, model)
     lines = path.read_text().splitlines()
-    index = _set_meta(key, value)(lines)
-    if dropped is not None:
-        i = _index(lines, f"param {dropped} ")
+    _set_meta(key, value)(lines)
+    for name in dropped:
+        i = _index(lines, f"param {name} ")
         del lines[i : i + 2]
+    if widened is not None:
+        i = _index(lines, f"param {widened} ")
+        lines[i : i + 2] = [f"param {widened} {value}", " ".join(["0.0"] * value)]
     path.write_text("\n".join(lines) + "\n")
     tracemalloc.start()
     try:
@@ -353,7 +387,9 @@ def test_rejects_meta_size_beyond_its_params_before_allocating(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(info.value) == (
-        f"{path}:{index + 1}: meta {key} is {value}, more than the file's params hold ({held})"
-    )
+    if at == "meta":
+        error = f"{_index(lines, f'meta {key} ') + 1}: meta {key} is {value}, {error}"
+    elif at is not None:
+        error = f"{_index(lines, f'param {at} ') + 1}: parameter {at!r} {error}"
+    assert str(info.value) == (f"{path}:{error}" if at else f"{path}: {error}")
     assert peak < 2**20, peak

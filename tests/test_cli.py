@@ -271,6 +271,20 @@ def test_predict_csv_matches_library_predict_per_row(tmp_path, capsys, n_qubits)
     assert pred.read_text() == "\n".join(lines) + "\n"
 
 
+def test_predict_without_out_writes_the_same_csv_to_stdout(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    ckpt = tmp_path / "model.ckpt"
+    pred = tmp_path / "pred.csv"
+    assert main(["synth", "--n", "20", "--d", "3", "--seed", "2", "--out", str(data)]) == 0
+    save_checkpoint(ckpt, make_bypass_model(in_dim=3, seed=2))
+    scoring = ["predict", "--data", str(data), "--checkpoint", str(ckpt)]
+    assert main([*scoring, "--out", str(pred)]) == 0
+    capsys.readouterr()
+    assert main(scoring) == 0
+    captured = capsys.readouterr()
+    assert captured.out == pred.read_bytes().decode("utf-8") and captured.err == ""
+
+
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_scoring_rejects_csv_width_at_load(tmp_path, capsys, command):
     data = tmp_path / "wide.csv"

@@ -319,6 +319,11 @@ def test_median_odd_even():
     assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
 
 
+def test_median_of_nothing_is_a_value_error():
+    with pytest.raises(ValueError):
+        median([])
+
+
 def test_population_sd_known_value():
     assert math.isclose(population_sd([0.7, 0.8, 0.9]), 0.081649658092772603, rel_tol=1e-12)
 

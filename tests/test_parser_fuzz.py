@@ -1,5 +1,7 @@
 """Fuzzed parser inputs: any CSV, checkpoint or config text either loads or
-raises ValueError, and an error about a file starts with its path."""
+raises ValueError, and an error about a file starts with its path; a
+checkpoint that loads scores an input or raises ValueError."""
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from qembed.checkpoint import load_checkpoint, save_checkpoint
 from qembed.config import SCHEMA, apply_overrides, default_config, parse_config_file
 from qembed.data import load_embeddings
 from qembed.encoder import EncoderConfig
-from qembed.model import make_bypass_model, make_encoder_model
+from qembed.model import make_bypass_model, make_encoder_model, readout_p0
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -68,8 +70,23 @@ SPLICES = given(start=st.integers(0, 10**6), cut=st.integers(0, 8), insert=texts
 
 
 def load_splice(path, text, start, cut, insert):
+    """Load the spliced file; a model that loads scores one input of its own
+    shape, which either works or raises a ValueError."""
     start %= len(text) + 1
-    loads_or_names_path(load_checkpoint, path, text[:start] + insert + text[start + cut :])
+    model = loads_or_names_path(load_checkpoint, path, text[:start] + insert + text[start + cut :])
+    if model is None:
+        return
+    if model.bypass:
+        x = np.ones(model.reduction.in_dim)
+    else:
+        n, w = model.encoder_config.patch_size, model.encoder_weights
+        patches = len(w.positional) - model.encoder_config.use_class_token
+        x = np.ones((n, n * patches, len(w.patch_projection) // n**2))
+    try:
+        p0 = readout_p0(model, [x])
+    except ValueError:
+        return
+    assert p0.shape == (1,) and 0.0 <= p0[0] <= 1.0
 
 
 @FUZZ

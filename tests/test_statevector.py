@@ -426,6 +426,8 @@ def test_h_twice_is_identity():
 def test_empty_circuit_returns_same_state():
     sv = new_zero_state(2)
     assert run_circuit(sv, []) is sv
+    sv = new_zero_state(1)
+    assert run_circuit(sv, ()) is sv
 
 
 def test_feature_map_block_hand_multiplied():

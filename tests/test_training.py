@@ -15,6 +15,7 @@ import qembed.statevector as statevector_module
 import qembed.training as training_module
 from qembed.data import EmbeddingRecord
 from qembed.model import (
+    HybridModel,
     features_p0,
     make_bypass_model,
     make_encoder_model,
@@ -23,7 +24,8 @@ from qembed.model import (
     readout_p0,
     set_parameters,
 )
-from qembed.autodiff import backward, bce_loss
+from qembed.autodiff import backward, bce_loss, init_reduction
+from qembed.circuits import AnsatzSpec
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import draw_samples, gradient_check
 from qembed.metrics import compute_metrics
@@ -496,7 +498,7 @@ def test_readout_p0_rejects_rows_as_model_forward_does():
 def test_inference_names_the_first_non_finite_row(kind, value, bad, monkeypatch):
     """readout_p0, evaluate and predict name the first row whose features
     are not finite, counted across the 32-row encoder blocks and the circuit
-    blocks (5 rows each here); an inf may warn on its way there."""
+    blocks (5 rows each here), with no numpy warning on the way there."""
     monkeypatch.setattr(circuits_module, "_BLOCK_AMPLITUDES", 5 << 1)
     if kind == "encoder":
         cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
@@ -516,7 +518,7 @@ def test_inference_names_the_first_non_finite_row(kind, value, bad, monkeypatch)
             with pytest.raises(ValueError) as error:
                 call()
         assert str(error.value) == f"row {row}: features must be finite"
-        assert {w.category for w in caught} <= ({RuntimeWarning} if value == math.inf else set())
+        assert not caught, [str(w.message) for w in caught]
 
 
 def test_readout_p0_names_a_row_whose_angles_overflow():
@@ -529,6 +531,43 @@ def test_readout_p0_names_a_row_whose_angles_overflow():
     with pytest.raises(ValueError) as error:
         readout_p0(model, rows)
     assert str(error.value) == "row 0: features must be finite"
+
+
+def test_readout_p0_names_a_row_whose_reduction_overflows():
+    """A reduction that overflows is named by the readout, with no numpy
+    warning (tier-1 fails on one)."""
+    model = make_bypass_model(in_dim=3, seed=41)
+    model.reduction.w[0, 0] = 1e308
+    with pytest.raises(ValueError) as error:
+        readout_p0(model, [[10.0, 0.0, 0.0]])
+    assert str(error.value) == "row 0: features must be finite"
+
+
+def test_hybrid_model_rejects_parts_that_do_not_fit():
+    """`HybridModel` runs the circuit layer's checks of the specs' qubit
+    counts and of the ansatz angle count, with their messages, and its own
+    of the reduction's width, of encoder weights, and of the encoder's
+    out_dim."""
+    bypass = make_bypass_model(in_dim=5, seed=5)
+    cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+    encoder = make_encoder_model(cfg, (4, 4, 1), seed=5)
+    parts = dict(reduction=bypass.reduction, theta=bypass.theta,
+                 feature_map=bypass.feature_map, ansatz=bypass.ansatz)
+    HybridModel(**parts)
+    cases = [
+        (dict(ansatz=AnsatzSpec(n_qubits=2)), "feature map has 1 qubit(s) but ansatz has 2"),
+        (dict(theta=np.zeros(3)),
+         "expected 2 ansatz parameter(s) for n_qubits=1, layers=1, got array of shape (3,)"),
+        (dict(reduction=init_reduction(5, 2, 0)),
+         "reduction emits 2 value(s) but the feature map expects 1"),
+        (dict(encoder_config=cfg), "encoder config and weights must be provided together"),
+        (dict(encoder_config=cfg, encoder_weights=encoder.encoder_weights),
+         "encoder out_dim 3 does not match reduction in_dim 5"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValueError) as error:
+            HybridModel(**{**parts, **change})
+        assert str(error.value) == message
 
 
 @pytest.mark.parametrize("kind", ["encoder", "bypass"])
