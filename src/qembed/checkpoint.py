@@ -12,12 +12,10 @@ save/load cycle is lossless and identical runs produce identical files.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import ENCODER_FIELDS, IMAGE_KEYS, SCHEMA, encoder_config_from, model_checks
-from .config import model_from_config, run_checks
+from .config import model_from_config, parameter_shapes, run_checks
 from .encoder import EncoderConfig
 from .model import HybridModel, named_parameters, set_parameters
 
@@ -105,72 +103,10 @@ def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray
     return meta, params
 
 
-def _dim(params, name: str, axis: int = 0) -> int | None:
-    """Length of param `name` along `axis`; None if it is missing or has no such axis."""
+def _dim(params, name: str) -> int | None:
+    """Length of param `name`'s first axis; None if it is missing or has none."""
     shape = params[name][0].shape if name in params else ()
-    return shape[axis] if len(shape) > axis else None
-
-
-# the (param, axis) lengths that carry each meta size; a param named after
-# "encoder.layer.{i}." carries it in every layer
-_CARRIERS = {
-    "reduction.in_dim": [("reduction.w", 0)],
-    "encoder.dim": [
-        ("encoder.patch_projection", 1), ("encoder.positional", 1), ("encoder.class_token", 0),
-        ("encoder.head.w", 0), ("ffn.w1", 0), ("ffn.w2", 1), ("ffn.b2", 0),
-        *((f"ln{k}.{v}", 0) for k in "12" for v in ("gain", "bias")),
-        *((f"attn.w{m}", axis) for m in "qkvo" for axis in (0, 1)),
-    ],
-    "encoder.ffn_hidden": [("ffn.w1", 1), ("ffn.b1", 0), ("ffn.w2", 0)],
-    "encoder.out_dim": [("encoder.head.w", 1), ("encoder.head.b", 0), ("reduction.w", 0)],
-}
-
-
-def _check_sizes(path, meta, config: dict, params) -> None:
-    """Reject a file whose params do not hold its meta sizes.
-
-    The model is built at the meta sizes before its params are compared, so
-    such a file would first allocate at them. A meta size larger than every
-    param carrying it holds is named at its meta line, and so is one beyond
-    what `ansatz.theta`, `encoder.patch_projection` or the layer count
-    allow; a param of another size than the meta size it carries is named
-    at its line; a size that no param carries is a missing param (but for
-    `encoder.ffn_hidden` at depth 0, which sizes nothing).
-    """
-    theta, rows = _dim(params, "ansatz.theta"), _dim(params, "encoder.patch_projection")
-    held = {
-        "ansatz.layers": None if theta is None else max(theta // config["model.n_qubits"] - 1, 0),
-        # patch * patch * channels projection rows
-        "encoder.patch": None if rows is None else max(math.isqrt(rows), 1),
-        "encoder.depth": len({n.split(".")[2] for n in params if n.startswith("encoder.layer.")}),
-    }
-    needs = {"ansatz.layers": "ansatz.theta", "encoder.patch": "encoder.patch_projection"}
-    # (param, axis, meta key) of every length that carries a meta size, in file order
-    carried = []
-    for n in params:
-        field = n.split(".", 3)[-1] if n.startswith("encoder.layer.") else n
-        carried += [(n, axis, key) for key, carriers in _CARRIERS.items() if key in config
-                    for c, axis in carriers if c == field]
-    for key, carriers in _CARRIERS.items():
-        sizes = [_dim(params, n, axis) for n, axis, k in carried if k == key]
-        held[key] = max((d for d in sizes if d is not None), default=None)
-        c = carriers[0][0]  # the param a file without carriers misses: layer 0's, if a layer's
-        needs[key] = c if c.startswith(("encoder.", "reduction.")) else f"encoder.layer.0.{c}"
-    if config.get("encoder.depth") == 0:  # no layer, so no param that ffn_hidden sizes
-        del needs["encoder.ffn_hidden"]
-    for key, value in config.items():
-        if held.get(key) is not None and value > held[key]:
-            text, lineno = meta[key]
-            raise ValueError(f"{path}:{lineno}: meta {key} is {text}, more than the file's "
-                             f"params hold ({held[key]})")
-    for name, axis, key in carried:
-        if _dim(params, name, axis) != config[key]:
-            array, lineno = params[name]
-            raise ValueError(f"{path}:{lineno}: parameter {name!r} has shape {array.shape}, "
-                             f"but meta {key} is {meta[key][0]}")
-    for key, name in needs.items():
-        if key in config and held[key] is None:
-            raise ValueError(f"{path}: missing param {name}")
+    return shape[0] if shape else None
 
 
 def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:
@@ -180,7 +116,7 @@ def _image_shape(cfg: EncoderConfig, params) -> tuple[int, int, int]:
     patch count and the channels, which the `encoder.positional` and
     `encoder.patch_projection` rows give: one row of that many patches
     builds the same shapes. Missing or mis-shaped entries fall through to
-    the shape check against the built model.
+    the shape check against `config.parameter_shapes`.
     """
     patches = max((_dim(params, "encoder.positional") or 1) - cfg.use_class_token, 1)
     channels = max((_dim(params, "encoder.patch_projection") or 1) // cfg.patch_size**2, 1)
@@ -192,9 +128,10 @@ def load_checkpoint(path) -> HybridModel:
 
     Every meta line must agree with that model and every param must match
     one of its parameters in name and shape; anything else is rejected with
-    the file's path and line. A meta value the builders reject, or a meta
-    size the file's params do not hold (`_check_sizes`), is rejected before
-    the model is built.
+    the file's path and line. A meta value the builders reject, a meta
+    `encoder.depth` above the file's layer count, and a param that is not
+    in `config.parameter_shapes` at its shape, are rejected before the model
+    is built, so the build allocates only what the file's values hold.
     """
     meta, params = _parse(path)
 
@@ -216,10 +153,25 @@ def load_checkpoint(path) -> HybridModel:
     names = {key: _V1_NAMES.get(key, key) for key in keys}
     config.update({key: get(name, SCHEMA[key][0]) for key, name in names.items()})
     run_checks(model_checks(config), config, path, {k: meta[n][1] for k, n in names.items()})
-    _check_sizes(path, meta, config, params)
+    if not config["model.bypass_encoder"]:
+        # the one meta size that sets how many params there are
+        layers = len({n.split(".")[2] for n in params if n.startswith("encoder.layer.")})
+        if config["encoder.depth"] > layers:
+            text, lineno = meta["encoder.depth"]
+            raise ValueError(f"{path}:{lineno}: meta encoder.depth is {text}, more than the "
+                             f"file's params hold ({layers})")
+        config.update(zip(IMAGE_KEYS, _image_shape(encoder_config_from(config), params)))
+    shapes = parameter_shapes(config)
+    for name, (array, lineno) in params.items():
+        if name not in shapes:
+            raise ValueError(f"{path}:{lineno}: unknown parameter {name!r}")
+        if array.shape != shapes[name]:
+            raise ValueError(f"{path}:{lineno}: parameter {name!r} has shape {array.shape}, "
+                             f"the model needs {shapes[name]}")
+    missing = [f"param {name}" for name in shapes if name not in params]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
     try:
-        if not config["model.bypass_encoder"]:
-            config.update(zip(IMAGE_KEYS, _image_shape(encoder_config_from(config), params)))
         model = model_from_config(config, seed=0)
     except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -233,17 +185,7 @@ def load_checkpoint(path) -> HybridModel:
                 f"{path}:{lineno}: meta {key} is {text}, but the model it describes "
                 f"has {expected_meta[key]}"
             )
-    expected = named_parameters(model)
-    for name, (array, lineno) in params.items():
-        if name not in expected:
-            raise ValueError(f"{path}:{lineno}: unknown parameter {name!r}")
-        if array.shape != expected[name].shape:
-            raise ValueError(
-                f"{path}:{lineno}: parameter {name!r} has shape {array.shape}, "
-                f"the model needs {expected[name].shape}"
-            )
     missing = [f"meta {key}" for key in expected_meta if key not in meta]
-    missing += [f"param {name}" for name in expected if name not in params]
     if missing:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     set_parameters(model, {name: array for name, (array, _) in params.items()})

@@ -9,7 +9,7 @@ objects they build, before any data file is read.
 from __future__ import annotations
 
 from .circuits import AnsatzSpec, FeatureMapSpec
-from .encoder import EncoderConfig, check_image_shape
+from .encoder import EncoderConfig, check_image_shape, parameter_shapes as encoder_parameter_shapes
 from .model import HybridModel, check_head, make_bypass_model, make_encoder_model
 from .training import TrainingConfig
 
@@ -218,6 +218,18 @@ def specs_from(config: dict) -> tuple[FeatureMapSpec, AnsatzSpec]:
         FeatureMapSpec(n_qubits=n, repetitions=config["fm.reps"], scale=config["fm.scale"]),
         AnsatzSpec(n_qubits=n, layers=config["ansatz.layers"]),
     )
+
+
+def parameter_shapes(config: dict) -> dict[str, tuple[int, ...]]:
+    """The shape of every array `model.named_parameters` names, in its
+    order, for the model `config` describes; nothing is allocated."""
+    n, theta = config["model.n_qubits"], (specs_from(config)[1].parameter_count(),)
+    in_dim = config["reduction.in_dim" if config["model.bypass_encoder"] else "encoder.out_dim"]
+    shapes = {"reduction.w": (in_dim, n), "reduction.b": (n,), "ansatz.theta": theta}
+    if not config["model.bypass_encoder"]:
+        encoder = encoder_parameter_shapes(encoder_config_from(config), image_shape_from(config))
+        shapes.update((f"encoder.{name}", shape) for name, shape in encoder.items())
+    return shapes
 
 
 def model_from_config(config: dict, seed: int, in_dim: int | None = None) -> HybridModel:

@@ -87,19 +87,20 @@ class EncoderWeights:
     head_b: np.ndarray                    # (out_dim,)
 
 
+# (name suffix, LayerWeights field, shape as embed_dim "d" and ffn_hidden "h")
 _LAYER_FIELDS = (
-    ("attn.wq", "wq"),
-    ("attn.wk", "wk"),
-    ("attn.wv", "wv"),
-    ("attn.wo", "wo"),
-    ("ffn.w1", "w1"),
-    ("ffn.b1", "b1"),
-    ("ffn.w2", "w2"),
-    ("ffn.b2", "b2"),
-    ("ln1.gain", "ln1_gain"),
-    ("ln1.bias", "ln1_bias"),
-    ("ln2.gain", "ln2_gain"),
-    ("ln2.bias", "ln2_bias"),
+    ("attn.wq", "wq", "dd"),
+    ("attn.wk", "wk", "dd"),
+    ("attn.wv", "wv", "dd"),
+    ("attn.wo", "wo", "dd"),
+    ("ffn.w1", "w1", "dh"),
+    ("ffn.b1", "b1", "h"),
+    ("ffn.w2", "w2", "hd"),
+    ("ffn.b2", "b2", "d"),
+    ("ln1.gain", "ln1_gain", "d"),
+    ("ln1.bias", "ln1_bias", "d"),
+    ("ln2.gain", "ln2_gain", "d"),
+    ("ln2.bias", "ln2_bias", "d"),
 )
 
 
@@ -110,7 +111,7 @@ def named_parameters(weights: EncoderWeights) -> dict[str, np.ndarray]:
     if weights.class_token is not None:
         params["class_token"] = weights.class_token
     for i, lw in enumerate(weights.layers):
-        for suffix, attr in _LAYER_FIELDS:
+        for suffix, attr, _ in _LAYER_FIELDS:
             params[f"layer.{i}.{suffix}"] = getattr(lw, attr)
     params["head.w"] = weights.head_w
     params["head.b"] = weights.head_b
@@ -124,7 +125,7 @@ def with_array(weights: EncoderWeights, name: str, array: np.ndarray) -> Encoder
         return replace(weights, **{name.replace(".", "_"): array})
     _, i, suffix = name.split(".", 2)
     layers = list(weights.layers)
-    layers[int(i)] = replace(layers[int(i)], **{dict(_LAYER_FIELDS)[suffix]: array})
+    layers[int(i)] = replace(layers[int(i)], **{dict(f[:2] for f in _LAYER_FIELDS)[suffix]: array})
     return replace(weights, layers=layers)
 
 
@@ -134,9 +135,9 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 
 def check_image_shape(image_shape: tuple[int, int, int], patch_size: int) -> None:
-    """The ranges of an (H, W, C) image shape, checked by `init_encoder_weights`,
-    `extract_patches` and `config.load_config`: each at least 1, H and W
-    divisible by the patch size."""
+    """The ranges of an (H, W, C) image shape, checked by `parameter_shapes`
+    (so by `init_encoder_weights`), `extract_patches` and `config.load_config`:
+    each at least 1, H and W divisible by the patch size."""
     for name, value in zip(("image_h", "image_w", "channels"), image_shape):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -144,50 +145,59 @@ def check_image_shape(image_shape: tuple[int, int, int], patch_size: int) -> Non
             raise ValueError(f"{name} {value} must be divisible by patch_size {patch_size}")
 
 
+def parameter_shapes(config: EncoderConfig, image_shape: tuple[int, int, int]) -> dict:
+    """The shape of every array `named_parameters` names, in its order, for
+    images of the given (H, W, C) shape; nothing is allocated."""
+    check_image_shape(image_shape, config.patch_size)
+    img_h, img_w, channels = image_shape
+    n, d = config.patch_size, config.embed_dim
+    tokens = (img_h // n) * (img_w // n) + config.use_class_token
+    shapes = {"patch_projection": (n * n * channels, d), "positional": (tokens, d)}
+    if config.use_class_token:
+        shapes["class_token"] = (d,)
+    size = {"d": d, "h": config.ffn_hidden}
+    for i in range(config.layers):
+        for suffix, _, dims in _LAYER_FIELDS:
+            shapes[f"layer.{i}.{suffix}"] = tuple(size[c] for c in dims)
+    shapes["head.w"] = (d, config.out_dim)
+    shapes["head.b"] = (config.out_dim,)
+    return shapes
+
+
 def init_encoder_weights(
     config: EncoderConfig,
     image_shape: tuple[int, int, int],
     seed_or_rng,
 ) -> EncoderWeights:
-    """Fresh weights for images of the given (H, W, C) shape.
+    """Fresh weights for images of the given (H, W, C) shape, each at its
+    `parameter_shapes` shape, the layers' drawn first.
 
     Projection matrices use uniform(+-sqrt(6/(fan_in+fan_out))), biases are
     zero, layer-norm gain/bias are 1/0, positional rows and the class token
     are normal(0, 0.02).
     """
     rng = np.random.default_rng(seed_or_rng)
-    check_image_shape(image_shape, config.patch_size)
-    img_h, img_w, channels = image_shape
-    n = config.patch_size
-    num_patches = (img_h // n) * (img_w // n)
-    t = num_patches + (1 if config.use_class_token else 0)
-    d = config.embed_dim
-    flat = n * n * channels
+    shapes = parameter_shapes(config, image_shape)
+
+    def draw(name: str) -> np.ndarray:
+        shape = shapes[name]
+        if name in ("positional", "class_token"):
+            return rng.normal(0.0, 0.02, size=shape)
+        if len(shape) == 2:
+            return _glorot(rng, shape)
+        return np.ones(shape) if name.endswith("gain") else np.zeros(shape)
 
     layers = [
-        LayerWeights(
-            wq=_glorot(rng, (d, d)),
-            wk=_glorot(rng, (d, d)),
-            wv=_glorot(rng, (d, d)),
-            wo=_glorot(rng, (d, d)),
-            w1=_glorot(rng, (d, config.ffn_hidden)),
-            b1=np.zeros(config.ffn_hidden),
-            w2=_glorot(rng, (config.ffn_hidden, d)),
-            b2=np.zeros(d),
-            ln1_gain=np.ones(d),
-            ln1_bias=np.zeros(d),
-            ln2_gain=np.ones(d),
-            ln2_bias=np.zeros(d),
-        )
-        for _ in range(config.layers)
+        LayerWeights(**{field: draw(f"layer.{i}.{suffix}") for suffix, field, _ in _LAYER_FIELDS})
+        for i in range(config.layers)
     ]
     return EncoderWeights(
-        patch_projection=_glorot(rng, (flat, d)),
-        positional=rng.normal(0.0, 0.02, size=(t, d)),
-        class_token=rng.normal(0.0, 0.02, size=d) if config.use_class_token else None,
+        patch_projection=draw("patch_projection"),
+        positional=draw("positional"),
+        class_token=draw("class_token") if config.use_class_token else None,
         layers=layers,
-        head_w=_glorot(rng, (d, config.out_dim)),
-        head_b=np.zeros(config.out_dim),
+        head_w=draw("head.w"),
+        head_b=draw("head.b"),
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qembed.checkpoint import load_checkpoint, save_checkpoint
-from qembed.config import default_config, model_from_config, training_config_from
+from qembed.config import default_config, model_from_config, parameter_shapes, training_config_from
 from qembed.encoder import EncoderConfig
 from qembed.model import (
     make_bypass_model,
@@ -177,6 +177,10 @@ def test_config_built_model_round_trips(tmp_path, config, seed):
             out_dim=config["encoder.out_dim"],
             use_class_token=config["encoder.class_token"],
         )
+    # the one table of parameter shapes is the builders': names, order and shapes
+    assert list(parameter_shapes(config).items()) == [
+        (name, a.shape) for name, a in named_parameters(model).items()
+    ]
     path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
@@ -280,7 +284,7 @@ BAD_FILES = [
     ("missing-meta", "bypass", _drop_reps),
     ("nan-param", "bypass", _nan_theta),
     ("unknown-param", "bypass", _unknown_param),
-    # a layer name with no field, which the size check cannot split into layer and field
+    # a layer name with no field, which is in no shape table
     ("layer-without-field", "encoder", _layer_without_field),
     ("param-without-values", "bypass", _drop_last_values),
     ("duplicate-param", "bypass", _duplicate_param),
@@ -322,34 +326,36 @@ def test_rejects_malformed_file_at_its_line(tmp_path, kind, edit):
     assert str(info.value).startswith(where), str(info.value)
 
 
-# every param that carries encoder.ffn_hidden in the default 2-layer encoder
-FFN_HIDDEN_CARRIERS = [f"encoder.layer.{i}.ffn.{p}" for i in (0, 1) for p in ("w1", "b1", "w2")]
+# every param that encoder.ffn_hidden sizes in the default 2-layer encoder
+FFN_HIDDEN_PARAMS = [f"encoder.layer.{i}.ffn.{p}" for i in (0, 1) for p in ("w1", "b1", "w2")]
 
 
 @pytest.mark.parametrize("kind,key,value,dropped,widened,at,error", [
-    ("bypass", "reduction.in_dim", 300000, (), None, "meta",
-     "more than the file's params hold (3)"),
-    ("bypass", "ansatz.layers", 300000, (), None, "meta",
-     "more than the file's params hold (1)"),
-    ("encoder", "encoder.dim", 400, (), None, "meta", "more than the file's params hold (8)"),
-    ("encoder", "encoder.ffn_hidden", 100000, (), None, "meta",
-     "more than the file's params hold (16)"),
-    ("encoder", "encoder.patch", 300, (), None, "meta", "more than the file's params hold (2)"),
+    ("bypass", "reduction.in_dim", 300000, (), None, "reduction.w",
+     "has shape (3, 2), the model needs (300000, 2)"),
+    ("bypass", "ansatz.layers", 300000, (), None, "ansatz.theta",
+     "has shape (4,), the model needs (600002,)"),
+    ("encoder", "encoder.dim", 400, (), None, "encoder.patch_projection",
+     "has shape (4, 8), the model needs (4, 400)"),
+    ("encoder", "encoder.ffn_hidden", 100000, (), None, "encoder.layer.0.ffn.w1",
+     "has shape (8, 16), the model needs (8, 100000)"),
+    ("encoder", "encoder.patch", 300, (), None, "encoder.patch_projection",
+     "has shape (4, 8), the model needs (90000, 8)"),
     ("encoder", "encoder.depth", 2000, (), None, "meta", "more than the file's params hold (2)"),
-    ("encoder", "encoder.ffn_hidden", 100000, ("encoder.layer.0.ffn.w1",), None, "meta",
-     "more than the file's params hold (16)"),
-    # one carrier widened to the meta size: the first other carrier is named
+    ("encoder", "encoder.ffn_hidden", 100000, ("encoder.layer.0.ffn.w1",), None,
+     "encoder.layer.0.ffn.b1", "has shape (16,), the model needs (100000,)"),
+    # one param widened to the meta size: the first param of another shape is named
     ("encoder", "encoder.dim", 400, (), "encoder.class_token", "encoder.patch_projection",
-     "has shape (4, 8), but meta encoder.dim is 400"),
-    # no param carries the size
+     "has shape (4, 8), the model needs (4, 400)"),
+    # no param that the size shapes is left
     ("bypass", "ansatz.layers", 300000, ("ansatz.theta",), None, None,
      "missing param ansatz.theta"),
     ("bypass", "reduction.in_dim", 300000, ("reduction.w",), None, None,
      "missing param reduction.w"),
     ("encoder", "encoder.patch", 300, ("encoder.patch_projection",), None, None,
      "missing param encoder.patch_projection"),
-    ("encoder", "encoder.ffn_hidden", 100000, FFN_HIDDEN_CARRIERS, None, None,
-     "missing param encoder.layer.0.ffn.w1"),
+    ("encoder", "encoder.ffn_hidden", 100000, FFN_HIDDEN_PARAMS, None, None,
+     "missing " + ", ".join(f"param {name}" for name in FFN_HIDDEN_PARAMS)),
 ], ids=["in-dim", "ansatz-layers", "encoder-dim", "ffn-hidden", "patch", "depth",
         "ffn-hidden-without-w1", "encoder-dim-one-carrier-widened", "ansatz-layers-without-theta",
         "in-dim-without-w", "patch-without-projection", "ffn-hidden-without-ffn"])
@@ -358,11 +364,13 @@ def test_rejects_meta_size_beyond_its_params_before_allocating(
 ):
     """One edited meta size, far beyond what the file's params hold, is
     rejected, and loading peaks under 1 MiB (about 0.1 MiB for the unedited
-    file) instead of allocating the model at that size. The size is read
-    from every param that carries it, so it is caught also when some of
-    them (each its param line and values line) are `dropped`; when one is
-    `widened` to the size, the first other carrier is named at its line
-    (`at`); when none is left, the error names a missing param."""
+    file) instead of allocating the model at that size. Every param is
+    compared with the shape the meta lines give (`config.parameter_shapes`)
+    before the build, so the first param of another shape is named at its
+    line (`at`), also when some params (each its param line and values
+    line) are `dropped` or one is `widened` to the size; when none that the
+    size shapes is left, the error lists the missing params. A meta
+    encoder.depth above the file's layer count is named at its meta line."""
     if kind == "bypass":
         model = make_bypass_model(in_dim=3, n_qubits=2, seed=9)
     else:

@@ -1,6 +1,7 @@
 """Fuzzed parser inputs: any CSV, checkpoint or config text either loads or
 raises ValueError, and an error about a file starts with its path; a
-checkpoint that loads scores an input or raises ValueError."""
+checkpoint that loads scores an input or raises ValueError, and a CSV that
+loads trains one mini-batch or raises a ValueError that names a row."""
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from qembed.checkpoint import load_checkpoint, save_checkpoint
 from qembed.config import SCHEMA, apply_overrides, default_config, parse_config_file
-from qembed.data import load_embeddings
+from qembed.data import generate_synthetic, load_embeddings, write_embeddings
 from qembed.encoder import EncoderConfig
-from qembed.model import make_bypass_model, make_encoder_model, readout_p0
+from qembed.model import as_rows, make_bypass_model, make_encoder_model, readout_p0
+from qembed.training import row_gradients
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -45,6 +47,13 @@ def test_load_embeddings_takes_any_text_after_a_valid_header(tmp_path, body):
         assert rec.features.shape == (2,) and rec.label in (0, 1)
 
 
+@pytest.fixture(scope="module")
+def csv_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    write_embeddings(path, generate_synthetic(8, 2, 6.0, 0))
+    return path.read_text(encoding="utf-8")
+
+
 def saved_text(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
     save_checkpoint(path, model)
@@ -64,16 +73,24 @@ def encoder_checkpoint_text(tmp_path_factory):
     return saved_text(tmp_path_factory, make_encoder_model(cfg, (4, 4, 1), seed=0))
 
 
-# Splices insert at most 3 characters, so that a spliced size (such as
-# reduction.in_dim) stays small enough to build.
+# Splices insert at most 3 characters. Every size a param holds is checked
+# against the file's params before the model is built, so no splice builds
+# beyond the file; the limit keeps a spliced count that no param holds (such
+# as fm.reps) small enough to score quickly.
 SPLICES = given(start=st.integers(0, 10**6), cut=st.integers(0, 8), insert=texts(3))
+
+
+def splice(load, path, text, start, cut, insert):
+    """`load` the file `text` with `cut` characters at `start` (modulo its
+    length) replaced by `insert`; None if it raised a ValueError."""
+    start %= len(text) + 1
+    return loads_or_names_path(load, path, text[:start] + insert + text[start + cut :])
 
 
 def load_splice(path, text, start, cut, insert):
     """Load the spliced file; a model that loads scores one input of its own
     shape, which either works or raises a ValueError."""
-    start %= len(text) + 1
-    model = loads_or_names_path(load_checkpoint, path, text[:start] + insert + text[start + cut :])
+    model = splice(load_checkpoint, path, text, start, cut, insert)
     if model is None:
         return
     if model.bypass:
@@ -103,6 +120,25 @@ def test_load_checkpoint_takes_any_splice_into_a_valid_encoder_file(
     tmp_path, encoder_checkpoint_text, start, cut, insert
 ):
     load_splice(tmp_path / "m.ckpt", encoder_checkpoint_text, start, cut, insert)
+
+
+@FUZZ
+@SPLICES
+def test_load_embeddings_takes_any_splice_into_a_valid_file(tmp_path, csv_text, start, cut, insert):
+    """A spliced CSV that loads trains one mini-batch of a bypass model of its
+    width: finite losses and gradients, or a ValueError that names a row."""
+    records = splice(load_embeddings, tmp_path / "d.csv", csv_text, start, cut, insert)
+    if records is None:
+        return
+    model = make_bypass_model(in_dim=len(records[0].features), seed=0)
+    rows = as_rows(model, [rec.features for rec in records])
+    try:
+        losses, grads, _ = row_gradients(model, rows, [rec.label for rec in records])
+    except ValueError as exc:
+        assert str(exc).startswith("row "), exc
+        return
+    assert np.isfinite(losses).all()
+    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 KEYS = st.sampled_from(sorted(SCHEMA))
