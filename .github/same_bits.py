@@ -16,7 +16,10 @@ tree's `src` on PYTHONPATH to pick it):
   read out on qubit 2, and the default encoder at 2 and 20 samples) and the
   library (the trained encoder model below);
 - a small encoder model trained through the library;
-- a 10-seed CLI benchmark.
+- a 10-seed CLI benchmark;
+- fresh, untrained `model_from_config` checkpoints of the toy head, the
+  3-qubit 2-layer head read out on qubit 2 and the default encoder, each
+  at seeds 0 and 7, so the builders' own draws are compared too.
 A command that fails still leaves its stdout to compare.
 
 `compare` prints, for every file either directory holds (the sorted union
@@ -48,6 +51,7 @@ def run(out: Path) -> None:
 
     import qembed
     from qembed.checkpoint import save_checkpoint
+    from qembed.config import default_config, model_from_config, parse_config_file
     from qembed.data import EmbeddingRecord
     from qembed.encoder import EncoderConfig
     from qembed.gradcheck import draw_samples, gradient_check
@@ -108,6 +112,14 @@ def run(out: Path) -> None:
     samples = draw_samples(model, 5, np.random.default_rng(7), image_shape=(4, 4, 1))
     groups = gradient_check(model, samples)[1]
     (out / "gradcheck-groups.txt").write_text("".join(f"{g!r}\n" for g in groups.values()))
+    toy = parse_config_file(toy_cfg)
+    for name, config in [
+        ("toy", toy),
+        ("wide", {**toy, "model.n_qubits": 3, "ansatz.layers": 2, "model.readout_qubit": 2}),
+        ("encoder", {**default_config(), "model.bypass_encoder": False}),
+    ]:
+        for seed in (0, 7):
+            save_checkpoint(out / f"fresh-{name}-{seed}.ckpt", model_from_config(config, seed=seed))
 
 
 def _digests(root: Path) -> dict[str, str]:

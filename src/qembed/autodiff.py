@@ -68,18 +68,6 @@ class ReductionLayer:
         return self.w.shape[1]
 
 
-def init_reduction(in_dim: int, n_out: int, seed_or_rng) -> ReductionLayer:
-    """Uniform init at a tenth of the fan-in/fan-out limit, zero bias.
-
-    The outputs are circuit angles with a pi-periodic readout, so initial
-    values must stay well inside one period; the plain limit would scatter
-    them across several.
-    """
-    rng = np.random.default_rng(seed_or_rng)
-    limit = 0.1 * math.sqrt(6.0 / (in_dim + n_out))
-    return ReductionLayer(w=rng.uniform(-limit, limit, size=(in_dim, n_out)), b=np.zeros(n_out))
-
-
 def reduce(x, layer: ReductionLayer) -> np.ndarray:
     """y = w^T x + b per output column."""
     x = np.asarray(x, dtype=float)

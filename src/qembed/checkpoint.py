@@ -63,9 +63,10 @@ def save_checkpoint(path, model: HybridModel) -> None:
 
 
 def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray, int]]]:
-    """`meta` texts and `param` arrays by name, each with its line number."""
+    """`meta` texts and `param` arrays by name, each with its line number.
+    Lines end at LF, CRLF or CR only, as in `data.load_embeddings`."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().removesuffix("\n").split("\n")
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"{path}: not a {MAGIC!r} file")
     meta: dict[str, tuple[str, int]] = {}

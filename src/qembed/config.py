@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .circuits import AnsatzSpec, FeatureMapSpec
 from .encoder import EncoderConfig, check_image_shape, parameter_shapes as encoder_parameter_shapes
-from .model import HybridModel, check_head, make_bypass_model, make_encoder_model
+from .model import HybridModel, head_shapes, make_bypass_model, make_encoder_model
 from .training import TrainingConfig
 
 # config key -> EncoderConfig field; checkpoint `meta` lines use the same keys
@@ -34,7 +34,7 @@ SPEC_FIELDS = {
     "ansatz.layers": "layers",
 }
 
-# config key -> argument of `model.check_head`, the model builder's range check
+# config key -> argument of `model.check_head`, which `model.head_shapes` runs
 HEAD_FIELDS = {"model.readout_qubit": "readout_qubit", "reduction.in_dim": "in_dim"}
 
 # config key -> TrainingConfig field, whose default is the key's default
@@ -147,7 +147,7 @@ def load_config(path, assignments) -> dict:
     """The config file at `path` (None: the defaults) with the `key=value`
     `assignments` on top, checked: the training config, the circuit specs
     and, for an encoder model, the encoder config are built from it, and
-    the range checks of the model builder (`model.check_head`) and of an
+    the range checks of the model builder (`model.head_shapes`) and of an
     encoder model's image shape (`encoder.check_image_shape`) run, so a value
     they reject fails here, before any data file is read. The error names
     the value's key, after the `path:line` that set it when the file did."""
@@ -166,11 +166,11 @@ def load_config(path, assignments) -> dict:
 def model_checks(config: dict) -> list:
     """The (check, fields) pairs of the model `config` describes, for
     `run_checks`: its circuit specs, an encoder model's encoder config, and
-    the model builder's head ranges (`model.check_head`)."""
+    the model builder's head ranges (`model.head_shapes`)."""
     checks = [(specs_from, SPEC_FIELDS)]
     if not config["model.bypass_encoder"]:
         checks.append((encoder_config_from, ENCODER_FIELDS))
-    return checks + [(_check_head, HEAD_FIELDS)]
+    return checks + [(_head_shapes, HEAD_FIELDS)]
 
 
 def run_checks(checks, config: dict, path, lines: dict[str, int]) -> None:
@@ -190,10 +190,10 @@ def run_checks(checks, config: dict, path, lines: dict[str, int]) -> None:
             raise ValueError(f"{where}{exc} (config key {key})") from None
 
 
-def _check_head(config: dict) -> None:
+def _head_shapes(config: dict) -> dict[str, tuple[int, ...]]:
     # an encoder model's reduction takes encoder.out_dim values, not in_dim
     in_dim = config["reduction.in_dim" if config["model.bypass_encoder"] else "encoder.out_dim"]
-    check_head(config["model.n_qubits"], config["model.readout_qubit"], in_dim)
+    return head_shapes(in_dim, specs_from(config)[1], config["model.readout_qubit"])
 
 
 def _check_image(config: dict) -> None:
@@ -222,10 +222,9 @@ def specs_from(config: dict) -> tuple[FeatureMapSpec, AnsatzSpec]:
 
 def parameter_shapes(config: dict) -> dict[str, tuple[int, ...]]:
     """The shape of every array `model.named_parameters` names, in its
-    order, for the model `config` describes; nothing is allocated."""
-    n, theta = config["model.n_qubits"], (specs_from(config)[1].parameter_count(),)
-    in_dim = config["reduction.in_dim" if config["model.bypass_encoder"] else "encoder.out_dim"]
-    shapes = {"reduction.w": (in_dim, n), "reduction.b": (n,), "ansatz.theta": theta}
+    order, for the model `config` describes: the head's (`model.head_shapes`)
+    and an encoder model's encoder's; nothing is allocated."""
+    shapes = _head_shapes(config)
     if not config["model.bypass_encoder"]:
         encoder = encoder_parameter_shapes(encoder_config_from(config), image_shape_from(config))
         shapes.update((f"encoder.{name}", shape) for name, shape in encoder.items())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ReductionLayer, init_reduction, parameter_dict, reduce, reduce_rows
+from .autodiff import ReductionLayer, parameter_dict, reduce, reduce_rows
 from .circuits import (
     AnsatzSpec,
     FeatureMapSpec,
@@ -73,7 +73,7 @@ class HybridModel:
 
 
 def check_head(n_qubits: int, readout_qubit: int, in_dim: int) -> None:
-    """The head's ranges, checked by `HybridModel`, its builder and `config.load_config`."""
+    """The head's ranges, checked by `HybridModel` and `head_shapes`."""
     if in_dim < 1:
         raise ValueError(f"in_dim must be at least 1, got {in_dim}")
     if not 0 <= readout_qubit < n_qubits:
@@ -204,6 +204,16 @@ def check_input_shape(shape: tuple, width: int | None, where: str = "") -> None:
         raise ValueError(f"{where}input of shape {shape} does not match reduction in_dim {width}")
 
 
+def head_shapes(in_dim: int, ansatz: AnsatzSpec, readout_qubit: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each head array `named_parameters` names, in its order,
+    for a reduction from `in_dim` features into `ansatz`; nothing is
+    allocated. Runs `check_head` first."""
+    n = ansatz.n_qubits
+    check_head(n, readout_qubit, in_dim)
+    return {"reduction.w": (in_dim, n), "reduction.b": (n,),
+            "ansatz.theta": (ansatz.parameter_count(),)}
+
+
 def named_parameters(model: HybridModel) -> dict[str, np.ndarray]:
     """Live references to every trainable array, keyed by canonical name."""
     return parameter_dict(
@@ -220,29 +230,28 @@ def set_parameters(model: HybridModel, values: dict[str, np.ndarray]) -> None:
         np.copyto(params[name], value)
 
 
-def _neutral_bias(fm: FeatureMapSpec) -> float:
-    # Angle where the readout sits at p0 = 0.5, the steepest point of the
-    # cos^2 curve; starting there avoids the clamped-log gradient blowup at
-    # p0 near 0 or 1.
-    return math.pi / (2.0 * fm.scale)
-
-
 def _init_model(
     rng, in_dim, n_qubits, fm_repetitions, fm_scale, ansatz_layers, readout_qubit, **encoder
 ) -> HybridModel:
-    """Specs, reduction and ansatz angles, drawn from `rng` after any encoder
-    weights so that a seed always gives the same model.
+    """Specs, then each head array drawn from `rng` at its `head_shapes`
+    shape, after any encoder weights, so that a seed always gives the same
+    model.
 
-    Reduction weights start small (see init_reduction) with the bias at the
-    neutral readout angle; ansatz angles start as normal(0, 0.1) rotations.
+    Reduction weights start uniform at a tenth of the fan-in/fan-out limit:
+    they give circuit angles, which must start well inside one period of
+    the pi-periodic readout. The bias starts where the readout sits at
+    p0 = 0.5, the steepest point of the cos^2 curve, away from the
+    clamped-log gradient blowup at p0 near 0 or 1. Ansatz angles start as
+    normal(0, 0.1) rotations.
     """
     fm = FeatureMapSpec(n_qubits=n_qubits, repetitions=fm_repetitions, scale=fm_scale)
     an = AnsatzSpec(n_qubits=n_qubits, layers=ansatz_layers)
-    check_head(n_qubits, readout_qubit, in_dim)
-    reduction = init_reduction(in_dim, n_qubits, rng)
-    reduction.b[:] = _neutral_bias(fm)
-    theta = rng.normal(0.0, 0.1, size=an.parameter_count())
-    return HybridModel(reduction, theta, fm, an, readout_qubit=readout_qubit, **encoder)
+    shapes = head_shapes(in_dim, an, readout_qubit)
+    limit = 0.1 * math.sqrt(6.0 / (in_dim + n_qubits))
+    w = rng.uniform(-limit, limit, size=shapes["reduction.w"])
+    b = np.full(shapes["reduction.b"], math.pi / (2.0 * fm.scale))
+    theta = rng.normal(0.0, 0.1, size=shapes["ansatz.theta"])
+    return HybridModel(ReductionLayer(w, b), theta, fm, an, readout_qubit=readout_qubit, **encoder)
 
 
 def make_bypass_model(

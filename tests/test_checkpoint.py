@@ -127,6 +127,37 @@ def test_v1_file_loads_and_resaves_byte_identical(tmp_path):
     assert resaved.read_text() == V1_BYPASS
 
 
+# characters str.splitlines breaks at that float() and int() strip as spaces
+NON_LF_BREAKS = ["\x0b", "\x0c", "\x85", "\u2028"]
+
+
+def with_line_end(text: str, lineno: int, extra: str) -> str:
+    """`text` with `extra` at the end of its (1-based, LF-counted) line `lineno`."""
+    lines = text.split("\n")
+    lines[lineno - 1] += extra
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("char", NON_LF_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_lines_are_counted_at_lf(tmp_path, char):
+    """A line ends at LF only: a meta value followed by U+0085 (or another
+    character str.splitlines breaks at) is not canonical at its own line,
+    and such a character at the end of a values line, which float() takes,
+    leaves a later line's number as it is."""
+    path = tmp_path / "v1.ckpt"
+    path.write_text(with_line_end(V1_BYPASS, 2, char), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == (
+        f"{path}:2: meta readout_qubit {'0' + char!r} is not a canonical int"
+    )
+    bad = with_line_end(V1_BYPASS, 13, char).replace("param ansatz.theta ", "param ansatz.thetaX ")
+    path.write_text(bad, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}:14: unknown parameter 'ansatz.thetaX'"
+
+
 @st.composite
 def structures(draw):
     """A config dict for a random valid model, bypass or encoder."""

@@ -39,12 +39,21 @@ def loads_or_names_path(load, path, text):
         assert str(exc).startswith(str(path)), exc
 
 
+# a whole record of the header below: an id, a label and two fields, each
+# field a float's repr or a format token, so that many bodies load
+FIELD = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), NUMERIC)
+RECORDS = st.lists(st.tuples(st.sampled_from("01"), FIELD, FIELD), max_size=4).map(
+    lambda records: "".join(f"r{i},{','.join(r)}\n" for i, r in enumerate(records))
+)
+
+
 @FUZZ
-@given(body=texts(120))
+@given(body=st.one_of(texts(120), RECORDS))
 def test_load_embeddings_takes_any_text_after_a_valid_header(tmp_path, body):
     records = loads_or_names_path(load_embeddings, tmp_path / "d.csv", "id,label,f0,f1\n" + body)
     for rec in records or []:
         assert rec.features.shape == (2,) and rec.label in (0, 1)
+        assert np.isfinite(rec.features).all()
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from qembed.model import (
     readout_p0,
     set_parameters,
 )
-from qembed.autodiff import backward, bce_loss, init_reduction
+from qembed.autodiff import ReductionLayer, backward, bce_loss
 from qembed.circuits import AnsatzSpec
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import draw_samples, gradient_check
@@ -558,7 +558,7 @@ def test_hybrid_model_rejects_parts_that_do_not_fit():
         (dict(ansatz=AnsatzSpec(n_qubits=2)), "feature map has 1 qubit(s) but ansatz has 2"),
         (dict(theta=np.zeros(3)),
          "expected 2 ansatz parameter(s) for n_qubits=1, layers=1, got array of shape (3,)"),
-        (dict(reduction=init_reduction(5, 2, 0)),
+        (dict(reduction=ReductionLayer(np.zeros((5, 2)), np.zeros(2))),
          "reduction emits 2 value(s) but the feature map expects 1"),
         (dict(encoder_config=cfg), "encoder config and weights must be provided together"),
         (dict(encoder_config=cfg, encoder_weights=encoder.encoder_weights),
@@ -568,6 +568,35 @@ def test_hybrid_model_rejects_parts_that_do_not_fit():
         with pytest.raises(ValueError) as error:
             HybridModel(**{**parts, **change})
         assert str(error.value) == message
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+@pytest.mark.parametrize("kind", ["bypass", "encoder"])
+@pytest.mark.parametrize("n_qubits,layers,scale,readout", [(1, 1, 2.0, 0), (3, 2, 1.5, 2)])
+def test_builders_draw_the_head_by_its_init_rule(seed, kind, n_qubits, layers, scale, readout):
+    """Each head array of a seeded model is its init rule drawn from
+    `default_rng(seed)` after any encoder weights: reduction weights
+    uniform in +-0.1 * sqrt(6 / (in_dim + n_qubits)), the bias at the
+    neutral angle pi / (2 * scale), then ansatz angles normal(0, 0.1)."""
+    head = dict(n_qubits=n_qubits, fm_scale=scale, ansatz_layers=layers, seed=seed,
+                readout_qubit=readout)
+    rng = np.random.default_rng(seed)
+    if kind == "encoder":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=5)
+        model = make_encoder_model(cfg, (4, 4, 1), **head)
+        qembed_encoder.init_encoder_weights(cfg, (4, 4, 1), rng)
+    else:
+        model = make_bypass_model(in_dim=5, **head)
+    limit = 0.1 * math.sqrt(6.0 / (5 + n_qubits))
+    expected = {
+        "reduction.w": rng.uniform(-limit, limit, size=(5, n_qubits)),
+        "reduction.b": np.full(n_qubits, math.pi / (2.0 * scale)),
+        "ansatz.theta": rng.normal(0.0, 0.1, size=n_qubits * (layers + 1)),
+    }
+    params = named_parameters(model)
+    for name, array in expected.items():
+        assert params[name].dtype == array.dtype and params[name].shape == array.shape, name
+        assert (params[name] == array).all(), name
 
 
 @pytest.mark.parametrize("kind", ["encoder", "bypass"])
