@@ -16,6 +16,9 @@ tree's `src` on PYTHONPATH to pick it):
   read out on qubit 2, and the default encoder at 2 and 20 samples) and the
   library (the trained encoder model below);
 - a small encoder model trained through the library;
+- the library `qembed.predict` tuples, one repr per line, of the toy data
+  on the toy and the 3-qubit checkpoints and of the encoder model's 40
+  training images, each row scored alone;
 - a 10-seed CLI benchmark;
 - fresh, untrained `model_from_config` checkpoints of the toy head, the
   3-qubit 2-layer head read out on qubit 2 and the default encoder, each
@@ -50,9 +53,9 @@ def run(out: Path) -> None:
     import numpy as np
 
     import qembed
-    from qembed.checkpoint import save_checkpoint
+    from qembed.checkpoint import load_checkpoint, save_checkpoint
     from qembed.config import default_config, model_from_config, parse_config_file
-    from qembed.data import EmbeddingRecord
+    from qembed.data import EmbeddingRecord, load_embeddings
     from qembed.encoder import EncoderConfig
     from qembed.gradcheck import draw_samples, gradient_check
     from qembed.model import make_encoder_model
@@ -112,6 +115,12 @@ def run(out: Path) -> None:
     samples = draw_samples(model, 5, np.random.default_rng(7), image_shape=(4, 4, 1))
     groups = gradient_check(model, samples)[1]
     (out / "gradcheck-groups.txt").write_text("".join(f"{g!r}\n" for g in groups.values()))
+    rows = [rec.features for rec in load_embeddings(out / "data.csv")[:200]]
+    for name, scored, inputs in [("toy", load_checkpoint(out / "toy.ckpt"), rows),
+                                 ("wide", load_checkpoint(out / "wide.ckpt"), rows),
+                                 ("encoder", model, images)]:
+        lines = "".join(f"{qembed.predict(scored, x)!r}\n" for x in inputs)
+        (out / f"predict-library-{name}.txt").write_text(lines)
     toy = parse_config_file(toy_cfg)
     for name, config in [
         ("toy", toy),

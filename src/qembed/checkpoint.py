@@ -64,7 +64,9 @@ def save_checkpoint(path, model: HybridModel) -> None:
 
 def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray, int]]]:
     """`meta` texts and `param` arrays by name, each with its line number.
-    Lines end at LF, CRLF or CR only, as in `data.load_embeddings`."""
+    Lines end at LF, CRLF or CR only, as in `data.load_embeddings`, and a
+    param's dims and values are split at single ASCII spaces, as
+    `save_checkpoint` joins them."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().removesuffix("\n").split("\n")
     if not lines or lines[0] != MAGIC:
@@ -81,12 +83,12 @@ def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray
         name, _, rest = rest.partition(" ")
         if kind == "meta" and name and rest:
             table, entry = meta, rest
-        elif kind == "param" and name and all(d.isdecimal() for d in rest.split()):
-            shape = tuple(int(d) for d in rest.split())
+        elif kind == "param" and name and all(d.isascii() and d.isdecimal() for d in rest.split(" ")):
+            shape = tuple(int(d) for d in rest.split(" "))
             if i >= len(lines):
                 raise ValueError(f"{path}:{lineno}: missing values for parameter {name!r}")
             try:
-                entry = np.array([float(v) for v in lines[i].split()]).reshape(shape)
+                entry = np.array([float(v) for v in lines[i].split(" ")]).reshape(shape)
             except ValueError:
                 entry = None
             if entry is None or not np.all(np.isfinite(entry)):

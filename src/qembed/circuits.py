@@ -20,10 +20,11 @@ feature map repeats one list of gates per repetition: the shared H gates
 and one U1 per qubit. `readout_rows` runs the same gates in the same
 order over any number of rows, in blocks of at most `_BLOCK_AMPLITUDES`
 amplitudes, giving every row quantum_forward's p0 bit for bit; inference
-uses it. It checks each block's angles before that block's gates run and
-names a row whose angle is not finite by its index in its input. One
-qubit runs on real and imaginary parts as Python floats for one row or
-(rows,) arrays for a block; wider circuits run on (rows, 2**n)
+uses it, and `readout_row`, after the same checks, for one row. It
+checks each block's angles before that block's gates run and names a
+row whose angle is not finite by its index in its input. One qubit runs
+on real and imaginary parts as Python floats for one row (`readout_row`)
+or (rows,) arrays for a block; wider circuits run on (rows, 2**n)
 amplitudes. The two stay apart until the benchmark's traced check, which
 counts `run_circuit` calls per training sample-step, counts rows instead.
 """
@@ -196,26 +197,44 @@ def readout_rows(
     named by its index in `features`, a `NonFiniteRowError` that reads
     `row 5: features must be finite`.
     """
-    _check_specs(fm, an)
-    n = fm.n_qubits
     feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != n:
-        raise ValueError(f"expected (rows, {n}) features, got array of shape {feats.shape}")
-    theta = _ansatz_angles(theta, an)
-    _check_qubit(readout_qubit, n, "readout")
-    thetas = theta.tolist()
-    if not all(map(math.isfinite, thetas)):
-        raise ValueError("RY angle must be finite")
+    thetas = _check_readout(feats.shape, theta, fm, an, readout_qubit)
     if not len(feats):
         return np.zeros(0)
-    ansatz = thetas if n == 1 else build_real_amplitudes(theta, an)
-    step = max(1, _BLOCK_AMPLITUDES >> n)
+    ansatz = thetas if fm.n_qubits == 1 else build_real_amplitudes(thetas, an)
+    step = max(1, _BLOCK_AMPLITUDES >> fm.n_qubits)
     if len(feats) <= step:
         return _block_p0(feats, 0, ansatz, fm, readout_qubit)
     return np.concatenate([
         _block_p0(feats[i : i + step], i, ansatz, fm, readout_qubit)
         for i in range(0, len(feats), step)
     ])
+
+
+def readout_row(features, theta, fm: FeatureMapSpec, an: AnsatzSpec, readout_qubit: int = 0):
+    """readout_rows' p0, a Python float, of the one row array `features`
+    (n_qubits,): one qubit on Python floats, wider circuits as one block."""
+    thetas = _check_readout((1, *features.shape), theta, fm, an, readout_qubit)
+    if fm.n_qubits > 1:
+        gates = build_real_amplitudes(thetas, an)
+        return float(_block_p0(features[None], 0, gates, fm, readout_qubit)[0])
+    a = fm.scale * features.tolist()[0]
+    if not math.isfinite(a):
+        raise NonFiniteRowError(0)
+    return min(max(_one_qubit_p0(math.cos(a), math.sin(a), thetas, fm.repetitions), 0.0), 1.0)
+
+
+def _check_readout(shape: tuple, theta, fm: FeatureMapSpec, an: AnsatzSpec, readout_qubit: int):
+    """readout_rows' checks, in order, of all but the feature values; returns theta's angles."""
+    _check_specs(fm, an)
+    n = fm.n_qubits
+    if len(shape) != 2 or shape[1] != n:
+        raise ValueError(f"expected (rows, {n}) features, got array of shape {shape}")
+    thetas = _ansatz_angles(theta, an).tolist()
+    _check_qubit(readout_qubit, n, "readout")
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("RY angle must be finite")
+    return thetas
 
 
 def _block_p0(feats: np.ndarray, first: int, ansatz: list, fm: FeatureMapSpec, readout_qubit: int):
@@ -230,10 +249,6 @@ def _block_p0(feats: np.ndarray, first: int, ansatz: list, fm: FeatureMapSpec, r
         bad = next(i for i, a in enumerate(angles) if not math.isfinite(a))
         raise NonFiniteRowError(first + bad // n)
     if n == 1:
-        if len(angles) == 1:
-            a = angles[0]
-            p0 = _one_qubit_p0(math.cos(a), math.sin(a), ansatz, fm.repetitions)
-            return np.array([min(max(p0, 0.0), 1.0)])
         cos = np.array([math.cos(a) for a in angles])
         sin = np.array([math.sin(a) for a in angles])
         return np.clip(_one_qubit_p0(cos, sin, ansatz, fm.repetitions), 0.0, 1.0)

@@ -15,8 +15,9 @@ itself, each row model_forward's p0 of its features bit for bit.
 Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
-row; `readout_rows` names a row whose features are not finite. Training
-reads its rows through `as_rows` too.
+row; `readout_rows` names a row whose features are not finite. `row_p0`
+scores one input, as `predict` does, at the same bits with no row axis.
+Training reads its rows through `as_rows` too.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .circuits import (
     _ansatz_angles,
     _check_specs,
     quantum_forward,
+    readout_row,
     readout_rows,
 )
 from .encoder import EncoderConfig, EncoderWeights, encode, init_encoder_weights
@@ -122,28 +124,42 @@ def model_forward(
 # at about 32.
 _ENCODE_BLOCK_ROWS = 32
 
-# as in the gradient audit, a row whose features overflow the encoder or the
-# reduction is named by the readout (`NonFiniteRowError`), with no numpy warning
-@np.errstate(over="ignore", invalid="ignore")
+
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (rows that stack into one array, see
     `as_rows`), in order: model_forward's p0 of each row's features, bit
-    for bit."""
-    return features_p0(model, inputs if model.bypass else encode_rows(model, inputs))
-
-
-def encode_rows(model: HybridModel, inputs) -> np.ndarray:
-    """(rows, out_dim) encoder features of the (rows, H, W, C) images
-    `inputs`, encoded in blocks along the row axis, each row the bits of
-    encoding it alone."""
+    for bit. One row is `row_p0`'s."""
     x = as_rows(model, inputs)
-    feats = np.empty((len(x), model.encoder_config.out_dim))
     if len(x) == 1:
-        # a lone image encodes about 5% faster without the row axis, at the
-        # same bits (medians 117 us against 123 us for the default 4x4x1
-        # config, interleaved on a 2-core VM)
-        feats[0] = encode(x[0], model.encoder_weights, model.encoder_config)
-        return feats
+        return np.array([row_p0(model, x[0])])
+    # as in the gradient audit, an overflow in the encoder or the reduction
+    # is named by the readout (`NonFiniteRowError`), with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = reduce_rows(x if model.bypass else encode_rows(model, x), model.reduction)
+    return reduced_p0(model, y, model.theta)
+
+
+def row_p0(model: HybridModel, x) -> float:
+    """readout_p0 of the one input `x`, a bypass row or an (H, W, C) image,
+    as a Python float (any other input raises readout_p0's error). Its 1-D
+    `x @ w + b` has `reduce_rows`' bits for that row, as `reduce` does."""
+    try:
+        row = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        row = None
+    if row is None or (row.shape != (model.reduction.in_dim,) if model.bypass else row.ndim != 3):
+        return float(readout_p0(model, [x])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        feat = row if model.bypass else encode(row, model.encoder_weights, model.encoder_config)
+        y = feat @ model.reduction.w + model.reduction.b
+    return readout_row(y, model.theta, model.feature_map, model.ansatz, model.readout_qubit)
+
+
+def encode_rows(model: HybridModel, x: np.ndarray) -> np.ndarray:
+    """(rows, out_dim) encoder features of the (rows, H, W, C) images `x`,
+    encoded in blocks along the row axis, each row the bits of encoding it
+    alone."""
+    feats = np.empty((len(x), model.encoder_config.out_dim))
     for start in range(0, len(x), _ENCODE_BLOCK_ROWS):
         stop = start + _ENCODE_BLOCK_ROWS
         feats[start:stop] = encode(x[start:stop], model.encoder_weights, model.encoder_config)
@@ -239,10 +255,10 @@ def _init_model(
 
     Reduction weights start uniform at a tenth of the fan-in/fan-out limit:
     they give circuit angles, which must start well inside one period of
-    the pi-periodic readout. The bias starts where the readout sits at
-    p0 = 0.5, the steepest point of the cos^2 curve, away from the
-    clamped-log gradient blowup at p0 near 0 or 1. Ansatz angles start as
-    normal(0, 0.1) rotations.
+    the readout, 2 pi in the feature angle. The bias starts where the
+    readout sits at p0 = 0.5 (at zero ansatz angles), the steepest point of
+    its curve, away from the clamped-log gradient blowup at p0 near 0 or 1.
+    Ansatz angles start as normal(0, 0.1) rotations.
     """
     fm = FeatureMapSpec(n_qubits=n_qubits, repetitions=fm_repetitions, scale=fm_scale)
     an = AnsatzSpec(n_qubits=n_qubits, layers=ansatz_layers)

@@ -48,6 +48,7 @@ from .model import (
     model_forward,
     named_parameters,
     readout_p0,
+    row_p0,
 )
 
 OPTIMIZERS = ("sgd", "sgd-momentum", "adam")
@@ -346,7 +347,7 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
 
 def predict(model: HybridModel, x) -> tuple[int, float, float]:
     """(label, p0, p1); label 1 iff p0 >= 0.5 (P(0) is the class-1 probability)."""
-    p0 = float(readout_p0(model, [x])[0])
+    p0 = row_p0(model, x)
     return decide_label(p0), p0, 1.0 - p0
 
 

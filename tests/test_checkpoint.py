@@ -158,6 +158,38 @@ def test_lines_are_counted_at_lf(tmp_path, char):
     assert str(info.value) == f"{path}:14: unknown parameter 'ansatz.thetaX'"
 
 
+# characters str.split() splits at but save_checkpoint never writes
+NON_SPACE_SEPARATORS = ["\t", "\x85", "\u2028", "\u00a0"]
+
+
+@pytest.mark.parametrize("sep", NON_SPACE_SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+def test_param_fields_split_at_single_ascii_spaces(tmp_path, sep):
+    """A param's dims and values are split where save_checkpoint joins them,
+    at single ASCII spaces: another separator leaves one field that is not
+    a dim, or not a float, at its own line."""
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_BYPASS.replace("param reduction.w 2 1", f"param reduction.w 2{sep}1"),
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}:10: malformed line {f'param reduction.w 2{sep}1'!r}"
+    values = "0.04180988467257789 -0.056776960612792984"
+    path.write_text(V1_BYPASS.replace(values, values.replace(" ", sep)), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}:15: parameter 'ansatz.theta' needs 2 finite float values"
+
+
+def test_param_dims_are_ascii_digits(tmp_path):
+    """str.isdecimal() and int() take a fullwidth digit; a dim is ASCII."""
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_BYPASS.replace("param reduction.b 1", "param reduction.b \uff11"),
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}:12: malformed line 'param reduction.b \uff11'"
+
+
 @st.composite
 def structures(draw):
     """A config dict for a random valid model, bypass or encoder."""

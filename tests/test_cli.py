@@ -716,6 +716,29 @@ def test_predict_on_malformed_checkpoint_fails_with_path(tmp_path, capsys):
     assert f"{ckpt}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new", [
+    *[(" ", sep) for sep in ("\t", "\x85", "\u2028", "\u00a0")],
+    ("param reduction.b 1", "param reduction.b \uff11"),
+], ids=["U+0009", "U+0085", "U+2028", "U+00A0", "fullwidth-dim"])
+def test_predict_rejects_params_not_split_at_ascii_spaces(tmp_path, capsys, old, new):
+    """A param's values joined by another separator than one ASCII space,
+    or a dim that is not ASCII digits, fails predict at its line."""
+    data = tmp_path / "data.csv"
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["synth", "--n", "10", "--d", "3", "--out", str(data)]) == 0
+    save_checkpoint(ckpt, make_bypass_model(in_dim=3, seed=0))
+    lines = ckpt.read_text().split("\n")
+    # the reduction.w values line, or the reduction.b header
+    i = lines.index("param reduction.w 3 1") + 1 if old == " " else lines.index(old)
+    lines[i] = lines[i].replace(old, new)
+    ckpt.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{ckpt}:{i + 1}: " in captured.err
+
+
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_encoder_checkpoint_is_rejected_at_load(tmp_path, capsys, command):
     ckpt = tmp_path / "enc.ckpt"

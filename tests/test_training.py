@@ -24,7 +24,7 @@ from qembed.model import (
     readout_p0,
     set_parameters,
 )
-from qembed.autodiff import ReductionLayer, backward, bce_loss
+from qembed.autodiff import ReductionLayer, backward, bce_loss, reduce_rows
 from qembed.circuits import AnsatzSpec
 from qembed.encoder import EncoderConfig
 from qembed.gradcheck import draw_samples, gradient_check
@@ -620,6 +620,117 @@ def test_evaluate_and_validation_match_per_row_predict(kind):
     f1 = compute_metrics([rows[i][0] for i in indices], [labels[i] for i in indices]).f1
     rows, row_labels = [data[i].features for i in indices], [labels[i] for i in indices]
     assert _mean_loss_and_f1(model, rows, row_labels) == (float(np.mean(losses)), f1)
+
+
+# ---------------------------------------------------------------------------
+# One-row scoring: predict through model.row_p0
+# ---------------------------------------------------------------------------
+
+def assert_one_row_scores_as_blocks(model, xs):
+    """predict's p0 of each row alone == readout_p0's p0 of that row in a
+    block of all of them == model_forward's p0 of that row's features."""
+    block = readout_p0(model, xs).tolist()
+    assert len(xs) > 1 and len(block) == len(xs)
+    for x, p0 in zip(xs, block):
+        assert predict(model, x)[1] == p0 == image_forward(model, x)[1].p0
+        assert model_module.row_p0(model, list(x)) == p0
+        assert readout_p0(model, [x]).tolist() == [p0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_row_bypass_scores_as_blocks(n):
+    """Seeded bypass heads of every depth 0-3 and readout qubit, reps 1-3
+    and scales of both signs."""
+    rng = np.random.default_rng(900 + n)
+    for layers in range(4):
+        for q in range(n):
+            scale = (-1.0) ** (layers + q) * rng.uniform(0.5, 3.0)
+            model = make_bypass_model(in_dim=5, n_qubits=n, fm_repetitions=int(rng.integers(1, 4)),
+                                      fm_scale=scale, ansatz_layers=layers, seed=layers,
+                                      readout_qubit=q)
+            model.theta[:] = rng.normal(0.0, 2.0, size=model.theta.shape)
+            model.reduction.b[:] = rng.normal(0.0, 1.0, size=n)
+            xs = rng.normal(0.0, 3.0, size=(4, 5))
+            # the 1-D reduction row_p0 runs is reduce_rows' row, bit for bit
+            w, b = model.reduction.w, model.reduction.b
+            assert np.array_equal(np.array([x @ w + b for x in xs]), reduce_rows(xs, model.reduction))
+            assert_one_row_scores_as_blocks(model, xs)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("class_token", [True, False])
+def test_one_row_encoder_scores_as_blocks(heads, class_token):
+    cfg = EncoderConfig(patch_size=2, embed_dim=8, layers=2, heads=heads, ffn_hidden=8,
+                        out_dim=6, use_class_token=class_token)
+    model = make_encoder_model(cfg, (4, 6, 2), n_qubits=2, ansatz_layers=1, seed=heads,
+                               readout_qubit=int(class_token))
+    images = np.random.default_rng(heads).normal(size=(5, 4, 6, 2))
+    assert_one_row_scores_as_blocks(model, images)
+    one_qubit = make_encoder_model(cfg, (4, 6, 2), seed=heads)
+    assert_one_row_scores_as_blocks(one_qubit, images)
+
+
+def _wrong_theta_shape(model):
+    model.theta = np.zeros(len(model.theta) + 3)
+
+
+def _non_finite_theta(model):
+    model.theta[-1] = math.inf
+
+
+def _overflowing_reduction(model):
+    model.reduction.w[:] = 1e308
+
+
+def _cancelling_reduction(model):
+    # inf + -inf: an invalid value, not only an overflow
+    model.reduction.w[:] = 1e308
+    model.reduction.w[1] = -1e308
+
+
+@pytest.mark.parametrize("kind", ["bypass-1q", "bypass-3q", "encoder-1q"])
+def test_one_row_errors_are_the_rows_paths(kind):
+    """predict, and readout_p0 of one row, raise the rows path's error for
+    each bad input or model, with no numpy warning."""
+    n = 3 if kind == "bypass-3q" else 1
+    if kind == "encoder-1q":
+        cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=4, out_dim=3)
+        build = lambda: make_encoder_model(cfg, (4, 4, 1), seed=41)  # noqa: E731
+        good = np.random.default_rng(41).normal(size=(4, 4, 1))
+        flat = "row 0: encoder input must be an (H, W, C) image, got shape (4, 4)"
+    else:
+        build = lambda: make_bypass_model(in_dim=3, n_qubits=n, seed=41)  # noqa: E731
+        good = np.array([0.5, 1.0, 2.0])  # good + 1 times 1e308 overflows entry by entry
+        flat = "row 0: input of shape (4, 4) does not match reduction in_dim 3"
+    one = np.arange(good.size).reshape(good.shape) == 1
+    p = 2 * n
+    cases = [
+        (np.ones((4, 4)), None, flat),
+        (np.where(one, math.nan, good), None, "row 0: features must be finite"),
+        (np.where(one, -math.inf, good), None, "row 0: features must be finite"),
+        (good, _wrong_theta_shape, f"expected {p} ansatz parameter(s) for n_qubits={n}, "
+                                   f"layers=1, got array of shape ({p + 3},)"),
+        (good, _non_finite_theta, "RY angle must be finite"),
+    ]
+    if kind == "encoder-1q":
+        # pixels that overflow the encoder
+        cases.append((np.full(good.shape, 1e308), None, "row 0: features must be finite"))
+    else:
+        cases += [
+            (np.ones(4), None, "row 0: input of shape (4,) does not match reduction in_dim 3"),
+            (good + 1.0, _overflowing_reduction, "row 0: features must be finite"),
+            (good + 1.0, _cancelling_reduction, "row 0: features must be finite"),
+        ]
+    for x, edit, message in cases:
+        model = build()
+        if edit is not None:
+            edit(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for score in (predict, lambda m, row: readout_p0(m, [row])):
+                with pytest.raises(ValueError) as info:
+                    score(model, x)
+                assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
