@@ -16,6 +16,9 @@ tree's `src` on PYTHONPATH to pick it):
   read out on qubit 2, and the default encoder at 2 and 20 samples) and the
   library (the trained encoder model below);
 - a small encoder model trained through the library;
+- the float64 bytes (`tobytes()`) of the feature rows `load_embeddings`
+  reads from the toy data and the 10 000-row CSV, so the CSV reader's
+  values are compared directly and not only through the scores;
 - the library `qembed.predict` tuples, one repr per line, of the toy data
   on the toy and the 3-qubit checkpoints and of the encoder model's 40
   training images, each row scored alone;
@@ -115,6 +118,9 @@ def run(out: Path) -> None:
     samples = draw_samples(model, 5, np.random.default_rng(7), image_shape=(4, 4, 1))
     groups = gradient_check(model, samples)[1]
     (out / "gradcheck-groups.txt").write_text("".join(f"{g!r}\n" for g in groups.values()))
+    for name in ("data", "rows"):
+        features = np.stack([rec.features for rec in load_embeddings(out / f"{name}.csv")])
+        (out / f"features-{name}.bin").write_bytes(features.tobytes())
     rows = [rec.features for rec in load_embeddings(out / "data.csv")[:200]]
     for name, scored, inputs in [("toy", load_checkpoint(out / "toy.ckpt"), rows),
                                  ("wide", load_checkpoint(out / "wide.ckpt"), rows),

@@ -66,7 +66,9 @@ def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray
     """`meta` texts and `param` arrays by name, each with its line number.
     Lines end at LF, CRLF or CR only, as in `data.load_embeddings`, and a
     param's dims and values are split at single ASCII spaces, as
-    `save_checkpoint` joins them."""
+    `save_checkpoint` joins them. A values line is ASCII, with no underscore
+    and no whitespace but those spaces: float() alone would take `1_0` or a
+    non-ASCII digit and strip a tab or U+00A0 around a value."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().removesuffix("\n").split("\n")
     if not lines or lines[0] != MAGIC:
@@ -87,10 +89,12 @@ def _parse(path) -> tuple[dict[str, tuple[str, int]], dict[str, tuple[np.ndarray
             shape = tuple(int(d) for d in rest.split(" "))
             if i >= len(lines):
                 raise ValueError(f"{path}:{lineno}: missing values for parameter {name!r}")
-            try:
-                entry = np.array([float(v) for v in lines[i].split(" ")]).reshape(shape)
-            except ValueError:
-                entry = None
+            values, entry = lines[i].split(" "), None
+            if lines[i].isascii() and "_" not in lines[i] and lines[i].split() == values:
+                try:
+                    entry = np.array([float(v) for v in values]).reshape(shape)
+                except ValueError:
+                    pass
             if entry is None or not np.all(np.isfinite(entry)):
                 raise ValueError(
                     f"{path}:{i + 1}: parameter {name!r} needs {int(np.prod(shape))} "

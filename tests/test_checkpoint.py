@@ -142,8 +142,8 @@ def with_line_end(text: str, lineno: int, extra: str) -> str:
 def test_lines_are_counted_at_lf(tmp_path, char):
     """A line ends at LF only: a meta value followed by U+0085 (or another
     character str.splitlines breaks at) is not canonical at its own line,
-    and such a character at the end of a values line, which float() takes,
-    leaves a later line's number as it is."""
+    and such a character at the end of a values line, which float() would
+    strip, fails that values line at its own number."""
     path = tmp_path / "v1.ckpt"
     path.write_text(with_line_end(V1_BYPASS, 2, char), encoding="utf-8")
     with pytest.raises(ValueError) as info:
@@ -151,11 +151,10 @@ def test_lines_are_counted_at_lf(tmp_path, char):
     assert str(info.value) == (
         f"{path}:2: meta readout_qubit {'0' + char!r} is not a canonical int"
     )
-    bad = with_line_end(V1_BYPASS, 13, char).replace("param ansatz.theta ", "param ansatz.thetaX ")
-    path.write_text(bad, encoding="utf-8")
+    path.write_text(with_line_end(V1_BYPASS, 13, char), encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(info.value) == f"{path}:14: unknown parameter 'ansatz.thetaX'"
+    assert str(info.value) == f"{path}:13: parameter 'reduction.b' needs 1 finite float values"
 
 
 # characters str.split() splits at but save_checkpoint never writes
@@ -175,6 +174,24 @@ def test_param_fields_split_at_single_ascii_spaces(tmp_path, sep):
     assert str(info.value) == f"{path}:10: malformed line {f'param reduction.w 2{sep}1'!r}"
     values = "0.04180988467257789 -0.056776960612792984"
     path.write_text(V1_BYPASS.replace(values, values.replace(" ", sep)), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}:15: parameter 'ansatz.theta' needs 2 finite float values"
+
+
+@pytest.mark.parametrize("values", [
+    "0.04180988467257789 \u00a0-0.056776960612792984",
+    "0.04180988467257789\t -0.056776960612792984",
+    "0_0.04180988467257789 -0.056776960612792984",
+], ids=["space-U+00A0", "tab-space", "underscore"])
+def test_param_values_are_repr_floats_joined_by_single_spaces(tmp_path, values):
+    """float() takes each of these fields, stripping the extra whitespace or
+    dropping the underscore, but save_checkpoint writes none of them."""
+    assert [float(v) for v in values.split(" ") if v.strip()] == [
+        0.04180988467257789, -0.056776960612792984]
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_BYPASS.replace("0.04180988467257789 -0.056776960612792984", values),
+                    encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}:15: parameter 'ansatz.theta' needs 2 finite float values"

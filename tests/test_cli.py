@@ -717,19 +717,23 @@ def test_predict_on_malformed_checkpoint_fails_with_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("old,new", [
-    *[(" ", sep) for sep in ("\t", "\x85", "\u2028", "\u00a0")],
+    *[(" ", sep) for sep in ("\t", "\x85", "\u2028", "\u00a0", " \u00a0", "\t ")],
+    ("0.", "0_0."),
     ("param reduction.b 1", "param reduction.b \uff11"),
-], ids=["U+0009", "U+0085", "U+2028", "U+00A0", "fullwidth-dim"])
+], ids=["U+0009", "U+0085", "U+2028", "U+00A0", "space-U+00A0", "tab-space", "underscore",
+        "fullwidth-dim"])
 def test_predict_rejects_params_not_split_at_ascii_spaces(tmp_path, capsys, old, new):
     """A param's values joined by another separator than one ASCII space,
-    or a dim that is not ASCII digits, fails predict at its line."""
+    or holding an underscore, or a dim that is not ASCII digits, fails
+    predict at its line."""
     data = tmp_path / "data.csv"
     ckpt = tmp_path / "model.ckpt"
     assert main(["synth", "--n", "10", "--d", "3", "--out", str(data)]) == 0
     save_checkpoint(ckpt, make_bypass_model(in_dim=3, seed=0))
     lines = ckpt.read_text().split("\n")
     # the reduction.w values line, or the reduction.b header
-    i = lines.index("param reduction.w 3 1") + 1 if old == " " else lines.index(old)
+    i = lines.index(old) if old.startswith("param") else lines.index("param reduction.w 3 1") + 1
+    assert old in lines[i]
     lines[i] = lines[i].replace(old, new)
     ckpt.write_text("\n".join(lines), encoding="utf-8")
     capsys.readouterr()

@@ -13,6 +13,8 @@ from qembed.metrics import (
     summarize_f1,
 )
 
+from float_csv import reference_load
+
 
 # ---------------------------------------------------------------------------
 # CSV loading
@@ -76,15 +78,101 @@ def test_load_rejects_first_non_finite_row_by_line(tmp_path):
         load_embeddings(path)
 
 
+# fields whose float() is a corner of the format: subnormals and the
+# smallest normal, both zeros, the largest finite values, short forms, long
+# decimals, and whitespace float() strips (a form feed, U+0085, U+2028)
+CORNER_FIELDS = [
+    "5e-324", "-5e-324", "1e-310", "2.2250738585072009e-308", "2.2250738585072014e-308",
+    "0.0", "-0.0", "1.7976931348623157e308", "-1.7976931348623157e308", "3", "+.5", "1.",
+    "1e-320", "0.1000000000000000055511151231257827", "1234567890123456789012345",
+    " 0.5", "0.5\t", "0.5\x0c", "0.5\x85", "0.5\u2028", "-7.25", "2.5e300", "1E5",
+]
+
+
+def csv_text(rows):
+    """An embedding CSV of `rows`, lists of field texts, labels alternating."""
+    dim = len(rows[0])
+    return "id,label," + ",".join(f"f{i}" for i in range(dim)) + "\n" + "".join(
+        f"r{i},{i % 2},{','.join(row)}\n" for i, row in enumerate(rows))
+
+
 def test_load_features_are_rows_of_float_values(tmp_path):
+    """Every value has float()'s bits, by the per-line float() reference:
+    the corner fields, and 4 000 seeded reprs from 1e-320 to 1e308."""
+    rng = np.random.default_rng(0)
+    seeded = rng.normal(size=4000) * 10.0 ** rng.integers(-320, 308, size=4000)
+    fields = CORNER_FIELDS * 3 + [repr(v) for v in seeded.tolist()]
+    rng.shuffle(fields)
     path = tmp_path / "d.csv"
-    values = [["1e-310", "-0.0", "3"], ["0.1", "2.5e300", "-7.25"]]
-    path.write_text("id,label,f0,f1,f2\n" + "".join(
-        f"r{i},{i % 2},{','.join(row)}\n" for i, row in enumerate(values)))
-    records = load_embeddings(path)
-    for rec, row in zip(records, values):
-        assert rec.features.shape == (3,)
-        assert rec.features.tobytes() == np.array([float(v) for v in row]).tobytes()
+    for dim in (1, 3, 8):
+        rows = [fields[i : i + dim] for i in range(0, len(fields) - dim + 1, dim)]
+        path.write_text(csv_text(rows), encoding="utf-8")
+        records = load_embeddings(path)
+        ids, labels, values = reference_load(path)
+        assert [(r.id, r.label) for r in records] == list(zip(ids, labels))
+        assert np.stack([r.features for r in records]).tobytes() == values.tobytes()
+        assert all(r.features.base is records[0].features.base for r in records)
+        assert records[0].features.base.shape == (len(rows), dim)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+@pytest.mark.parametrize("last", [False, True], ids=["inside", "last-no-newline"])
+def test_load_names_a_malformed_value_at_its_line(tmp_path, newline, last):
+    """Past blank lines, in LF, CR and CRLF files, and on a last line with no
+    newline, a value the reader rejects is named at its own line."""
+    lines = ["id,label,f0,f1", "a,1,0.5,1.5", "", "b,0,2.0,2.5", "", "", "c,1,1.0,x1"]
+    if not last:
+        lines += ["d,0,1.0,2.0", ""]
+    path = tmp_path / "d.csv"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    with pytest.raises(ValueError) as info:
+        load_embeddings(path)
+    assert str(info.value) == f"{path}:7: malformed float value"
+
+
+@pytest.mark.parametrize("field", ["1#2", "#", "0.5 # note", '"1"', '"', "'1'"])
+def test_load_comment_and_quote_marks_are_malformed_values(tmp_path, field):
+    """A `#` starts no comment and a `"` no quoted field: a value holding one
+    is malformed at its line."""
+    path = tmp_path / "d.csv"
+    path.write_text(csv_text([["0.5", "1.0"], ["2.0", field]]), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_embeddings(path)
+    assert str(info.value) == f"{path}:3: malformed float value"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("1_0", 10.0), ("\u0661\u0662", 12.0), ("\uff11", 1.0), ("1_000.5e-1_0", 1000.5e-10),
+], ids=["underscore", "arabic-indic", "fullwidth", "underscores-in-exponent"])
+def test_load_rejects_what_only_float_takes(tmp_path, field, value):
+    """float() takes underscores between digits and non-ASCII digits, and the
+    per-line float() reader loaded them; the float grammar is ASCII."""
+    path = tmp_path / "d.csv"
+    path.write_text(csv_text([["0.5"], ["1.5"], [field]]), encoding="utf-8")
+    assert reference_load(path)[2][2, 0] == value
+    with pytest.raises(ValueError) as info:
+        load_embeddings(path)
+    assert str(info.value) == f"{path}:4: malformed float value"
+
+
+def test_load_keeps_the_row_and_column_axes(tmp_path):
+    """One row loads as a (1, d) array and one column as (rows, 1): each
+    record's features has shape (d,)."""
+    path = tmp_path / "d.csv"
+    for rows, shape in [([["0.5", "1.5", "2.5"]], (1, 3)), ([["0.5"], ["1.5"]], (2, 1)),
+                        ([["0.5"]], (1, 1))]:
+        path.write_text(csv_text(rows), encoding="utf-8")
+        records = load_embeddings(path)
+        assert records[0].features.base.shape == shape
+        assert [r.features.tolist() for r in records] == [[float(v) for v in r] for r in rows]
+
+
+def test_load_reads_a_path_as_a_plain_file(tmp_path):
+    """A file is text whatever its name: a plain CSV named like a gzip file
+    loads as it is, and is not handed to a decompressor."""
+    path = tmp_path / "d.csv.gz"
+    path.write_text(csv_text([["0.5"], ["1.5"]]), encoding="utf-8")
+    assert [r.features.tolist() for r in load_embeddings(path)] == [[0.5], [1.5]]
 
 
 def test_load_ends_lines_at_newlines_only(tmp_path):
@@ -172,6 +260,10 @@ def test_load_names_the_field_count_of_a_line_without_a_label(tmp_path):
         load_embeddings(path)
     path.write_text("id,label,f0,f1\nb,1\n")
     with pytest.raises(ValueError, match=r"d\.csv:2: expected 2 feature\(s\), got 0$"):
+        load_embeddings(path)
+    # only an empty line is blank: one of whitespace is a line with one field
+    path.write_text("id,label,f0,f1\na,1,0.5,1.5\n \t\nb,0,2.0,2.5\n")
+    with pytest.raises(ValueError, match=r"d\.csv:3: expected 2 feature\(s\), got one field, no label$"):
         load_embeddings(path)
 
 

@@ -1,5 +1,6 @@
 """Fuzzed parser inputs: any CSV, checkpoint or config text either loads or
-raises ValueError, and an error about a file starts with its path; a
+raises ValueError, and an error about a file starts with its path; a CSV
+loads as the per-line float() reader reads it, or is rejected; a
 checkpoint that loads scores an input or raises ValueError, and a CSV that
 loads trains one mini-batch or raises a ValueError that names a row."""
 import numpy as np
@@ -14,14 +15,16 @@ from qembed.encoder import EncoderConfig
 from qembed.model import as_rows, make_bypass_model, make_encoder_model, readout_p0
 from qembed.training import row_gradients
 
+from float_csv import reference_load
+
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # any text that encodes as UTF-8 (no lone surrogates)
 ANY = st.characters(blacklist_categories=("Cs",))
 # the characters the formats are made of, so that more texts get past the
-# first checks and reach the later ones
-NUMERIC = st.sampled_from(list("0123456789.-+eE_ ,\n\r\t#=") + ["nan", "inf", "true"])
+# first checks and reach the later ones; U+0661 is a digit to float() only
+NUMERIC = st.sampled_from(list("0123456789\u0661.-+eE_ ,\n\r\t#=") + ["nan", "inf", "true"])
 
 
 def texts(max_size):
@@ -54,6 +57,28 @@ def test_load_embeddings_takes_any_text_after_a_valid_header(tmp_path, body):
     for rec in records or []:
         assert rec.features.shape == (2,) and rec.label in (0, 1)
         assert np.isfinite(rec.features).all()
+
+
+@FUZZ
+@given(body=st.one_of(texts(120), RECORDS))
+def test_load_embeddings_agrees_with_the_float_reference(tmp_path, body):
+    """A text the loader takes has the per-line float() reader's ids, labels
+    and value bits; a text that reader rejects, the loader rejects too."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(("id,label,f0,f1\n" + body).encode("utf-8"))
+    try:
+        expected = reference_load(path)
+    except ValueError:
+        expected = None
+    try:
+        records = load_embeddings(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path)), exc
+        return
+    assert expected is not None
+    ids, labels, values = expected
+    assert [(r.id, r.label) for r in records] == list(zip(ids, labels))
+    assert np.stack([r.features for r in records]).tobytes() == values.tobytes()
 
 
 @pytest.fixture(scope="module")
