@@ -13,8 +13,11 @@ tree's `src` on PYTHONPATH to pick it):
   and a 10 000-row CSV predicted with the toy and the 3-qubit checkpoints
   (past the readout's row blocks);
 - gradient audits through the CLI (toy.cfg, a 3-qubit 2-layer bypass head
-  read out on qubit 2, and the default encoder at 2 and 20 samples) and the
-  library (the trained encoder model below);
+  read out on qubit 2, and the default encoder at 1, 2 and 20 samples; at
+  1 sample, the benchmark's case, a block holds 64 pairs of copies) and the
+  library (the trained encoder model below). The CLI prints deviations as
+  `%.3e`, so each CLI case's groups are also run through the library and
+  written as `repr`s, at full precision;
 - a small encoder model trained through the library;
 - the float64 bytes (`tobytes()`) of the feature rows `load_embeddings`
   reads from the toy data and the 10 000-row CSV, so the CSV reader's
@@ -57,7 +60,8 @@ def run(out: Path) -> None:
 
     import qembed
     from qembed.checkpoint import load_checkpoint, save_checkpoint
-    from qembed.config import default_config, model_from_config, parse_config_file
+    from qembed.config import (default_config, image_shape_from, load_config,
+                               model_from_config, parse_config_file)
     from qembed.data import EmbeddingRecord, load_embeddings
     from qembed.encoder import EncoderConfig
     from qembed.gradcheck import draw_samples, gradient_check
@@ -83,6 +87,12 @@ def run(out: Path) -> None:
     # 1 qubit, 1 024 at 3), which the 200-row predict never reaches
     subprocess.run(cli + ["synth", "--n", "10000", "--d", "16", "--sep", "6", "--seed", "2",
                           "--out", str(out / "rows.csv")], check=True)
+    encoder = ["model.bypass_encoder=false"]
+    wide = ["model.n_qubits=3", "ansatz.layers=2", "model.readout_qubit=2"]
+    # (name, config file, --set assignments, --samples), each at --seed 7
+    audits = [("toy", toy_cfg, [], 3), ("encoder-1", None, encoder, 1),
+              ("encoder", None, encoder, 2), ("encoder-20", None, encoder, 20),
+              ("wide", None, wide, 5)]
     # stdout only: a failed audit exits 1 and is still a report to compare
     scoring = ["--data", str(out / "data.csv"), "--checkpoint", str(out / "toy.ckpt")]
     for name, args in [
@@ -92,20 +102,25 @@ def run(out: Path) -> None:
         ("predict-rows-wide.csv", ["predict", "--data", str(out / "rows.csv"),
                                    "--checkpoint", str(out / "wide.ckpt")]),
         ("eval.json", ["eval", *scoring]),
-        ("gradcheck-toy.txt", ["gradcheck", "--config", str(toy_cfg), "--seed", "7"]),
-        ("gradcheck-encoder.txt", ["gradcheck", "--set", "model.bypass_encoder=false",
-                                   "--samples", "2", "--seed", "7"]),
-        ("gradcheck-encoder-20.txt", ["gradcheck", "--set", "model.bypass_encoder=false",
-                                      "--samples", "20", "--seed", "7"]),
-        ("gradcheck-wide.txt", ["gradcheck", "--set", "model.n_qubits=3",
-                                "--set", "ansatz.layers=2", "--set", "model.readout_qubit=2",
-                                "--samples", "5", "--seed", "7"]),
+        *[(f"gradcheck-{name}.txt",
+           ["gradcheck", *(["--config", str(cfg)] if cfg else []),
+            *[arg for a in sets for arg in ("--set", a)],
+            "--samples", str(samples), "--seed", "7"])
+          for name, cfg, sets, samples in audits],
         ("benchmark.txt", ["benchmark", "--n-seeds", "10", "--config", str(toy_cfg),
                            "--set", "train.epochs=30"]),
     ]:
         result = subprocess.run(cli + args, capture_output=True, text=True)
         print(args[0], "exit", result.returncode, result.stderr.strip())
         (out / name).write_text(result.stdout)
+    for name, cfg, sets, samples in audits:
+        config = load_config(cfg, sets)
+        audited = model_from_config(config, seed=7)
+        shape = None if config["model.bypass_encoder"] else image_shape_from(config)
+        drawn = draw_samples(audited, samples, np.random.default_rng(7), image_shape=shape)
+        groups = gradient_check(audited, drawn)[1]
+        (out / f"gradcheck-{name}-groups.txt").write_text(
+            "".join(f"{g!r}\n" for g in groups.values()))
     images = np.random.default_rng(0).normal(size=(40, 4, 4, 1))
     data = [EmbeddingRecord(id=f"r{i}", features=x, label=int(x[:2].sum() > 0))
             for i, x in enumerate(images)]

@@ -108,6 +108,23 @@ def bce_loss(p0: float, y_true: int) -> float:
     return -(y_true * math.log(_clamp(p0)) + (1 - y_true) * math.log(_clamp(1.0 - p0)))
 
 
+def bce_losses(p0, labels) -> np.ndarray:
+    """`bce_loss` of each (p0, label) pair of a row of P(0) and a row of
+    labels, bit for bit, in one pass: the first pair `bce_loss` rejects
+    raises its error. A label's other term is 0 * log(.), a zero that
+    leaves the sum's bits alone, so each loss is -log of its clamped p."""
+    p0 = np.asarray(p0, dtype=float)
+    y = np.asarray(labels)
+    bad = ~(((y == 0) | (y == 1)) & (p0 >= -1e-9) & (p0 <= 1.0 + 1e-9))
+    if bad.any():
+        i = int(np.argmax(bad))
+        bce_loss(p0[i].item(), labels[i])
+    p = np.where(y == 1, p0, 1.0 - p0)
+    # _clamp's bits: np.clip's Python wrapper costs more than these two
+    p = np.minimum(np.maximum(p, PROB_EPS, out=p), 1.0 - PROB_EPS, out=p)
+    return -np.fromiter(map(math.log, p.tolist()), float, p.size)
+
+
 def bce_grad_p0(p0: float, y_true: int) -> float:
     """dL/dp0 using the p1 = 1 - p0 substitution."""
     if y_true not in (0, 1):

@@ -249,8 +249,8 @@ def _block_p0(feats: np.ndarray, first: int, ansatz: list, fm: FeatureMapSpec, r
         bad = next(i for i, a in enumerate(angles) if not math.isfinite(a))
         raise NonFiniteRowError(first + bad // n)
     if n == 1:
-        cos = np.array([math.cos(a) for a in angles])
-        sin = np.array([math.sin(a) for a in angles])
+        cos = np.fromiter(map(math.cos, angles), float, len(angles))
+        sin = np.fromiter(map(math.sin, angles), float, len(angles))
         return np.clip(_one_qubit_p0(cos, sin, ansatz, fm.repetitions), 0.0, 1.0)
     phases = np.array([complex(math.cos(a), math.sin(a)) for a in angles]).reshape(feats.shape)
     amps = np.zeros((len(feats), 1 << n), dtype=complex)

@@ -20,6 +20,9 @@ class EmbeddingRecord:
     label: int
 
 
+_LABELS = {"0": 0, "1": 1}
+
+
 def _expected_header(dim: int) -> str:
     return "id,label," + ",".join(f"f{i}" for i in range(dim))
 
@@ -33,7 +36,8 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
     """Parse an embedding CSV, validating dimensions and labels per line.
 
     One Python pass checks the header and each line's field count, unique
-    id and 0/1 label, skipping blank lines; numpy's C text reader then
+    id and label, `0` or `1` with a value's surrounding whitespace,
+    skipping blank lines; numpy's C text reader then
     parses the feature columns of the same open file into one (rows, d)
     array, checked for finite values once, whose rows are the records'
     `features`. A value is ASCII decimal or scientific notation, with an
@@ -70,12 +74,10 @@ def load_embeddings(path) -> list[EmbeddingRecord]:
                     f"{path}:{lineno}: id {rec_id!r} repeats line {first_line[rec_id]}"
                 )
             first_line[rec_id] = lineno
-            try:
-                label = int(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: label {text!r} is not an integer") from None
-            if label not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+            # str.strip() drops the whitespace numpy's reader drops round a value
+            label = _LABELS.get(text.strip())
+            if label is None:
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {text!r}")
             labels.append(label)
         if not labels:
             raise ValueError(f"{path}: no data rows (empty dataset)")

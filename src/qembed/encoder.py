@@ -22,10 +22,16 @@ biases) and (K, 1, *shape) for any other, score (S, H, W, C) images as
 images, and each (k, s) slice the bits of image s encoded alone with copy
 k. A copy axis that is not outermost sends numpy's matmul to a loop that
 sums in another order.
-Forward passes are pure given the weights. `encode_with_cache` records the
-intermediates needed by `encode_backward`, which returns analytic gradients
-for every weight as an `EncoderWeights` of gradient arrays, so that
-`named_parameters` names them as it names the weights
+Forward passes are pure given the weights. `encode_with_cache` embeds the
+patches and runs `encode_from`, the one body of the layers and the head,
+from layer 0; `encode_from` also enters at a later layer, or the head, with
+the tokens a block cache holds there, and gives `encode`'s bits for weights
+that share every array upstream of that point with the cache's (the
+gradient audit's copies of one layer or head array start there). The
+layer norm and softmax write their own temporaries in place. The cache
+holds the intermediates needed by `encode_backward`, which returns
+analytic gradients for every weight as an `EncoderWeights` of gradient
+arrays, so that `named_parameters` names them as it names the weights
 (`patch_projection`, `positional`, `class_token`, `layer.{i}.attn.wq`, ...,
 `head.w`, `head.b`).
 """
@@ -248,9 +254,10 @@ def add_positional(tokens: np.ndarray, weights: EncoderWeights) -> np.ndarray:
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _split_heads(m: np.ndarray, heads: int) -> np.ndarray:
@@ -302,16 +309,23 @@ class EncodeCache:
 def _layer_norm_fwd(s: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     # sum / d and the squared centered values: the bits of mean() and var()
     d = s.shape[-1]
-    x = s - s.sum(axis=-1, keepdims=True) / d
-    istd = 1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
-    xhat = x * istd
+    mean = np.add.reduce(s, axis=-1, keepdims=True)
+    mean /= d
+    xhat = s - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= d
+    var += LAYER_NORM_EPS
+    istd = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= istd
     return gain * xhat + bias, xhat, istd
 
 
 def _layer_forward(x: np.ndarray, lw: LayerWeights, heads: int) -> tuple[np.ndarray, _LayerCache]:
     """One post-norm encoder layer and the intermediates its backward needs."""
     q, k, v = (_split_heads(x @ w, heads) for w in (lw.wq, lw.wk, lw.wv))
-    attn = softmax_rows(q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1]))
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(q.shape[-1])
+    attn = softmax_rows(scores)
     concat = _merge_heads(attn @ v)
     u, xhat1, istd1 = _layer_norm_fwd(x + concat @ lw.wo, lw.ln1_gain, lw.ln1_bias)
     hpre = u @ lw.w1 + lw.b1
@@ -342,14 +356,32 @@ def encode_with_cache(
 ) -> tuple[np.ndarray, EncodeCache]:
     """Forward pass recording every intermediate needed for encode_backward."""
     patches, tokens = _embed_patches(image, weights, config)
-    x = add_positional(tokens, weights)
-    cache = EncodeCache(patches=patches, x0=x)
-    for lw in weights.layers:
+    cache = EncodeCache(patches=patches, x0=add_positional(tokens, weights))
+    return encode_from(cache.x0, 0, weights, config, cache), cache
+
+
+def encode_from(
+    x: np.ndarray,
+    first: int,
+    weights: EncoderWeights,
+    config: EncoderConfig,
+    cache: EncodeCache | None = None,
+) -> np.ndarray:
+    """Features of the tokens `x` (..., T, D) that enter layer `first`, or
+    the head when `first` is the layer count: layers `first` onward, then
+    the head; the body of `encode_with_cache`, which enters it at layer 0.
+    Entered at a block cache's `layer_caches[i].x` or `top` with weights
+    that share the arrays upstream of that point with the cache's, it gives
+    `encode`'s bits. With `cache`, appends each layer's intermediates to it
+    and sets its `top`."""
+    for lw in weights.layers[first:]:
         x, layer_cache = _layer_forward(x, lw, config.heads)
-        cache.layer_caches.append(layer_cache)
-    cache.top = x
+        if cache is not None:
+            cache.layer_caches.append(layer_cache)
+    if cache is not None:
+        cache.top = x
     # a (1, D) product per row: a (B, D) @ (D, out) matmul sums in another order
-    return (x[..., :1, :] @ weights.head_w)[..., 0, :] + weights.head_b, cache
+    return (x[..., :1, :] @ weights.head_w)[..., 0, :] + weights.head_b
 
 
 def _attention_backward(g_attn_out: np.ndarray, lc: _LayerCache, lw: LayerWeights):

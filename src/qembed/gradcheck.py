@@ -6,21 +6,25 @@ analytic/parameter-shift gradient: row s of training's row step
 (`training.row_gradients`) over all samples. Every array follows one
 rule: it is shifted in C-contiguous copies of it alone on a leading copy
 axis, never in the model, each block holding the +h and -h copies of as
-many of its scalars as fit in `_BLOCK_ROWS` (copy x sample) rows, and
-each block's rows are scored in one loss pass whose first non-finite row
-names its scalar: the pass's `circuits.NonFiniteRowError` carries that
-row's index. An encoder block encodes every sample against its
-copies, the ops upstream of the array once for the samples, and the
+many of its scalars as fit in `_BLOCK_ROWS` (copy x sample) rows. Each
+block's P(0) pass names the scalar of its first non-finite row (the pass's
+`circuits.NonFiniteRowError` carries that row's index), and all of an
+array's P(0) rows are scored in one `autodiff.bce_losses` pass, whose
+central differences are folded into its group as one array. An encoder
+block starts its copies where the shifted array is first read: a layer's
+copies at that layer's input, and the head's at the final tokens, both
+from the row step's block `EncodeCache` (`encoder.encode_from`); only the
+patch projection, positional rows and class token encode the samples
+again, the ops upstream of the array once for the samples. Either way the
 reduction and circuit score the feature rows in one `model.features_p0`
 pass. A reduction block reduces the row step's features against each copy
 (`autodiff.reduce_rows` on its copy axis) and scores all its rows in one
 `model.reduced_p0` pass; an ansatz block runs one such pass of the row
-step's reductions per copy. Each block's deviations are folded into its
-group as arrays. The sample inputs must stack into one row array
-(`model.as_rows`), checked once before any copy is made. `draw_samples`
-redraws a candidate input whose ReLU pre-activations or readout
-probability sit too close to a kink or clamp, where central differences
-are unreliable.
+step's reductions per copy. The sample inputs must stack into one row
+array (`model.as_rows`), checked once before any copy is made.
+`draw_samples` redraws a candidate input whose ReLU pre-activations or
+readout probability sit too close to a kink or clamp, where central
+differences are unreliable.
 """
 from __future__ import annotations
 
@@ -30,9 +34,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import bce_loss, reduce_rows
+from .autodiff import bce_losses, reduce_rows
 from .circuits import NON_FINITE_FEATURES, NonFiniteRowError
-from .encoder import encode, encode_with_cache, with_array
+from .encoder import encode, encode_from, encode_with_cache, with_array
 from .model import HybridModel, as_rows, features_p0, model_forward, named_parameters
 from .model import reduced_p0
 from .training import row_gradients
@@ -119,12 +123,11 @@ def gradient_check(
     xs = as_rows(model, [x for x, _ in samples])
     if not samples:
         return True, groups
-    _, grads, feats = row_gradients(model, xs, labels)
+    _, grads, feats, cache = row_gradients(model, xs, labels)
     for name, array in params.items():
+        ups, downs = _shifted_losses(model, name, array, xs, feats, cache, labels, h)
         analytic = grads[name].reshape(len(xs), -1).T
-        for start, ups, downs in _shifted_losses(model, name, array, xs, feats, labels, h):
-            a = analytic[start : start + len(ups)]
-            _record(groups[name], a, (ups - downs) / (2.0 * h), abs_tol, rel_tol)
+        _record(groups[name], analytic, (ups - downs) / (2.0 * h), abs_tol, rel_tol)
     return all(g.ok for g in groups.values()), groups
 
 
@@ -142,15 +145,18 @@ def _record(group: GroupDeviation, a: np.ndarray, fd: np.ndarray, abs_tol, rel_t
     group.ok = group.ok and not (dev > np.fmax(abs_tol, rel_tol * scale)).any()
 
 
-def _shifted_losses(model: HybridModel, name: str, live: np.ndarray, xs, feats, labels, h: float):
-    """(first scalar, losses at +h, losses at -h) of every block of scalars
-    of array `name`, `live` in the model, in order, each (scalars, samples).
+def _shifted_losses(model: HybridModel, name: str, live: np.ndarray, xs, feats, cache, labels,
+                    h: float):
+    """(losses at +h, losses at -h) of every scalar of array `name`, `live`
+    in the model, each (scalars, samples), from the row step's rows `xs`,
+    features `feats` and encode `cache`.
 
-    Pairs of copies of the array on a leading copy axis shift one scalar
-    each, +h in the first and -h in the second: (K, *shape) for a head
-    array, and for an encoder array (K, 1, *shape), or (K, 1, 1, n) for a
-    layer vector added along the token axis. Every other array is the
-    model's own. A row whose circuit angles are not finite names its scalar.
+    Blocks of pairs of copies of the array on a leading copy axis shift one
+    scalar each, +h in the first and -h in the second: (K, *shape) for a
+    head array, and for an encoder array (K, 1, *shape), or (K, 1, 1, n)
+    for a layer vector added along the token axis. Every other array is the
+    model's own. A row whose circuit angles are not finite names its
+    scalar. The blocks' P(0) rows are scored in one `bce_losses` pass.
     """
     flat, n = live.reshape(-1), len(labels)
     pairs = min(live.size, max(1, _BLOCK_ROWS // (2 * n)))
@@ -159,28 +165,31 @@ def _shifted_losses(model: HybridModel, name: str, live: np.ndarray, xs, feats, 
         lead += (1, 1) if name.startswith("encoder.layer.") and live.ndim == 1 else (1,)
     copies = np.broadcast_to(live, lead + live.shape).copy()
     rows = copies.reshape(2 * pairs, -1)
+    p0 = []
     for start in range(0, live.size, pairs):
         i = np.arange(min(pairs, live.size - start))
         rows[2 * i, start + i] = flat[start + i] + h
         rows[2 * i + 1, start + i] = flat[start + i] - h
         try:
-            p0 = _copies_p0(model, name, copies[: 2 * len(i)], xs, feats).tolist()
+            p0.append(_copies_p0(model, name, copies[: 2 * len(i)], xs, feats, cache))
         except NonFiniteRowError as exc:
             # the p0 pass names the first non-finite (copy, sample) row
             j = start + exc.row // (2 * n)
             message = f"shifting {name} scalar {j} by h={h!r}: {NON_FINITE_FEATURES}"
             raise ValueError(message) from None
         rows[:, start + i] = flat[start + i]
-        losses = np.array([bce_loss(p, y) for p, y in zip(p0, labels * (len(p0) // n))])
-        losses = losses.reshape(-1, n)
-        yield start, losses[0::2], losses[1::2]
+    losses = bce_losses(np.concatenate(p0), labels * (2 * live.size)).reshape(-1, 2, n)
+    return losses[:, 0], losses[:, 1]
 
 
-def _copies_p0(model: HybridModel, name: str, copies: np.ndarray, xs, feats) -> np.ndarray:
+def _copies_p0(model: HybridModel, name: str, copies: np.ndarray, xs, feats, cache) -> np.ndarray:
     """P(0) of every sample against every copy of array `name`, copy by
-    copy: an encoder copy encodes the samples `xs`, a reduction copy
-    reduces their features `feats`, and the ansatz angles' copies each run
-    one readout of the features' reductions."""
+    copy: a reduction copy reduces the samples' features `feats`, and the
+    ansatz angles' copies each run one readout of the features'
+    reductions. An encoder copy encodes from the samples' tokens at its
+    own layer's input in the row step's `cache`, or at its final tokens
+    for a head copy; a copy of an array the patches feed encodes the
+    samples `xs`."""
     if name == "ansatz.theta":
         # the row step ran these reductions' angles, so none is non-finite
         y = reduce_rows(feats, model.reduction)
@@ -192,10 +201,17 @@ def _copies_p0(model: HybridModel, name: str, copies: np.ndarray, xs, feats) -> 
         with np.errstate(over="ignore"):
             y = reduce_rows(feats, layer)
         return reduced_p0(model, y.reshape(-1, y.shape[-1]), model.theta)
-    weights = with_array(model.encoder_weights, name.removeprefix("encoder."), copies)
+    key = name.removeprefix("encoder.")
+    weights = with_array(model.encoder_weights, key, copies)
     # a shift that overflows the encoder is named by the readout
     with np.errstate(over="ignore", invalid="ignore"):
-        encoded = encode(xs, weights, model.encoder_config)
+        if key.startswith("layer."):
+            first = int(key.split(".")[1])
+            encoded = encode_from(cache.layer_caches[first].x, first, weights, model.encoder_config)
+        elif key.startswith("head."):
+            encoded = encode_from(cache.top, len(weights.layers), weights, model.encoder_config)
+        else:
+            encoded = encode(xs, weights, model.encoder_config)
     return features_p0(model, encoded.reshape(-1, encoded.shape[-1]))
 
 

@@ -223,9 +223,10 @@ def _mean_loss_and_f1(model: HybridModel, rows, labels) -> tuple[float, float]:
 
 
 def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = True):
-    """(losses, grads, feats) of the rows of a row array (`model.as_rows`):
-    each row's BCE loss, every parameter's gradients with a leading row
-    axis (row s the bits of row s's gradient alone), and their features.
+    """(losses, grads, feats, cache) of the rows of a row array
+    (`model.as_rows`): each row's BCE loss, every parameter's gradients with
+    a leading row axis (row s the bits of row s's gradient alone), their
+    features, and the block's `EncodeCache` (None for a bypass model).
 
     An encoder model encodes the block once (`encode_with_cache`); the
     block's reductions and ansatz gate list are made once; each row then
@@ -238,7 +239,7 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
         raise ValueError("cannot compute gradients of zero rows")
     if len(labels) != len(rows):
         raise ValueError(f"{len(rows)} row(s) but {len(labels)} label(s)")
-    feats = rows
+    feats, cache = rows, None
     if not model.bypass:
         feats, cache = encode_with_cache(rows, model.encoder_weights, model.encoder_config)
     # the head's set-up, shared by every row: theta moves only in train's
@@ -258,7 +259,7 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
             np.array(g_feats), cache, model.encoder_weights, model.encoder_config
         )
     head = [np.array([g[name] for g in steps]) for name in steps[0]]
-    return losses, parameter_dict(*head, g_encoder), feats
+    return losses, parameter_dict(*head, g_encoder), feats, cache
 
 
 def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridModel, TrainingHistory]:
@@ -302,7 +303,7 @@ def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridMo
         batch_norms: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = [train_idx[i] for i in order[start : start + config.batch_size]]
-            losses, grads, _ = row_gradients(
+            losses, grads, _, _ = row_gradients(
                 model, xs[batch], [labels[i] for i in batch], encoder=not config.freeze_encoder
             )
             epoch_losses.extend(losses)

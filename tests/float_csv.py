@@ -4,7 +4,8 @@ at a time.
 
 It takes every text the loader takes, with the same ids, labels and value
 bits; it also takes what float() takes beyond the loader's float grammar,
-underscores between digits and non-ASCII digits.
+underscores between digits and non-ASCII digits. A label is `0` or `1`,
+with the surrounding whitespace str.strip() drops, as in the loader.
 """
 import numpy as np
 
@@ -24,10 +25,10 @@ def reference_load(path):
         if not line:
             continue
         fields = line.split(",")
-        if len(fields) != dim + 2 or fields[0] in ids or int(fields[1]) not in (0, 1):
+        if len(fields) != dim + 2 or fields[0] in ids or fields[1].strip() not in ("0", "1"):
             raise ValueError("malformed line")
         ids.append(fields[0])
-        labels.append(int(fields[1]))
+        labels.append(int(fields[1].strip()))
         rows.append([float(v) for v in fields[2:]])
     values = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
     if not rows or not np.isfinite(values).all():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from qembed.autodiff import (
+    PROB_EPS,
     ReductionLayer,
     backward,
     bce_grad_p0,
     bce_loss,
+    bce_losses,
     circuit_angle_gradients,
     finite_diff_grad,
     reduce,
@@ -131,6 +133,37 @@ def test_bce_rejects_bad_inputs():
         bce_loss(0.5, 2)
     with pytest.raises(ValueError):
         bce_loss(1.5, 1)
+
+
+def test_bce_losses_equal_bce_loss_bit_for_bit():
+    """One pass over a row of (p0, label) pairs gives each pair's bce_loss
+    bits, at random p0 and at the clamps' and the range check's edges."""
+    edges = [0.0, 1.0, PROB_EPS, 1.0 - PROB_EPS, 0.5, -1e-9, 1.0 + 1e-9,
+             PROB_EPS / 2, 1.0 - PROB_EPS / 2, 1e-9, 1.0 - 1e-9, -0.0]
+    p0 = np.concatenate([edges, np.random.default_rng(52).uniform(0.0, 1.0, 2000)])
+    for labels in ([0] * len(p0), [1] * len(p0),
+                   np.random.default_rng(53).integers(0, 2, len(p0)).tolist()):
+        losses = bce_losses(p0, labels)
+        expected = np.array([bce_loss(p, y) for p, y in zip(p0.tolist(), labels)])
+        assert losses.shape == (len(p0),)
+        assert losses.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("p0, labels, message", [
+    ([0.5, 0.2, 0.4], [1, 2, 7], "y_true must be 0 or 1, got 2"),
+    ([0.5, 1.5, 0.4], [1, 0, 1], "probability out of range: p0=1.5"),
+    ([0.5, 1.0 + 2e-9, -1.0], [0, 1, 0], "probability out of range: p0=1.000000002"),
+    ([0.5, -2e-9], [0, 0], "probability out of range: p0=-2e-09"),
+    ([0.5, math.nan], [0, 1], "probability out of range: p0=nan"),
+    ([1.5, 0.5], [0, 2], "probability out of range: p0=1.5"),
+    ([0.5, 1.5], [1, 2], "y_true must be 0 or 1, got 2"),
+    ([0.5, 0.5], [1, 0.5], "y_true must be 0 or 1, got 0.5"),
+], ids=["label-2", "p0-above", "p0-just-above", "p0-just-below", "p0-nan", "first-pair-first",
+        "label-before-p0", "label-half"])
+def test_bce_losses_raise_bce_loss_message_for_the_first_bad_pair(p0, labels, message):
+    with pytest.raises(ValueError) as error:
+        bce_losses(np.array(p0), labels)
+    assert str(error.value) == message
 
 
 def test_bce_grad_is_reciprocal_for_positive_label():

@@ -43,11 +43,31 @@ def test_load_rejects_header_only(tmp_path):
         load_embeddings(path)
 
 
-def test_load_rejects_bad_label(tmp_path):
+@pytest.mark.parametrize("label", ["2", "0_0", "\u0661", "+1", "00", "-0", "1.0", "0x1", "",
+                                   "1 1", "\u200b1"],
+                         ids=["two", "underscore", "arabic-indic-one", "plus", "double-zero",
+                              "minus-zero", "decimal", "hex", "empty", "inner-space",
+                              "zero-width-space"])
+def test_load_rejects_bad_label(tmp_path, label):
+    """A label is `0` or `1`, named at its line otherwise: `0_0`, U+0661,
+    `+1`, `00` and `-0`, which int() reads as 0 or 1, are rejected too."""
     path = tmp_path / "d.csv"
-    path.write_text("id,label,f0\na,2,0.5\n")
-    with pytest.raises(ValueError, match="label"):
+    path.write_text(f"id,label,f0\na,1,0.5\nb,{label},0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
         load_embeddings(path)
+    assert str(error.value) == f"{path}:3: label must be 0 or 1, got {label!r}"
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028",
+                                   "\u3000"])
+def test_load_takes_a_label_with_a_values_surrounding_whitespace(tmp_path, space):
+    """A label may have the surrounding whitespace a feature value may have."""
+    path = tmp_path / "d.csv"
+    path.write_text(f"id,label,f0\na,{space}1{space},{space}0.5{space}\nb,0{space},1.5\n",
+                    encoding="utf-8")
+    records = load_embeddings(path)
+    assert [(r.id, r.label, r.features.tolist()) for r in records] == [
+        ("a", 1, [0.5]), ("b", 0, [1.5])]
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -17,6 +17,7 @@ from qembed.encoder import (
     add_positional,
     encode,
     encode_backward,
+    encode_from,
     encode_with_cache,
     extract_patches,
     init_encoder_weights,
@@ -483,13 +484,20 @@ def test_stacked_weights_encode_matches_per_copy(heads, use_class_token):
     """For every weight array, weights in which only that array carries k
     copies encode (S, H, W, C) images as (k, S, out_dim), every (copy,
     image) the bits of encoding that image alone with that copy; one image
-    gives (k, 1, out_dim)."""
+    gives (k, 1, out_dim). Entered at a layer's input in the block cache of
+    the plain weights (`encode_from`), or at its final tokens for the head,
+    the plain weights give `encode`'s bits, and so do copies of an array of
+    that layer or of the head."""
     for layers, k in itertools.product(range(3), (1, 2, 64)):
         cfg = EncoderConfig(patch_size=2, embed_dim=6, layers=layers, heads=heads,
                             ffn_hidden=5, out_dim=3, use_class_token=use_class_token)
         rng = np.random.default_rng(100 * layers + k)
         weights = init_encoder_weights(cfg, (4, 6, 2), rng)
         images = rng.normal(scale=2.0, size=(2, 4, 6, 2))
+        features, cache = encode_with_cache(images, weights, cfg)
+        entries = [lc.x for lc in cache.layer_caches] + [cache.top]
+        for first, x in enumerate(entries):
+            assert encode_from(x, first, weights, cfg).tobytes() == features.tobytes(), first
         for name in named_parameters(weights):
             stacked, plain = _copies_of(weights, name, k, rng)
             expected = np.array([[encode_with_cache(im, w, cfg)[0] for im in images] for w in plain])
@@ -499,6 +507,11 @@ def test_stacked_weights_encode_matches_per_copy(heads, use_class_token):
             single = encode(images[1], stacked, cfg)
             assert single.shape == (k, 1, 3)
             assert np.array_equal(single[:, 0], expected[:, 1]), (layers, k, name)
+            if name.startswith(("layer.", "head.")):
+                first = int(name.split(".")[1]) if name.startswith("layer.") else layers
+                entered = encode_from(entries[first], first, stacked, cfg)
+                assert entered.shape == (k, 2, 3)
+                assert entered.tobytes() == expected.tobytes(), (layers, k, name)
 
 
 def test_stacked_weights_must_be_c_contiguous():

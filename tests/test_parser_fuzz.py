@@ -167,7 +167,7 @@ def test_load_embeddings_takes_any_splice_into_a_valid_file(tmp_path, csv_text, 
     model = make_bypass_model(in_dim=len(records[0].features), seed=0)
     rows = as_rows(model, [rec.features for rec in records])
     try:
-        losses, grads, _ = row_gradients(model, rows, [rec.label for rec in records])
+        losses, grads, _, _ = row_gradients(model, rows, [rec.label for rec in records])
     except ValueError as exc:
         assert str(exc).startswith("row "), exc
         return

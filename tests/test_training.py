@@ -943,7 +943,7 @@ def test_row_gradients_equal_per_image_oracle(kind, rows, monkeypatch):
     for encoder in (True, False):
         expected = [image_step(model, row, label, encoder) for row, label in zip(x, labels)]
         before = len(backward_calls)
-        losses, grads, _ = row_gradients(model, x, labels, encoder)
+        losses, grads, _, _ = row_gradients(model, x, labels, encoder)
         assert len(backward_calls) - before == (encoder and not model.bypass)
         assert losses == [loss for loss, _ in expected]
         assert list(grads) == list(expected[0][1])
@@ -1169,7 +1169,7 @@ def test_row_gradients_builds_the_ansatz_once_per_call_and_a_feature_map_per_row
                     monkeypatch.setattr(module, attr, logged)
     model, rows, labels = head_case(kind, 43, 5)
     for _ in range(2):
-        losses, _, _ = row_gradients(model, rows, labels)
+        losses, _, _, _ = row_gradients(model, rows, labels)
         assert len(losses) == 5
     assert events == (["build_real_amplitudes"] + ["build_z_feature_map"] * 5) * 2
 
@@ -1184,7 +1184,7 @@ def test_row_gradients_read_the_current_theta(kind):
     theta = model.theta
     seen = []
     for _ in range(3):
-        losses, grads, feats = row_gradients(model, rows, labels)
+        losses, grads, feats, _ = row_gradients(model, rows, labels)
         for s, (feat, label) in enumerate(zip(feats, labels)):
             forward = model_forward(model, feat)
             assert losses[s] == bce_loss(forward.p0, label)
