@@ -15,13 +15,14 @@ block starts its copies where the shifted array is first read: a layer's
 copies at that layer's input, and the head's at the final tokens, both
 from the row step's block `EncodeCache` (`encoder.encode_from`); only the
 patch projection, positional rows and class token encode the samples
-again, the ops upstream of the array once for the samples. Either way the
-reduction and circuit score the feature rows in one `model.features_p0`
-pass. A reduction block reduces the row step's features against each copy
-(`autodiff.reduce_rows` on its copy axis) and scores all its rows in one
-`model.reduced_p0` pass; an ansatz block runs one such pass of the row
-step's reductions per copy. The sample inputs must stack into one row
-array (`model.as_rows`), checked once before any copy is made.
+again, the ops upstream of the array once for the samples. Encoder and
+reduction blocks end in `model.readout_p0`'s tail: one errstate scope over
+the encode and `autodiff.reduce_rows` (a reduction block reduces the row
+step's features against each copy on its copy axis), then one
+`model.reduced_p0` pass of all the block's rows. An ansatz block runs one
+such pass of the row step's reductions per copy. The sample inputs must
+stack into one row array (`model.as_rows`), checked once before any copy
+is made.
 `draw_samples` redraws a candidate input whose ReLU pre-activations or
 readout probability sit too close to a kink or clamp, where central
 differences are unreliable.
@@ -37,8 +38,7 @@ import numpy as np
 from .autodiff import bce_losses, reduce_rows
 from .circuits import NON_FINITE_FEATURES, NonFiniteRowError
 from .encoder import encode, encode_from, encode_with_cache, with_array
-from .model import HybridModel, as_rows, features_p0, model_forward, named_parameters
-from .model import reduced_p0
+from .model import HybridModel, as_rows, model_forward, named_parameters, reduced_p0
 from .training import row_gradients
 
 DEFAULT_H = 1e-5
@@ -194,25 +194,24 @@ def _copies_p0(model: HybridModel, name: str, copies: np.ndarray, xs, feats, cac
         # the row step ran these reductions' angles, so none is non-finite
         y = reduce_rows(feats, model.reduction)
         return np.concatenate([reduced_p0(model, y, theta) for theta in copies])
-    if name.startswith("reduction."):
-        shifted = {name.removeprefix("reduction."): copies}
-        layer = SimpleNamespace(**{**vars(model.reduction), **shifted})
-        # a shift that overflows a reduction is named by the readout
-        with np.errstate(over="ignore"):
-            y = reduce_rows(feats, layer)
-        return reduced_p0(model, y.reshape(-1, y.shape[-1]), model.theta)
-    key = name.removeprefix("encoder.")
-    weights = with_array(model.encoder_weights, key, copies)
-    # a shift that overflows the encoder is named by the readout
+    # as in `model.readout_p0`, a shift that overflows the encoder or the
+    # reduction is named by the readout, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if key.startswith("layer."):
-            first = int(key.split(".")[1])
-            encoded = encode_from(cache.layer_caches[first].x, first, weights, model.encoder_config)
-        elif key.startswith("head."):
-            encoded = encode_from(cache.top, len(weights.layers), weights, model.encoder_config)
+        if name.startswith("reduction."):
+            shifted = {name.removeprefix("reduction."): copies}
+            y = reduce_rows(feats, SimpleNamespace(**{**vars(model.reduction), **shifted}))
         else:
-            encoded = encode(xs, weights, model.encoder_config)
-    return features_p0(model, encoded.reshape(-1, encoded.shape[-1]))
+            key = name.removeprefix("encoder.")
+            weights, cfg = with_array(model.encoder_weights, key, copies), model.encoder_config
+            if key.startswith("layer."):
+                first = int(key.split(".")[1])
+                encoded = encode_from(cache.layer_caches[first].x, first, weights, cfg)
+            elif key.startswith("head."):
+                encoded = encode_from(cache.top, len(weights.layers), weights, cfg)
+            else:
+                encoded = encode(xs, weights, cfg)
+            y = reduce_rows(encoded.reshape(-1, encoded.shape[-1]), model.reduction)
+    return reduced_p0(model, y.reshape(-1, y.shape[-1]), model.theta)
 
 
 def format_report(groups: dict[str, GroupDeviation]) -> str:

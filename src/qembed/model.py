@@ -8,10 +8,11 @@ and a single-qubit readout. `model_forward` keeps the head intermediates
 (reduction, circuit, readout) of one feature row, for an encoder model the
 encoder's output; training's row step (`training.row_gradients`) runs the
 encoder, and the reduction and ansatz once per block of rows. Inference
-reads P(0) of many rows through `readout_p0`, which runs the encoder over
-a row axis, once per block of rows, the reduction once over all rows, and
-the circuit through `circuits.readout_rows`, which blocks the rows
-itself, each row model_forward's p0 of its features bit for bit.
+reads P(0) of rows through `readout_p0`: the encoder over a row axis, once
+per block of rows, then the one tail of every P(0) pass of feature rows
+(the gradient audit's too), `reduce_rows` once under `np.errstate`, then
+`reduced_p0`'s `circuits.readout_rows`, which blocks the rows itself,
+each row model_forward's p0 of its features bit for bit.
 Its inputs must stack into one float row array, (rows, in_dim) for a
 bypass model and (rows, H, W, C) for an encoder model: `as_rows` converts
 them once and checks their shapes at the boundary, naming the first bad
@@ -128,10 +129,8 @@ _ENCODE_BLOCK_ROWS = 32
 def readout_p0(model: HybridModel, inputs) -> np.ndarray:
     """P(0) of every row of `inputs` (rows that stack into one array, see
     `as_rows`), in order: model_forward's p0 of each row's features, bit
-    for bit. One row is `row_p0`'s."""
+    for bit."""
     x = as_rows(model, inputs)
-    if len(x) == 1:
-        return np.array([row_p0(model, x[0])])
     # as in the gradient audit, an overflow in the encoder or the reduction
     # is named by the readout (`NonFiniteRowError`), with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,14 +165,6 @@ def encode_rows(model: HybridModel, x: np.ndarray) -> np.ndarray:
     return feats
 
 
-def features_p0(model: HybridModel, feats) -> np.ndarray:
-    """P(0) of every row of the (rows, in_dim) features `feats`, in order:
-    `reduced_p0` of their reductions. An error for a circuit angle that is
-    not finite names the first such row by its index in `feats`."""
-    x = as_rows(model, feats, features=True)
-    return reduced_p0(model, reduce_rows(x, model.reduction), model.theta)
-
-
 def reduced_p0(model: HybridModel, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """P(0) of every row of the (rows, n_qubits) reduction outputs `y`, in
     order, the ansatz at angles `theta`: `circuits.readout_rows` with the
@@ -182,13 +173,13 @@ def reduced_p0(model: HybridModel, y: np.ndarray, theta: np.ndarray) -> np.ndarr
     return readout_rows(y, theta, model.feature_map, model.ansatz, model.readout_qubit)
 
 
-def as_rows(model: HybridModel, inputs, features: bool = False) -> np.ndarray:
-    """`inputs` as one float row array, (rows, in_dim) for a bypass model or
-    when `features`, else (rows, H, W, C). An input that does not stack into
-    it is checked row by row, in order, and the error names the first row of
-    the wrong shape; if every row's shape is right, numpy's own error for a
-    value that is not a number is raised."""
-    width = model.reduction.in_dim if features or model.bypass else None
+def as_rows(model: HybridModel, inputs) -> np.ndarray:
+    """`inputs` as one float row array, (rows, in_dim) for a bypass model,
+    else (rows, H, W, C). An input that does not stack into it is checked
+    row by row, in order, and the error names the first row of the wrong
+    shape; if every row's shape is right, numpy's own error for a value
+    that is not a number is raised."""
+    width = model.reduction.in_dim if model.bypass else None
     try:
         x = np.asarray(inputs, dtype=float)
     except (TypeError, ValueError) as exc:

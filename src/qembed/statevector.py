@@ -244,8 +244,9 @@ _ZERO_1 = StateVector(1, [1, 0])
 def new_zero_state(n_qubits: int) -> StateVector:
     """|0...0> on n_qubits qubits: one shared state for one qubit, a new one
     for more, where it costs little next to the circuit that runs from it."""
-    if not isinstance(n_qubits, (int, np.integer)) or not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be an integer in [1, {MAX_QUBITS}], got {n_qubits!r}")
+    if not isinstance(n_qubits, (int, np.integer)):
+        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
+    _check_qubit_count(n_qubits)
     if n_qubits == 1:
         return _ZERO_1
     amps = np.zeros(2**n_qubits, dtype=complex)

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, bce_loss, parameter_dict, reduce_input_gradient, reduce_rows
+from .autodiff import backward, bce_loss, bce_losses, parameter_dict, reduce_input_gradient
+from .autodiff import reduce_rows
 from .circuits import build_real_amplitudes
 from .encoder import encode_backward, encode_with_cache
 from .metrics import MetricsReport, compute_metrics
@@ -217,9 +218,9 @@ def decide_label(p0: float) -> int:
 
 
 def _mean_loss_and_f1(model: HybridModel, rows, labels) -> tuple[float, float]:
-    p0s = readout_p0(model, rows).tolist()
-    losses = [bce_loss(p0, label) for p0, label in zip(p0s, labels)]
-    return float(np.mean(losses)), compute_metrics(list(map(decide_label, p0s)), labels).f1
+    p0s = readout_p0(model, rows)
+    losses = bce_losses(p0s, labels)
+    return float(np.mean(losses)), compute_metrics(list(map(decide_label, p0s.tolist())), labels).f1
 
 
 def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = True):

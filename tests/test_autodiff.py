@@ -1,6 +1,8 @@
 """Hybrid gradients: parameter shift, BCE, reduction, full backward vs
 finite differences."""
 import math
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +41,7 @@ from qembed.model import (
     set_parameters,
 )
 from qembed.statevector import GateOp, apply_gate, marginal_zero_probability, new_zero_state
+from qembed.training import row_gradients
 
 from per_image import image_loss, image_step
 
@@ -510,15 +513,15 @@ def test_gradient_check_equals_per_sample_loop(kind):
         assert np.array_equal(a, before[name])
 
 
-def _audit_case(case):
+def _audit_case(case, seed=0):
     if case == "bypass":
         model = make_bypass_model(in_dim=7, n_qubits=3, ansatz_layers=2, seed=23, readout_qubit=1)
         return model, draw_samples(model, 4, np.random.default_rng(23))
     if case == "default":
         config = default_config()
         config["model.bypass_encoder"] = False
-        model = model_from_config(config, seed=0)
-        return model, draw_samples(model, 1, np.random.default_rng(0), image_shape_from(config))
+        model = model_from_config(config, seed=seed)
+        return model, draw_samples(model, 1, np.random.default_rng(seed), image_shape_from(config))
     cfg = EncoderConfig(patch_size=2, embed_dim=4, layers=1, heads=2, ffn_hidden=3, out_dim=5)
     model = make_encoder_model(cfg, (4, 4, 1), n_qubits=2, ansatz_layers=1, seed=16)
     samples = draw_samples(model, 5, np.random.default_rng(17), image_shape=(4, 4, 1))
@@ -608,21 +611,26 @@ def test_gradient_check_reads_the_row_from_the_error_not_its_message(monkeypatch
 
 def _check_audit_names_row_17_as_scalar_13(monkeypatch, error_type) -> None:
     """The audit names the scalar of row 17 of patch_projection's second
-    block when that block's loss pass raises `error_type(17)`, and no
+    block when that block's P(0) pass raises `error_type(17)`, and no
     parameter moves."""
     model, samples = _audit_case("block-edge-in-head")
     before = {name: a.tobytes() for name, a in named_parameters(model).items()}
-    blocks = []
-    real = gradcheck.features_p0
+    shifting, blocks = [], []
+    real_copies_p0, real_p0 = gradcheck._copies_p0, gradcheck.reduced_p0
 
-    def failing(model, feats):
-        if len(feats) > len(samples):
-            blocks.append(len(feats))
+    def copies_p0(model, name, *args):
+        shifting.append(name)
+        return real_copies_p0(model, name, *args)
+
+    def failing(model, y, theta):
+        if shifting[-1] == "encoder.patch_projection":
+            blocks.append(len(y))
             if len(blocks) == 2:
                 raise error_type(17)
-        return real(model, feats)
+        return real_p0(model, y, theta)
 
-    monkeypatch.setattr(gradcheck, "features_p0", failing)
+    monkeypatch.setattr(gradcheck, "_copies_p0", copies_p0)
+    monkeypatch.setattr(gradcheck, "reduced_p0", failing)
     with pytest.raises(ValueError) as error:
         gradient_check(model, samples, h=0.5)
     assert str(error.value) == (
@@ -633,17 +641,40 @@ def _check_audit_names_row_17_as_scalar_13(monkeypatch, error_type) -> None:
         assert a.tobytes() == before[name], name
 
 
-def test_gradient_check_names_an_encoder_shift_that_overflows():
+@pytest.mark.parametrize("h, seed", [(1e160, 0), (1e308, 7)])
+def test_gradient_check_names_an_encoder_shift_that_overflows(h, seed):
     """A step that overflows the encoder's attention and layer norms is named
     by its array, scalar and h, with no numpy warning escaping first (tier-1
-    turns one into an error), and no parameter moves."""
-    model, samples = _audit_case("default")
+    turns one into an error), and no parameter moves. At h=1e+308 a full
+    audit stops at `reduction.w`, so each encoder array is shifted on its
+    own through `_shifted_losses`: it scores, or names its shift, and no
+    array's encode or reduction warns (layer 1's ln2 gain first makes an
+    invalid value in the reduction of its features)."""
+    model, samples = _audit_case("default", seed)
     before = {name: a.tobytes() for name, a in named_parameters(model).items()}
-    with pytest.raises(ValueError) as error:
-        gradient_check(model, samples, h=1e160)
-    assert str(error.value) == (
-        "shifting encoder.patch_projection scalar 0 by h=1e+160: features must be finite"
-    )
+    if h == 1e160:
+        with pytest.raises(ValueError) as error:
+            gradient_check(model, samples, h=h)
+        assert str(error.value) == (
+            "shifting encoder.patch_projection scalar 0 by h=1e+160: features must be finite"
+        )
+    else:
+        labels = [label for _, label in samples]
+        xs = np.stack([x for x, _ in samples])
+        _, _, feats, cache = row_gradients(model, xs, labels)
+        named = []
+        for name, array in named_parameters(model).items():
+            if not name.startswith("encoder."):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    gradcheck._shifted_losses(model, name, array, xs, feats, cache, labels, h)
+                except ValueError as error:
+                    pattern = rf"shifting {re.escape(name)} scalar \d+ by h=1e\+308: "
+                    assert re.fullmatch(pattern + "features must be finite", str(error))
+                    named.append(name)
+        assert "encoder.layer.1.ln2.gain" in named and "encoder.head.b" not in named
     for name, a in named_parameters(model).items():
         assert a.tobytes() == before[name], name
 

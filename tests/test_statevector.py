@@ -75,10 +75,13 @@ def test_one_qubit_zero_state_is_one_shared_state_that_stays_read_only():
 
 
 def test_zero_state_bounds():
-    with pytest.raises(ValueError):
+    """An integer count goes through the one qubit-count check."""
+    with pytest.raises(ValueError, match=r"^n_qubits must be in \[1, 20\], got 21$"):
         new_zero_state(21)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_qubits must be in \[1, 20\], got 0$"):
         new_zero_state(0)
+    with pytest.raises(ValueError, match=r"^n_qubits must be an integer, got 1\.0$"):
+        new_zero_state(1.0)
 
 
 def test_state_rejects_bad_length():

@@ -16,7 +16,6 @@ import qembed.training as training_module
 from qembed.data import EmbeddingRecord
 from qembed.model import (
     HybridModel,
-    features_p0,
     make_bypass_model,
     make_encoder_model,
     model_forward,
@@ -465,8 +464,6 @@ def test_readout_p0_rejects_rows_as_model_forward_does():
         with pytest.raises(ValueError) as block:
             readout_p0(m, rows)
         assert str(block.value) == f"row {bad}: {alone.value}"
-    with pytest.raises(ValueError, match=r"^row 1: input of shape \(2,\) does not match reduction in_dim 3"):
-        features_p0(encoder, [np.ones(3), np.ones(2)])
     # each pass names row 35 before any parameter moves
     labels = [i % 2 for i in range(40)]
     for m, rows, message in [
