@@ -15,18 +15,19 @@ the readout; training uses it, and its gradient shifts one gate of that
 same list at a time, so a sample-step builds one list. Training's row
 step makes the ansatz list once per mini-batch and passes it in, so each
 row builds only its feature map. The builders read features and angles
-as Python floats (`tolist()`, checked with `math.isfinite`), and the
-feature map repeats one list of gates per repetition: the shared H gates
-and one U1 per qubit. `readout_rows` runs the same gates in the same
-order over any number of rows, in blocks of at most `_BLOCK_AMPLITUDES`
-amplitudes, giving every row quantum_forward's p0 bit for bit; inference
-uses it, and `readout_row`, after the same checks, for one row. It
-checks each block's angles before that block's gates run and names a
+as Python floats (`tolist()`, checked with `math.isfinite`; the feature
+map checks each scaled angle, as the readout does), and the feature map
+repeats one list of gates per repetition: the shared H gates and one U1
+per qubit. `readout_rows` runs the same gates in the same order over any
+number of rows, in blocks of at most `_BLOCK_AMPLITUDES` amplitudes,
+giving every row quantum_forward's p0 bit for bit; inference uses it.
+It checks each block's angles before that block's gates run and names a
 row whose angle is not finite by its index in its input. One qubit runs
-on real and imaginary parts as Python floats for one row (`readout_row`)
-or (rows,) arrays for a block; wider circuits run on (rows, 2**n)
-amplitudes. The two stay apart until the benchmark's traced check, which
-counts `run_circuit` calls per training sample-step, counts rows instead.
+on real and imaginary parts, (rows,) arrays for a block and Python floats
+in `readout_row`; wider circuits run on (rows, 2**n) amplitudes, through
+`readout_rows` for one row too. The two kernels stay apart until the
+benchmark's traced check, which counts `run_circuit` calls per training
+sample-step, counts rows instead.
 """
 from __future__ import annotations
 
@@ -107,19 +108,20 @@ def build_z_feature_map(features, spec: FeatureMapSpec) -> list[GateOp]:
 
     Every repetition holds the same gate objects: the shared H(q) of
     `H_GATES` and one U1 per qubit, whose angle is the same Python float
-    each time.
+    each time. A scaled angle that is not finite (an overflow too) raises
+    `features must be finite`, as in `readout_rows`.
     """
     feats = np.asarray(features, dtype=float)
     if feats.shape != (spec.n_qubits,):
         raise ValueError(
             f"expected {spec.n_qubits} feature(s), got array of shape {feats.shape}"
         )
-    values = feats.tolist()
-    if not all(map(math.isfinite, values)):
+    angles = [spec.scale * value for value in feats.tolist()]
+    if not all(map(math.isfinite, angles)):
         raise ValueError(NON_FINITE_FEATURES)
     layer = []
-    for q, value in enumerate(values):
-        layer += (H_GATES[q], GateOp("U1", q, angle=spec.scale * value))
+    for q, angle in enumerate(angles):
+        layer += (H_GATES[q], GateOp("U1", q, angle=angle))
     return layer * spec.repetitions
 
 
@@ -203,8 +205,6 @@ def readout_rows(
         return np.zeros(0)
     ansatz = thetas if fm.n_qubits == 1 else build_real_amplitudes(thetas, an)
     step = max(1, _BLOCK_AMPLITUDES >> fm.n_qubits)
-    if len(feats) <= step:
-        return _block_p0(feats, 0, ansatz, fm, readout_qubit)
     return np.concatenate([
         _block_p0(feats[i : i + step], i, ansatz, fm, readout_qubit)
         for i in range(0, len(feats), step)
@@ -213,11 +213,10 @@ def readout_rows(
 
 def readout_row(features, theta, fm: FeatureMapSpec, an: AnsatzSpec, readout_qubit: int = 0):
     """readout_rows' p0, a Python float, of the one row array `features`
-    (n_qubits,): one qubit on Python floats, wider circuits as one block."""
-    thetas = _check_readout((1, *features.shape), theta, fm, an, readout_qubit)
+    (n_qubits,): one qubit on Python floats, wider circuits through `readout_rows`."""
     if fm.n_qubits > 1:
-        gates = build_real_amplitudes(thetas, an)
-        return float(_block_p0(features[None], 0, gates, fm, readout_qubit)[0])
+        return float(readout_rows(features[None], theta, fm, an, readout_qubit)[0])
+    thetas = _check_readout((1, *features.shape), theta, fm, an, readout_qubit)
     a = fm.scale * features.tolist()[0]
     if not math.isfinite(a):
         raise NonFiniteRowError(0)

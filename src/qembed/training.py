@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, bce_loss, bce_losses, parameter_dict, reduce_input_gradient
+from .autodiff import backward, bce_losses, parameter_dict, reduce_input_gradient
 from .autodiff import reduce_rows
 from .circuits import build_real_amplitudes
 from .encoder import encode_backward, encode_with_cache
@@ -230,9 +230,9 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     features, and the block's `EncodeCache` (None for a bypass model).
 
     An encoder model encodes the block once (`encode_with_cache`); the
-    block's reductions and ansatz gate list are made once; each row then
-    runs one `model_forward` and one `backward` on its features and those,
-    and when `encoder` is set one block `encode_backward` gives the
+    block's reductions and ansatz gate list are made once; each row runs
+    one `model_forward` and one `backward`, the losses one `bce_losses`
+    pass, and with `encoder` set one block `encode_backward` gives the
     encoder gradients (without it, `grads` holds no encoder keys). `labels`
     must hold one label per row, and there must be at least one row.
     """
@@ -247,10 +247,10 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
     # update stage, between calls
     reduced = reduce_rows(feats, model.reduction)
     ansatz = build_real_amplitudes(model.theta, model.ansatz)
-    losses, steps = [], []
+    p0s, steps = [], []
     for feat, y, label in zip(feats, reduced, labels):
         forward = model_forward(model, feat, y, ansatz)
-        losses.append(bce_loss(forward.p0, label))
+        p0s.append(forward.p0)
         steps.append(backward(model, forward, label))
     g_encoder = None
     if encoder and not model.bypass:
@@ -260,7 +260,7 @@ def row_gradients(model: HybridModel, rows: np.ndarray, labels, encoder: bool = 
             np.array(g_feats), cache, model.encoder_weights, model.encoder_config
         )
     head = [np.array([g[name] for g in steps]) for name in steps[0]]
-    return losses, parameter_dict(*head, g_encoder), feats, cache
+    return bce_losses(p0s, labels).tolist(), parameter_dict(*head, g_encoder), feats, cache
 
 
 def train(dataset, model: HybridModel, config: TrainingConfig) -> tuple[HybridModel, TrainingHistory]:

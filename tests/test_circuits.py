@@ -12,6 +12,7 @@ from qembed.circuits import (
     build_real_amplitudes,
     build_z_feature_map,
     quantum_forward,
+    readout_row,
     readout_rows,
     serialize_gates,
 )
@@ -257,12 +258,11 @@ def test_readout_rows_multi_qubit_matches_quantum_forward(n):
 def test_readout_rows_raises_the_first_bad_rows_error(n):
     fm, an = FeatureMapSpec(n_qubits=n), AnsatzSpec(n_qubits=n, layers=1)
     theta = np.full(an.parameter_count(), 0.3)
-    for bad, message in [(math.nan, "features must be finite"), (1e308, "U1 angle must be finite")]:
+    for bad in (math.nan, 1e308):
         y = np.ones((4, n))
         y[2, n - 1] = bad
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="features must be finite"):
             quantum_forward(y[2], theta, fm, an)
-        # the block checks each scaled angle: an overflow reads as a bad feature
         with pytest.raises(ValueError, match="features must be finite"):
             readout_rows(y, theta, fm, an)
     with pytest.raises(ValueError, match=rf"expected \(rows, {n}\) features, got array of shape \({n},\)"):
@@ -298,6 +298,55 @@ def test_readout_rows_names_a_non_finite_row_past_its_block_edge(n):
     y = np.random.default_rng(n).normal(size=(step + 1, n))
     expected = [quantum_forward(row, theta, fm, an).p0 for row in y[[0, step - 1, step]]]
     assert np.array_equal(readout_rows(y, theta, fm, an)[[0, step - 1, step]], expected)
+    # exactly one block of rows, every row
+    expected = [quantum_forward(row, theta, fm, an).p0 for row in y[:step]]
+    assert np.array_equal(readout_rows(y[:step], theta, fm, an), expected)
+
+
+def _row_and_rows(row, theta, fm, an, q):
+    """readout_row's p0 of the one row `row` and readout_rows' of `row[None]`,
+    each a p0 or the type and message of the error it raises."""
+    out = []
+    for score in (
+        lambda: readout_row(row, theta, fm, an, q),
+        lambda: readout_rows(row[None], theta, fm, an, q)[0],
+    ):
+        try:
+            out.append(score())
+        except (ValueError, IndexError) as e:
+            out.append((type(e), str(e)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_readout_row_is_readout_rows_of_one_row(n):
+    """readout_row, one qubit on Python floats and wider circuits alike,
+    gives readout_rows' p0 of its row as a Python float, and raises the
+    error readout_rows raises for that row, with the same message."""
+    rng = np.random.default_rng(300 + n)
+    for _ in range(10):
+        fm, an, theta = random_circuit(rng, n)
+        for q in range(n):
+            y = rng.normal(0.0, 2.0, size=n)
+            one, rows = _row_and_rows(y, theta, fm, an, q)
+            assert type(one) is float and one == rows, q
+        q = int(rng.integers(0, n))
+        nan_row, big_row = y.copy(), y.copy()
+        nan_row[rng.integers(0, n)] = math.nan
+        big_row[rng.integers(0, n)] = 1e308
+        for row, angles, qubit in [
+            (np.ones(n + 1), theta, q),
+            (y, theta[1:], q),
+            (y, np.full_like(theta, math.inf), q),
+            (y, theta, n),
+            (nan_row, theta, q),
+        ]:
+            one, rows = _row_and_rows(row, angles, fm, an, qubit)
+            assert isinstance(one, tuple) and one == rows, one
+        # 1e308 overflows only where |scale| > about 1.8
+        one, rows = _row_and_rows(big_row, theta, fm, an, q)
+        assert one == rows
+        assert isinstance(one, tuple) == (not math.isfinite(fm.scale * 1e308))
 
 
 # ---------------------------------------------------------------------------
